@@ -130,10 +130,9 @@ def pass_orders(workload, seed, size="full"):
     """Yield, pass after pass, [(op_id, argv)] in a new seeded order.
 
     op_id is the op's index in the unshuffled list, so it names the same
-    invocation whatever the order.  Every pass gets its own permutation: the
-    order changes how the allocator reuses memory, which moves a pass's time
-    and peak RSS by up to 10 %, and a run's median then averages over orders
-    instead of depending on one.
+    invocation whatever the order.  Every pass gets its own permutation, so
+    a run's median averages over orders instead of depending on one, and the
+    byte-identity check between passes covers outputs made in other orders.
     """
     ops = [(op_id, ["--output-dir", f"op{op_id:02d}", *argv])
            for op_id, argv in enumerate(invocations(workload, size, damping_for(seed)))]
