@@ -90,8 +90,12 @@ def digest(path):
 
 
 def fingerprint(table):
-    """Per column: (finite count, nan count, sum, sum of |x|) for numbers,
-    the value counts for labels."""
+    """Per column: (finite count, nan count, sum, sum of |x|, moment) for
+    numbers, the value counts and a hash of the sequence for labels.
+
+    The moment is sum(i * x_i) / n over the finite cells, i the row index and
+    n the row count, so reordered rows change it where the sums stay put.
+    """
     out = {}
     for name, col in table.columns.items():
         if name in ROUNDOFF_COLUMNS.get(table.name, ()):
@@ -100,11 +104,15 @@ def fingerprint(table):
             counts = {}
             for cell in col:
                 counts[cell] = counts.get(cell, 0) + 1
-            out[name] = {"labels": dict(sorted(counts.items()))}
+            order = hashlib.sha256("\n".join(col).encode()).hexdigest()[:16]
+            out[name] = {"labels": dict(sorted(counts.items())), "order": order}
         else:
-            finite = col[np.isfinite(col)]
-            out[name] = {"finite": int(finite.size), "nan": int(np.isnan(col).sum()),
-                         "sum": float(finite.sum()), "abs_sum": float(np.abs(finite).sum())}
+            finite = np.isfinite(col)
+            values = col[finite]
+            rows = np.flatnonzero(finite) / max(col.size, 1)
+            out[name] = {"finite": int(values.size), "nan": int(np.isnan(col).sum()),
+                         "sum": float(values.sum()), "abs_sum": float(np.abs(values).sum()),
+                         "moment": float(rows @ values)}
     return out
 
 
@@ -120,15 +128,17 @@ def compare_fingerprint(got, ref, rtol=REFERENCE_RTOL):
                             f"reference holds {'labels' if 'labels' in want else 'numbers'}")
             continue
         if "labels" in want:
-            if have.get("labels") != want["labels"]:
+            if have["labels"] != want["labels"]:
                 problems.append(f"{name}: labels differ from reference")
+            elif have["order"] != want["order"]:
+                problems.append(f"{name}: labels are in another order than the reference")
             continue
         if (have["finite"], have["nan"]) != (want["finite"], want["nan"]):
             problems.append(f"{name}: {have['finite']} finite / {have['nan']} nan cells, "
                             f"reference {want['finite']} / {want['nan']}")
             continue
         scale = want["abs_sum"]
-        for key in ("sum", "abs_sum"):
+        for key in ("sum", "abs_sum", "moment"):
             if abs(have[key] - want[key]) > rtol * scale:
                 problems.append(f"{name}: {key} {have[key]!r} vs reference {want[key]!r}")
     return problems

@@ -6,7 +6,8 @@ Prints `ready` as soon as `import podwave.cli` returns (the parent times
 set-up up to that line), then runs every op of the spec in order as an
 in-process call of `podwave.cli.main(argv)` from the current directory, and
 prints one JSON line with the per-op exit codes and the pass's wall time,
-CPU time and peak RSS.  A spec with no ops only measures set-up.
+CPU time, minor page faults and peak RSS.  A spec with no ops only measures
+set-up.
 """
 
 import sys
@@ -22,9 +23,9 @@ import os  # noqa: E402
 import resource  # noqa: E402
 
 
-def _cpu_s():
+def _cpu_s_and_faults():
     ru = resource.getrusage(resource.RUSAGE_SELF)
-    return ru.ru_utime + ru.ru_stime
+    return ru.ru_utime + ru.ru_stime, ru.ru_minflt
 
 
 def main(spec_path):
@@ -43,7 +44,7 @@ def main(spec_path):
     cli_main = podwave.cli.main  # looked up after install, which may rebind it
     ops = []
     with open(os.devnull, "w") as sink:
-        cpu0, wall0 = _cpu_s(), time.perf_counter()
+        (cpu0, faults0), wall0 = _cpu_s_and_faults(), time.perf_counter()
         for op_id, argv in spec["ops"]:
             if tracer:
                 tracer.op_id = op_id
@@ -57,11 +58,13 @@ def main(spec_path):
                 print(f"op {op_id} raised {type(exc).__name__}: {exc}", file=sys.stderr)
                 rc = -1
             ops.append({"op": op_id, "rc": rc, "wall_s": time.perf_counter() - t0})
-        wall, cpu = time.perf_counter() - wall0, _cpu_s() - cpu0
+        wall = time.perf_counter() - wall0
+        cpu1, faults1 = _cpu_s_and_faults()
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     if tracer:
         tracer.dump(spec["spans_path"])
-    print(json.dumps({"ops": ops, "wall_s": wall, "cpu_s": cpu, "peak_rss_mb": peak_mb}))
+    print(json.dumps({"ops": ops, "wall_s": wall, "cpu_s": cpu1 - cpu0,
+                      "minor_faults": faults1 - faults0, "peak_rss_mb": peak_mb}))
     return 0
 
 

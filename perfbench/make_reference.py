@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
 """Record the reference fingerprints the benchmark compares outputs against.
 
-    python3 perfbench/make_reference.py [--size full|tiny ...]
+    python3 perfbench/make_reference.py
 
-Runs every distinct invocation of every workload, for every damping value a
-seed can select, once, and writes the column fingerprints of its CSVs to
-perfbench/reference.json.  Run it only on the commit whose outputs are the
-reference (the seed commit); the benchmark then accepts later commits whose
-outputs agree within checks.REFERENCE_RTOL.
+Runs every distinct invocation of every workload, at both sizes and for every
+damping value a seed can select, once, and writes the column fingerprints of
+its CSVs to a fresh perfbench/reference.json.  Run it only on the commit
+whose outputs are the reference (the seed commit); the benchmark then accepts
+later commits whose outputs agree within checks.REFERENCE_RTOL.
 """
 
-import argparse
 import json
 import os
 import shutil
@@ -48,19 +47,11 @@ def record(size, tmp_dir):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--size", choices=SIZES, nargs="+", default=list(SIZES))
-    args = parser.parse_args()
     path = os.path.join(HERE, "reference.json")
-    reference = {}
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            reference = json.load(fh)
     os.makedirs(os.path.join(ROOT, ".perfbench_work"), exist_ok=True)
     tmp_dir = tempfile.mkdtemp(prefix="reference-", dir=os.path.join(ROOT, ".perfbench_work"))
     try:
-        for size in args.size:
-            reference[size] = record(size, tmp_dir)
+        reference = {size: record(size, tmp_dir) for size in SIZES}
     finally:
         shutil.rmtree(tmp_dir, ignore_errors=True)
     with open(path, "w", encoding="utf-8") as fh:

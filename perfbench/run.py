@@ -6,9 +6,9 @@
 Run from the root of a source checkout (the program is imported from
 `src/`).  Each pass runs every op of the workload, in an order drawn from the
 seed, as an in-process call of `podwave.cli.main(argv)` inside a new
-interpreter whose BLAS/OpenMP thread counts are pinned to 1 and whose malloc
-thresholds are fixed (see MALLOC_ENV).  Passes repeat while the next one
-is expected to finish within `--seconds`; at least one always runs.
+interpreter whose BLAS/OpenMP thread counts are pinned to 1; the allocator
+keeps glibc's defaults, as for any user of the CLI.  Passes repeat while the
+next one is expected to finish within `--seconds`; at least one always runs.
 
 Every op's outputs are checked (see checks.py) and the CSVs of all passes of
 one run must be byte-identical.  The last line of standard output is the
@@ -42,13 +42,6 @@ import tracer  # noqa: E402
 from workloads import SIZES, WORKLOADS, pass_orders  # noqa: E402
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# glibc raises its mmap threshold each time it frees a large mmapped block,
-# so which arrays come from fresh, page-faulting mmaps depends on the order
-# of the ops: one tables pass took 11k minor faults in one order and 412k in
-# another (0.06 s against 0.78 s of system time).  Pinning the threshold at
-# the value the dynamic rule tops out at (32 MiB on 64-bit, trim at twice
-# that) makes a pass's time independent of the order; peak RSS is unchanged.
-MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_": "33554432", "MALLOC_TRIM_THRESHOLD_": "67108864"}
 SETUP_PROBES = 3       # set-up-only children per run, besides one per pass
 CHILD_TIMEOUT_S = 170
 
@@ -62,7 +55,6 @@ class BenchError(RuntimeError):
 def child_env():
     env = dict(os.environ)
     env.update({var: "1" for var in THREAD_VARS})
-    env.update(MALLOC_ENV)
     env["PYTHONPATH"] = SRC
     return env
 
@@ -117,7 +109,7 @@ def run_pass(ops, trace, work_dir, reference, spans_path):
 
 
 def environment(args):
-    env = {"child_threads": {var: "1" for var in THREAD_VARS}, "child_malloc": MALLOC_ENV}
+    env = {"child_threads": {var: "1" for var in THREAD_VARS}}
     env.update(nproc=os.cpu_count(), cpu_model=_cpu_model(), caches=_cache_sizes(),
                python=platform.python_version(), git_commit=_git_commit(),
                workload=args.workload, seed=args.seed, seconds=args.seconds,
@@ -279,6 +271,7 @@ def _run(args, orders, reference, work_dir):
         metrics = {name: {"value": values[name], "unit": unit} for name, unit in END_TO_END}
     env.update(passes=len(plain), traced_passes=len(traced), setup_samples=len(setups),
                pass_wall_s=[p["wall_s"] for p in plain],
+               pass_minor_faults=[p["minor_faults"] for p in plain],
                traced_pass_wall_s=[p["wall_s"] for p in traced])
     print("environment: " + json.dumps(env, sort_keys=True))
     print(json.dumps({"correct": correct, "attempted": attempted, "failed": failed,

@@ -77,39 +77,64 @@ def _tiny_outputs(tmp_dir, argv):
     return out
 
 
-def _flip(path, column, transform):
-    """Rewrite one cell of the first data row of a podwave CSV."""
+def _rewrite(path, transform):
+    """Replace the data rows of a podwave CSV by transform(header, rows)."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     head = next(i for i, line in enumerate(lines) if not line.startswith("#"))
-    j = lines[head].split(",").index(column)
-    cells = lines[head + 1].split(",")
-    cells[j] = transform(cells[j])
-    lines[head + 1] = ",".join(cells)
+    lines[head + 1:] = transform(lines[head].split(","), lines[head + 1:])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("workload, file, column, transform", [
+def _flip_cell(column, change):
+    """A transform for _rewrite that changes one cell of the first data row."""
+    def transform(header, rows):
+        cells = rows[0].split(",")
+        j = header.index(column)
+        cells[j] = change(cells[j])
+        return [",".join(cells), *rows[1:]]
+    return transform
+
+
+def _problems_after(tmp_dir, workload, file, transform):
+    """check_op's findings on a copy of an op's outputs with `file` rewritten.
+
+    The untouched outputs must pass, and fail once given a non-zero exit code.
+    """
+    reference = run.load_reference("tiny")
+    argv = next(a for a in invocations(workload, "tiny", "0.01")
+                if file in checks.output_files(a))
+    out = _tiny_outputs(tmp_dir, argv)
+    assert checks.check_op(out, argv, 0, reference)[0] == []
+    assert checks.check_op(out, argv, 2, reference)[0] == ["exit code 2"]
+    copy = os.path.join(tmp_dir, "copy")
+    shutil.copytree(out, copy)
+    _rewrite(os.path.join(copy, file), transform)
+    return checks.check_op(copy, argv, 0, reference)[0]
+
+
+@pytest.mark.parametrize("workload, file, column, change", [
     ("pod-data-errors", "error_formulas.csv", "actual", lambda c: repr(2 * float(c))),
     ("pod-data-errors", "error_formulas.csv", "relative_gap", lambda c: "1e-3"),
     ("rom-r-sweep", "rom_sweep.csv", "max_l2_sq", lambda c: "inf"),
     ("fe-export", "energy.csv", "energy_rate", lambda c: repr(float(c) + 1.0)),
     ("fe-export", "trajectory.csv", "u_3", lambda c: "garbage"),
 ])
-def test_flipped_cell_fails_the_op(tmp_dir, workload, file, column, transform):
-    reference = run.load_reference("tiny")
-    argv = next(a for a in invocations(workload, "tiny", "0.01")
-                if file in checks.output_files(a))
-    out = _tiny_outputs(tmp_dir, argv)
-    problems, _, _ = checks.check_op(out, argv, 0, reference)
-    assert problems == []
-    copy = os.path.join(tmp_dir, "copy")
-    shutil.copytree(out, copy)
-    _flip(os.path.join(copy, file), column, transform)
-    problems, _, _ = checks.check_op(copy, argv, 0, reference)
+def test_flipped_cell_fails_the_op(tmp_dir, workload, file, column, change):
+    problems = _problems_after(tmp_dir, workload, file, _flip_cell(column, change))
     assert problems, f"flipped {file}:{column} went unnoticed"
-    assert checks.check_op(out, argv, 2, reference)[0] == ["exit code 2"]
+
+
+@pytest.mark.parametrize("workload, file, reorder", [
+    ("tables", "singvals_standard.csv", lambda rows: rows[::-1]),
+    ("fe-export", "trajectory.csv", lambda rows: [rows[-1], *rows[1:-1], rows[0]]),
+    ("fe-export", "energy.csv", lambda rows: rows[len(rows) // 2:] + rows[:len(rows) // 2]),
+    ("rom-r-sweep", "rom_sweep.csv", lambda rows: [rows[1], rows[0], *rows[2:]]),
+])
+def test_reordered_rows_fail_the_op(tmp_dir, workload, file, reorder):
+    problems = _problems_after(tmp_dir, workload, file, lambda header, rows: reorder(rows))
+    assert problems, f"reordered rows of {file} went unnoticed"
 
 
 def test_fails_without_the_program(tmp_dir):
