@@ -4,6 +4,7 @@ Every experiment is fully determined by a RunConfig; emitted CSV files embed
 the configuration so runs can be reproduced byte for byte.
 """
 
+import math
 import os
 from dataclasses import dataclass, fields, replace
 from typing import Optional
@@ -38,6 +39,10 @@ class RunConfig:
 
     def validated(self) -> "RunConfig":
         cfg = self if self.T_train is not None else replace(self, T_train=self.T)
+        for f in fields(cfg):
+            value = getattr(cfg, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if cfg.n_elements < 2:
             raise ConfigError("n_elements must be at least 2")
         if cfg.dt <= 0 or cfg.T <= 0:
@@ -102,7 +107,7 @@ def _parse_value(name: str, text: str):
         if name in ("dt", "T", "T_train", "c", "D", "G", "rank_tol"):
             try:
                 return _parse_float(text)
-            except ValueError as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise ConfigError(f"bad number for {name}: {text!r}") from exc
         return text  # string-valued fields
     raise ConfigError(f"unknown config key {name!r}")

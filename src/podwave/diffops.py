@@ -58,17 +58,10 @@ def rebuild_sequence(z1: np.ndarray, dz1: np.ndarray, ddqs: np.ndarray, dt: floa
     """Recover the whole sequence from z^1, its first forward difference and
     the second difference quotients:
 
-        z^n = z^1 + (n-1) dt dz^1 + dt^2 sum_{i=2..n-1} (n-i) ddz^i.
+        z^n = z^1 + (n-1) dt dz^1 + dt^2 sum_{i=2..n-1} (n-i) ddz^i,
 
-    Returns the full (N, ...) stack.
+    evaluated as z^n = z^1 + dt sum_{k<n} dz^k over the rebuilt forward
+    differences.  Returns the full (N, ...) stack.
     """
-    n_total = ddqs.shape[0] + 2
-    out = np.empty((n_total,) + z1.shape)
-    out[0] = z1
-    out[1] = z1 + dt * dz1
-    for n in range(3, n_total + 1):
-        i = np.arange(2, n)  # second-difference indices entering z^n
-        weights = (n - i).astype(float)
-        acc = np.tensordot(weights, ddqs[: n - 2], axes=(0, 0))
-        out[n - 1] = z1 + (n - 1) * dt * dz1 + dt * dt * acc
-    return out
+    partial = dt * np.cumsum(rebuild_forward_diffs(dz1, ddqs, dt), axis=0)
+    return np.concatenate((z1[None], z1[None] + partial), axis=0)

@@ -1,9 +1,14 @@
 """End-to-end checks of the command-line tool and its configuration layer,
 on reduced problem sizes."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import podwave
 from podwave.cli import main
 from podwave.config import OUTPUT_DIR_ENV, ConfigError, RunConfig, make_config
 
@@ -58,6 +63,32 @@ def test_bad_config_exits_one(tmp_path, capsys):
     rc = main(["--dt", "0.3", "--T", "1.0", "solve"])
     assert rc == 1
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--c", "nan", "c must be finite"),
+    ("--D", "nan", "D must be finite"),
+    ("--T", "inf", "T must be finite"),
+    ("--dt", "1/0", "bad number for dt"),
+], ids=["c-nan", "D-nan", "T-inf", "dt-1/0"])
+def test_non_finite_config_exits_one(tmp_path, capsys, flag, value, message):
+    rc = main(SMALL + [flag, value, "--output-dir", str(tmp_path), "solve"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_import_skips_scipy_signal():
+    """scipy.signal costs about a second and 46 MiB to import; the CLI
+    must not pull it in."""
+    src = os.path.dirname(os.path.dirname(podwave.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, podwave.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_zero_data_exits_two(tmp_path, capsys):
