@@ -6,8 +6,7 @@ Galerkin reduced-order model, and verifies the exact data-error formulas,
 pointwise bounds, and energy identities that certify the reduction.
 """
 
-from .fem import FemSpace, assemble, l2_inner, h10_inner, l2_project
-from .linalg import TridiagonalMatrix, SymEigResult
+from .fem import FemSpace, assemble, l2_project
 from .pod import PodBasis, PodDataSet, BoundConstants, build_dataset, compute_basis, pod_basis
 from .rom import RomSystem, RomErrorReport, build_rom, solve_rom, error_report
 from .wave import (
@@ -19,7 +18,6 @@ from .wave import (
     analytic_series,
     default_u0,
     default_u00,
-    energy,
     energy_series,
     initial_states,
     solve,
@@ -33,10 +31,8 @@ __all__ = [
     "PodDataSet",
     "RomErrorReport",
     "RomSystem",
-    "SymEigResult",
     "TimeGrid",
     "Trajectory",
-    "TridiagonalMatrix",
     "WaveParams",
     "analytic_eval",
     "analytic_series",
@@ -46,12 +42,9 @@ __all__ = [
     "compute_basis",
     "default_u0",
     "default_u00",
-    "energy",
     "energy_series",
     "error_report",
-    "h10_inner",
     "initial_states",
-    "l2_inner",
     "l2_project",
     "pod_basis",
     "solve",

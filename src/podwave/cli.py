@@ -6,9 +6,10 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from . import experiments, wave
-from .config import ConfigError, RunConfig, make_config
+from .config import ConfigError, RunConfig, make_config, parse_number
 from .linalg import LinAlgFailure
 
 _FLOAT_FMT = "%.16e"  # 17 significant digits
@@ -23,14 +24,22 @@ def _format_cell(v) -> str:
 
 
 def write_csv(path: str, config: RunConfig, command: str, header, rows):
+    """Write the CSV atomically: a temporary file next to `path`, renamed
+    over it only once every row is written."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# command={command}\n")
-        for key, value in config.as_items():
-            fh.write(f"# {key}={value}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(v) for v in row) + "\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(f"# command={command}\n")
+            for key, value in config.as_items():
+                fh.write(f"# {key}={value}\n")
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_format_cell(v) for v in row) + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return path
 
 
@@ -68,7 +77,10 @@ def cmd_rom_sweep(config: RunConfig, args) -> int:
     param = args.param
     if param is None:
         param = "G" if config.G > 0 and config.D == 0 else "D"
-    values = args.values if args.values else [getattr(config, param)]
+    if args.values:
+        values = [parse_number("--values", v) for v in args.values]
+    else:
+        values = [getattr(config, param)]
     header, rows = experiments.rom_sweep_rows(config, param, values)
     print(write_csv(_out_path(config, "rom_sweep.csv"), config, "rom-sweep",
                     header, rows))
@@ -77,7 +89,8 @@ def cmd_rom_sweep(config: RunConfig, args) -> int:
 
 def cmd_profiles(config: RunConfig, args) -> int:
     r = args.r if args.r is not None else int(config.r_list[0])
-    header, rows = experiments.profile_rows(config, args.times, r)
+    times = [parse_number("--times", t) for t in args.times]
+    header, rows = experiments.profile_rows(config, times, r)
     print(write_csv(_out_path(config, "profiles.csv"), config, "profiles",
                     header, rows))
     return 0
@@ -85,14 +98,16 @@ def cmd_profiles(config: RunConfig, args) -> int:
 
 def cmd_train_interval(config: RunConfig, args) -> int:
     r = args.r if args.r is not None else int(config.r_list[0])
-    header, rows = experiments.train_interval_rows(config, args.t_train, r)
+    t_train = [parse_number("--t-train", t) for t in args.t_train]
+    header, rows = experiments.train_interval_rows(config, t_train, r)
     print(write_csv(_out_path(config, "train_interval.csv"), config,
                     "train-interval", header, rows))
     return 0
 
 
 def cmd_convergence(config: RunConfig, args) -> int:
-    header, rows = experiments.convergence_rows(config, args.dt_list)
+    dt_list = [parse_number("--dt-list", dt) for dt in args.dt_list]
+    header, rows = experiments.convergence_rows(config, dt_list)
     print(write_csv(_out_path(config, "convergence.csv"), config,
                     "convergence", header, rows))
     return 0
@@ -115,25 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     parser.add_argument("--config", help="flat key=value configuration file")
-    cfg = parser.add_argument_group("configuration overrides")
-    cfg.add_argument("--n-elements", dest="n_elements", type=int)
-    cfg.add_argument("--dt", type=str, help="time step (fractions like 1/800 allowed)")
-    cfg.add_argument("--T", type=str)
-    cfg.add_argument("--T-train", dest="T_train", type=str)
-    cfg.add_argument("--c", type=str)
-    cfg.add_argument("--D", type=str)
-    cfg.add_argument("--G", type=str)
-    cfg.add_argument("--pod-method", dest="pod_method",
-                     choices=("standard", "dq1", "ddq"))
-    cfg.add_argument("--r-list", dest="r_list", type=str,
-                     help="comma separated basis sizes, e.g. 10,20,40")
-    cfg.add_argument("--seed", type=int)
-    cfg.add_argument("--output-dir", dest="output_dir")
-    cfg.add_argument("--u0", choices=("default", "sine", "zero"))
-    cfg.add_argument("--u00", choices=("default", "sine", "zero"))
-    cfg.add_argument("--rank-tol", dest="rank_tol", type=str)
-    cfg.add_argument("--k-max", dest="k_max", type=int)
-    cfg.add_argument("--stride", type=int)
+    cfg = parser.add_argument_group(
+        "configuration overrides",
+        "one flag per RunConfig field, parsed like the config file: floats "
+        "accept fractions such as 1/800, r_list is comma separated")
+    for f in fields(RunConfig):
+        cfg.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=str,
+                         help=f"default: {f.default}")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("solve", help="write trajectory.csv and energy.csv")
@@ -142,20 +145,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rom-sweep", help="ROM errors and bound ratios over damping values")
     p.add_argument("--param", choices=("D", "G"))
-    p.add_argument("--values", type=float, nargs="+")
+    p.add_argument("--values", nargs="+")
 
     p = sub.add_parser("profiles", help="FE vs ROM spatial profiles at chosen times")
-    p.add_argument("--times", type=float, nargs="+", default=[0.0, 5.0, 10.0])
+    p.add_argument("--times", nargs="+", default=["0", "5", "10"])
     p.add_argument("--r", type=int)
 
     p = sub.add_parser("train-interval", help="final-time error vs training window")
-    p.add_argument("--t-train", dest="t_train", type=float, nargs="+",
-                   default=[10.0, 5.0, 1.0, 0.5])
+    p.add_argument("--t-train", dest="t_train", nargs="+", default=["10", "5", "1", "0.5"])
     p.add_argument("--r", type=int)
 
     p = sub.add_parser("convergence", help="final-time error vs dt against the series")
-    p.add_argument("--dt-list", dest="dt_list", type=float, nargs="+",
-                   default=[1.0 / 100.0, 1.0 / 200.0, 1.0 / 400.0])
+    p.add_argument("--dt-list", dest="dt_list", nargs="+", default=["1/100", "1/200", "1/400"])
 
     sub.add_parser("check", help="run the invariant self-checks")
     return parser
@@ -172,21 +173,11 @@ _COMMANDS = {
     "check": cmd_check,
 }
 
-_OVERRIDE_KEYS = (
-    "n_elements", "dt", "T", "T_train", "c", "D", "G", "pod_method",
-    "r_list", "seed", "output_dir", "u0", "u00", "rank_tol", "k_max", "stride",
-)
-
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        overrides = {k: getattr(args, k) for k in _OVERRIDE_KEYS if getattr(args, k) is not None}
-        config = make_config(args.config, overrides)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        config = make_config(args.config, {f.name: getattr(args, f.name) for f in fields(RunConfig)})
         return _COMMANDS[args.command](config, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -10,6 +10,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .pod import METHODS
+from .wave import INITIAL_CONDITIONS
 
 OUTPUT_DIR_ENV = "PODWAVE_OUTPUT_DIR"
 
@@ -57,6 +58,9 @@ class RunConfig:
             raise ConfigError("damping coefficients must be nonnegative")
         if cfg.pod_method not in METHODS:
             raise ConfigError(f"pod_method must be one of {METHODS}")
+        for name in ("u0", "u00"):
+            if getattr(cfg, name) not in INITIAL_CONDITIONS:
+                raise ConfigError(f"{name} must be one of {tuple(INITIAL_CONDITIONS)}")
         if not cfg.r_list or any(int(r) < 1 for r in cfg.r_list):
             raise ConfigError("r_list must be nonempty positive integers")
         if cfg.stride < 1:
@@ -89,36 +93,38 @@ def _check_divides(dt: float, span: float, name: str):
         raise ConfigError(f"dt={dt} does not divide {name}={span} into integer steps")
 
 
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+
+
 def _parse_value(name: str, text: str):
-    text = text.strip()
-    for f in fields(RunConfig):
-        if f.name != name:
-            continue
-        if name == "r_list":
-            try:
-                return tuple(int(p) for p in text.replace(" ", "").split(",") if p)
-            except ValueError as exc:
-                raise ConfigError(f"bad r_list value {text!r}") from exc
-        if name in ("n_elements", "seed", "stride", "k_max"):
-            try:
-                return int(text)
-            except ValueError as exc:
-                raise ConfigError(f"bad integer for {name}: {text!r}") from exc
-        if name in ("dt", "T", "T_train", "c", "D", "G", "rank_tol"):
-            try:
-                return _parse_float(text)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ConfigError(f"bad number for {name}: {text!r}") from exc
-        return text  # string-valued fields
-    raise ConfigError(f"unknown config key {name!r}")
+    """Parse text as the RunConfig field `name`, by the field's type."""
+    if name not in _FIELD_TYPES:
+        raise ConfigError(f"unknown config key {name!r}")
+    kind, text = _FIELD_TYPES[name], text.strip()
+    if kind is tuple:
+        try:
+            return tuple(int(p) for p in text.replace(" ", "").split(",") if p)
+        except ValueError as exc:
+            raise ConfigError(f"bad {name} value {text!r}") from exc
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError as exc:
+            raise ConfigError(f"bad integer for {name}: {text!r}") from exc
+    if kind in (float, Optional[float]):
+        return parse_number(name, text)
+    return text  # str and Optional[str]
 
 
-def _parse_float(text: str) -> float:
-    # accept fractions like 1/800 for convenience in config files
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return float(num) / float(den)
-    return float(text)
+def parse_number(name: str, text: str) -> float:
+    """A float, or a fraction such as 1/800; ConfigError names `name`."""
+    try:
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return float(num) / float(den)
+        return float(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad number for {name}: {text!r}") from exc
 
 
 def load_config(path: str) -> dict:

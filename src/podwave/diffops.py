@@ -1,14 +1,11 @@
-"""Difference-quotient and time-average operators on snapshot sequences.
+"""Difference-quotient operators on snapshot sequences.
 
 A sequence is an array z of shape (N, ...) whose leading axis is time with
 spacing dt.  Each operator returns the stack of values over its valid index
 range, so lengths shrink by one or two:
 
     forward_diff    (z[j+1] - z[j]) / dt                 j = 1..N-1   -> N-1
-    backward_diff   (z[j] - z[j-1]) / dt                 j = 2..N     -> N-1
     second_diff     (z[j+1] - 2 z[j] + z[j-1]) / dt^2    j = 2..N-1   -> N-2
-    backward_avg    (z[j] + z[j-1]) / 2                  j = 2..N     -> N-1
-    centered_avg    (z[j+1] + 2 z[j] + z[j-1]) / 4       j = 2..N-1   -> N-2
     centered_diff   (z[j+1] - z[j-1]) / (2 dt)           j = 2..N-1   -> N-2
 
 (indices above are 1-based as in the time grid convention t_j = (j-1) dt).
@@ -21,20 +18,8 @@ def forward_diff(z: np.ndarray, dt: float) -> np.ndarray:
     return (z[1:] - z[:-1]) / dt
 
 
-def backward_diff(z: np.ndarray, dt: float) -> np.ndarray:
-    return (z[1:] - z[:-1]) / dt
-
-
 def second_diff(z: np.ndarray, dt: float) -> np.ndarray:
     return (z[2:] - 2.0 * z[1:-1] + z[:-2]) / (dt * dt)
-
-
-def backward_avg(z: np.ndarray) -> np.ndarray:
-    return 0.5 * (z[1:] + z[:-1])
-
-
-def centered_avg(z: np.ndarray) -> np.ndarray:
-    return 0.25 * (z[2:] + 2.0 * z[1:-1] + z[:-2])
 
 
 def centered_diff(z: np.ndarray, dt: float) -> np.ndarray:

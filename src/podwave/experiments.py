@@ -6,6 +6,7 @@ CLI, the test suite, and the reproduction scripts.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -15,22 +16,13 @@ from .fem import assemble, l2_norms_sq
 from .wave import TimeGrid, Trajectory, WaveParams
 
 
-def initial_condition(name: str):
-    if name == "default":
-        return wave.default_u0
-    if name == "sine":
-        return lambda x: np.sin(np.pi * np.asarray(x, dtype=float))
-    if name == "zero":
-        return wave.default_u00
-    raise ConfigError(f"unknown initial condition {name!r}; use default, sine, or zero")
-
-
 def setup(config: RunConfig):
     """(space, grid, params, u0, u00) from a validated config."""
     space = assemble(config.n_elements)
     grid = TimeGrid.from_dt(config.T, config.dt)
     params = WaveParams(c=config.c, D=config.D, G=config.G)
-    return space, grid, params, initial_condition(config.u0), initial_condition(config.u00)
+    ics = wave.INITIAL_CONDITIONS
+    return space, grid, params, ics[config.u0], ics[config.u00]
 
 
 def fe_trajectory(config: RunConfig) -> Trajectory:
@@ -38,11 +30,28 @@ def fe_trajectory(config: RunConfig) -> Trajectory:
     return wave.solve(space, grid, params, u0, u00)
 
 
+def _time_level(grid: TimeGrid, t: float, what: str) -> int:
+    """The index n of the grid time t = n dt; ConfigError unless t is one of
+    the grid's times in [0, T]."""
+    steps = t / grid.dt
+    if not (math.isfinite(steps) and 0 <= round(steps) < grid.N
+            and abs(steps - round(steps)) <= 1e-9 * max(steps, 1.0)):
+        raise ConfigError(f"{what} {t} is not a time of the grid (dt={grid.dt}, T={grid.T})")
+    return round(steps)
+
+
+def _check_rank(basis: pod.PodBasis, r: int):
+    """ConfigError for a basis size the configured data cannot supply."""
+    if not 1 <= r <= basis.rank:
+        raise ConfigError(f"r must be in [1, {basis.rank}] for this {basis.method} "
+                          f"POD basis, got {r}")
+
+
 def training_slice(traj: Trajectory, t_train: float) -> Trajectory:
     """Restrict a trajectory to the snapshots in [0, t_train]."""
     dt = traj.grid.dt
-    m = round(t_train / dt) + 1
-    if not 3 <= m <= traj.grid.N:
+    m = _time_level(traj.grid, t_train, "training interval") + 1
+    if m < 3:
         raise ConfigError(f"training interval {t_train} leaves too few snapshots")
     sub_grid = TimeGrid(T=(m - 1) * dt, dt=dt, N=m)
     return Trajectory(space=traj.space, grid=sub_grid, states=traj.states[:m])
@@ -57,7 +66,7 @@ def trajectory_rows(traj: Trajectory, stride: int):
 
 def energy_rows(traj: Trajectory, params: WaveParams):
     """Rows (t_n, E, dE, -dissipation) for the interior levels n = 2..N-1."""
-    e = wave.energy_series(traj, params.c)
+    e = wave.energy_series(traj.space, traj.states, traj.grid.dt, params.c)
     rate, dissipation = wave.energy_balance(traj, params)
     times = traj.grid.times
     header = ["t", "energy", "energy_rate", "neg_dissipation"]
@@ -87,6 +96,7 @@ def error_formula_rows(config: RunConfig):
     rows = []
     lam1 = basis.eigenvalues[0]
     for r in config.r_list:
+        _check_rank(basis, int(r))
         for norm in (pod.NORM_L2, pod.NORM_H10):
             actual = pod.data_error_actual(traj, basis, int(r), norm=norm)
             formula = pod.data_error_formula(basis, int(r), norm=norm)
@@ -96,6 +106,7 @@ def error_formula_rows(config: RunConfig):
 
 
 def _rom_report(traj, basis, r, space, params):
+    _check_rank(basis, r)
     romsys = rom.build_rom(basis, r, space, params, traj.grid,
                            traj.states[0], traj.states[1])
     rom_traj = rom.solve_rom(romsys)
@@ -115,11 +126,8 @@ def rom_sweep_rows(config: RunConfig, param: str, values, methods=("standard", "
               "ratio_energy", "ratio_pointwise"]
     rows = []
     for value in values:
-        params = WaveParams(
-            c=config.c,
-            D=float(value) if param == "D" else config.D,
-            G=float(value) if param == "G" else config.G,
-        )
+        swept = replace(config, **{param: float(value)}).validated()
+        params = WaveParams(c=swept.c, D=swept.D, G=swept.G)
         traj = wave.solve(space, grid, params, u0, u00)
         for method in methods:
             basis = pod.pod_basis(traj, method, rank_tol=config.rank_tol)
@@ -139,16 +147,15 @@ def _nan_if_none(x):
 def profile_rows(config: RunConfig, times, r: int):
     """FE and reconstructed ROM values on the full node set at chosen times."""
     space, grid, params, u0, u00 = setup(config)
+    levels = [_time_level(grid, float(t), "profile time") for t in times]
     traj = wave.solve(space, grid, params, u0, u00)
     basis = pod.pod_basis(traj, config.pod_method, rank_tol=config.rank_tol)
+    _check_rank(basis, r)
     romsys = rom.build_rom(basis, r, space, params, grid, traj.states[0], traj.states[1])
     rom_traj = rom.solve_rom(romsys)
     header = ["x"]
     cols = [space.full_nodes]
-    for t in times:
-        n = round(float(t) / grid.dt)
-        if not 0 <= n < grid.N:
-            raise ConfigError(f"profile time {t} outside [0, {grid.T}]")
+    for t, n in zip(times, levels):
         header += [f"fe_t{t:g}", f"rom_t{t:g}"]
         cols.append(space.pad_boundary(traj.states[n]))
         cols.append(space.pad_boundary(rom_traj.states[n]))
@@ -182,17 +189,18 @@ def convergence_rows(config: RunConfig, dt_list):
     Uses the configured mesh and damping; the initial data is the config's
     (the single-sine initial condition gives the cleanest orders).
     """
-    space = assemble(config.n_elements)
-    params = WaveParams(c=config.c, D=config.D, G=config.G)
-    u0 = initial_condition(config.u0)
-    u00 = initial_condition(config.u00)
+    if config.D > 0 and config.G > 0:
+        raise ConfigError("convergence needs D = 0 or G = 0: the modal series "
+                          "has one damping term")
+    space, _, params, u0, u00 = setup(config)
     sol = wave.analytic_series(params, u0, u00, k_max=config.k_max)
     exact_final = wave.analytic_eval(sol, space.nodes, config.T)
     header = ["dt", "h", "final_l2_error", "observed_order"]
     rows = []
     prev = None
     for dt in dt_list:
-        grid = TimeGrid.from_dt(config.T, float(dt))
+        run = replace(config, dt=float(dt), T_train=None).validated()  # dt must divide T
+        grid = TimeGrid.from_dt(run.T, run.dt)
         traj = wave.solve(space, grid, params, u0, u00)
         diff = traj.states[-1] - exact_final
         err = float(np.sqrt(l2_norms_sq(space, diff[:, None])[0]))
@@ -219,7 +227,7 @@ def invariant_checks(config: RunConfig):
     traj = wave.solve(space, grid, params, u0, u00)
 
     rate, dissipation = wave.energy_balance(traj, params)
-    e2 = wave.energy_series(traj, params.c)[0]
+    e2 = wave.energy_series(space, traj.states, grid.dt, params.c)[0]
     res = float(np.max(np.abs(rate + dissipation))) / e2
     record("energy_identity", res <= 1e-9, f"residual {res:.2e}")
 

@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import TridiagonalMatrix, solve_tridiagonal
+from .linalg import SymTridiagonal
 
 # 5-point Gauss-Legendre on [-1, 1]; exact for polynomials of degree 9, so
 # load-vector quadrature error is negligible next to the projection error.
@@ -24,8 +24,8 @@ class FemSpace:
     n_elements: int
     h: float
     n_dof: int
-    mass: TridiagonalMatrix
-    stiffness: TridiagonalMatrix
+    mass: SymTridiagonal
+    stiffness: SymTridiagonal
 
     @property
     def nodes(self) -> np.ndarray:
@@ -52,31 +52,9 @@ def assemble(n_elements: int) -> FemSpace:
         raise ValueError("need at least 2 elements for one interior DOF")
     h = 1.0 / n_elements
     n_dof = n_elements - 1
-    mass = TridiagonalMatrix(
-        sub=np.full(n_dof - 1, h / 6.0),
-        diag=np.full(n_dof, 2.0 * h / 3.0),
-        sup=np.full(n_dof - 1, h / 6.0),
-    )
-    stiffness = TridiagonalMatrix(
-        sub=np.full(n_dof - 1, -1.0 / h),
-        diag=np.full(n_dof, 2.0 / h),
-        sup=np.full(n_dof - 1, -1.0 / h),
-    )
+    mass = SymTridiagonal(diag=np.full(n_dof, 2.0 * h / 3.0), off=np.full(n_dof - 1, h / 6.0))
+    stiffness = SymTridiagonal(diag=np.full(n_dof, 2.0 / h), off=np.full(n_dof - 1, -1.0 / h))
     return FemSpace(n_elements=n_elements, h=h, n_dof=n_dof, mass=mass, stiffness=stiffness)
-
-
-def l2_inner(space: FemSpace, u: np.ndarray, v: np.ndarray) -> float:
-    """(u, v) in L2, i.e. u^T M v."""
-    return float(np.dot(u, space.mass.matvec(v)))
-
-
-def h10_inner(space: FemSpace, u: np.ndarray, v: np.ndarray) -> float:
-    """(u', v') in L2, i.e. u^T A v."""
-    return float(np.dot(u, space.stiffness.matvec(v)))
-
-
-def l2_norm(space: FemSpace, u: np.ndarray) -> float:
-    return float(np.sqrt(max(l2_inner(space, u, u), 0.0)))
 
 
 def l2_norms_sq(space: FemSpace, cols: np.ndarray) -> np.ndarray:
@@ -111,9 +89,4 @@ def load_vector(f: Callable[[np.ndarray], np.ndarray], space: FemSpace) -> np.nd
 
 def l2_project(f: Callable[[np.ndarray], np.ndarray], space: FemSpace) -> np.ndarray:
     """Coefficients of the L2 projection of f onto the FE space."""
-    return solve_tridiagonal(space.mass, load_vector(f, space))
-
-
-def interpolate(f: Callable[[np.ndarray], np.ndarray], space: FemSpace) -> np.ndarray:
-    """Nodal interpolant coefficients (values of f at interior nodes)."""
-    return np.asarray(f(space.nodes), dtype=float)
+    return space.mass.cholesky().solve(load_vector(f, space))

@@ -1,13 +1,14 @@
 """Small deterministic linear-algebra kernels used by every other module.
 
-All matrices here are either tridiagonal (FE mass/stiffness, time-step
-systems) or small dense SPD (reduced operators, Gram matrices).  The heavy
-lifting is delegated to LAPACK via numpy/scipy; this module pins down the
-storage conventions and the error behavior the rest of the package relies on.
+Every matrix the program builds is symmetric: the FE mass and stiffness
+matrices and the time-step systems are symmetric tridiagonal, and the one
+SPD tridiagonal factorisation serves the time stepping, the L2 projection
+and the POD geometry.  The heavy lifting is delegated to LAPACK via scipy;
+this module pins down the storage conventions and the error behavior the
+rest of the package relies on.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -18,26 +19,20 @@ class LinAlgFailure(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TridiagonalMatrix:
-    """Tridiagonal matrix stored as three diagonals.
+class SymTridiagonal:
+    """Symmetric tridiagonal matrix: diag has length n, off length n-1."""
 
-    sub and sup have length n-1 for an n x n matrix; symmetric matrices
-    simply carry sub == sup.
-    """
-
-    sub: np.ndarray
     diag: np.ndarray
-    sup: np.ndarray
+    off: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "sub", np.asarray(self.sub, dtype=float))
         object.__setattr__(self, "diag", np.asarray(self.diag, dtype=float))
-        object.__setattr__(self, "sup", np.asarray(self.sup, dtype=float))
+        object.__setattr__(self, "off", np.asarray(self.off, dtype=float))
         n = self.diag.shape[0]
         if n < 1:
             raise ValueError("tridiagonal matrix needs at least one row")
-        if self.sub.shape[0] != max(n - 1, 0) or self.sup.shape[0] != max(n - 1, 0):
-            raise ValueError("off-diagonal lengths must be n-1")
+        if self.off.shape[0] != n - 1:
+            raise ValueError("off-diagonal length must be n-1")
 
     @property
     def n(self) -> int:
@@ -51,106 +46,55 @@ class TridiagonalMatrix:
         d = self.diag if x.ndim == 1 else self.diag[:, None]
         y = d * x
         if self.n > 1:
-            s = self.sup if x.ndim == 1 else self.sup[:, None]
-            b = self.sub if x.ndim == 1 else self.sub[:, None]
-            y[:-1] += s * x[1:]
-            y[1:] += b * x[:-1]
+            e = self.off if x.ndim == 1 else self.off[:, None]
+            y[:-1] += e * x[1:]
+            y[1:] += e * x[:-1]
         return y
 
-    def to_dense(self) -> np.ndarray:
-        a = np.diag(self.diag)
-        if self.n > 1:
-            a += np.diag(self.sub, -1) + np.diag(self.sup, 1)
-        return a
-
-    def scaled_add(self, alpha: float, other: "TridiagonalMatrix", beta: float) -> "TridiagonalMatrix":
+    def scaled_add(self, alpha: float, other: "SymTridiagonal", beta: float) -> "SymTridiagonal":
         """alpha * self + beta * other."""
-        return TridiagonalMatrix(
-            alpha * self.sub + beta * other.sub,
-            alpha * self.diag + beta * other.diag,
-            alpha * self.sup + beta * other.sup,
-        )
+        return SymTridiagonal(alpha * self.diag + beta * other.diag,
+                              alpha * self.off + beta * other.off)
+
+    def cholesky(self) -> "BandedCholesky":
+        """The Cholesky factor; LinAlgFailure unless the matrix is SPD."""
+        return BandedCholesky(self)
 
 
-@dataclass(frozen=True)
-class LowerBidiagonal:
-    """Cholesky factor L of a SPD tridiagonal matrix, A = L L^T."""
+class BandedCholesky:
+    """Cholesky factorisation A = R^T R of a SPD tridiagonal matrix, with R
+    upper bidiagonal.  Raises LinAlgFailure on a non-positive pivot.
 
-    diag: np.ndarray
-    sub: np.ndarray
+    Factor once and solve many times: time stepping solves the same system
+    thousands of times, each solve a pair of banded triangular sweeps.
+    """
 
-    @property
-    def n(self) -> int:
-        return self.diag.shape[0]
+    def __init__(self, a: SymTridiagonal):
+        ab = np.zeros((2, a.n))
+        ab[0, 1:] = a.off
+        ab[1, :] = a.diag
+        try:
+            # upper band storage: row 0 holds R's superdiagonal, row 1 its diagonal
+            self._cb = scipy.linalg.cholesky_banded(ab, lower=False)
+        except scipy.linalg.LinAlgError as exc:
+            raise LinAlgFailure(f"matrix is not SPD: {exc}") from exc
 
-    def transpose_matvec(self, x: np.ndarray) -> np.ndarray:
-        """L^T @ x (x may be (n,) or (n, k))."""
-        d = self.diag if x.ndim == 1 else self.diag[:, None]
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve A x = b (b may be (n,) or (n, k))."""
+        return scipy.linalg.cho_solve_banded((self._cb, False), b)
+
+    def r_matvec(self, x: np.ndarray) -> np.ndarray:
+        """R @ x (x may be (n,) or (n, k))."""
+        d = self._cb[1] if x.ndim == 1 else self._cb[1][:, None]
         y = d * x
-        if self.n > 1:
-            s = self.sub if x.ndim == 1 else self.sub[:, None]
+        if x.shape[0] > 1:
+            s = self._cb[0, 1:] if x.ndim == 1 else self._cb[0, 1:, None]
             y[:-1] += s * x[1:]
         return y
 
-    def solve_transpose(self, b: np.ndarray) -> np.ndarray:
-        """Solve L^T x = b (back substitution; b may be (n,) or (n, k))."""
-        ab = np.zeros((2, self.n))
-        ab[0, 1:] = self.sub
-        ab[1, :] = self.diag
-        return scipy.linalg.solve_banded((0, 1), ab, b)
-
-
-class SymEigResult(NamedTuple):
-    eigenvalues: np.ndarray  # sorted descending
-    eigenvectors: np.ndarray  # orthonormal columns, paired with eigenvalues
-
-
-def solve_tridiagonal(a: TridiagonalMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for tridiagonal A (callers guarantee well conditioned)."""
-    b = np.asarray(b, dtype=float)
-    if b.shape[0] != a.n:
-        raise ValueError(f"dimension mismatch: matrix is {a.n}, rhs is {b.shape[0]}")
-    ab = np.zeros((3, a.n))
-    ab[0, 1:] = a.sup
-    ab[1, :] = a.diag
-    ab[2, :-1] = a.sub
-    try:
-        return scipy.linalg.solve_banded((1, 1), ab, b)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise LinAlgFailure(f"tridiagonal solve failed: {exc}") from exc
-
-
-def cholesky_tridiagonal(a: TridiagonalMatrix) -> LowerBidiagonal:
-    """Cholesky factor of a SPD tridiagonal matrix: A = L L^T.
-
-    Raises LinAlgFailure on a non-positive pivot (non-SPD input).
-    """
-    ab = np.zeros((2, a.n))
-    ab[0, 1:] = a.sup
-    ab[1, :] = a.diag
-    try:
-        cb = scipy.linalg.cholesky_banded(ab, lower=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise LinAlgFailure(f"matrix is not SPD: {exc}") from exc
-    # cb holds the upper factor R with A = R^T R; L = R^T.
-    return LowerBidiagonal(diag=cb[1, :].copy(), sub=cb[0, 1:].copy())
-
-
-def sym_eig(a: np.ndarray) -> SymEigResult:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
-
-    The input is symmetrized as (A + A^T)/2 before factoring, so tiny
-    asymmetries from accumulated round-off are harmless.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("sym_eig expects a square matrix")
-    a = 0.5 * (a + a.T)
-    try:
-        w, q = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise LinAlgFailure(f"symmetric eigensolver did not converge: {exc}") from exc
-    return SymEigResult(eigenvalues=w[::-1].copy(), eigenvectors=q[:, ::-1].copy())
+    def r_solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve R x = b (back substitution; b may be (n,) or (n, k))."""
+        return scipy.linalg.solve_banded((0, 1), self._cb, b)
 
 
 def thin_svd(b: np.ndarray):
@@ -164,45 +108,3 @@ def thin_svd(b: np.ndarray):
     except scipy.linalg.LinAlgError as exc:
         raise LinAlgFailure(f"SVD did not converge: {exc}") from exc
     return u, s
-
-
-def solve_dense_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A X = B for small dense SPD A via Cholesky."""
-    try:
-        c, low = scipy.linalg.cho_factor(a, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise LinAlgFailure(f"matrix is not SPD: {exc}") from exc
-    return scipy.linalg.cho_solve((c, low), b)
-
-
-class TridiagSolver:
-    """Reusable Cholesky factorization of a SPD tridiagonal system.
-
-    Time stepping solves the same system thousands of times; factoring once
-    makes each step a single banded triangular sweep.
-    """
-
-    def __init__(self, a: TridiagonalMatrix):
-        ab = np.zeros((2, a.n))
-        ab[0, 1:] = a.sup
-        ab[1, :] = a.diag
-        try:
-            self._cb = scipy.linalg.cholesky_banded(ab, lower=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise LinAlgFailure(f"step matrix is not SPD: {exc}") from exc
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return scipy.linalg.cho_solve_banded((self._cb, False), b)
-
-
-class SpdSolver:
-    """Reusable Cholesky factorization of a small dense SPD system."""
-
-    def __init__(self, a: np.ndarray):
-        try:
-            self._c = scipy.linalg.cho_factor(a, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise LinAlgFailure(f"matrix is not SPD: {exc}") from exc
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return scipy.linalg.cho_solve(self._c, b)

@@ -10,9 +10,9 @@ Three data-set conventions are supported for a trajectory u^1..u^N:
                difference quotients     weights  1, 1, dt, ..., dt
 
 The POD space is L2: modes are M-orthonormal and solve the weighted
-eigenproblem of the data Gram operator.  With M = L L^T this is the SVD of
-B = L^T W sqrt(Gamma): eigenvalues are squared singular values and modes are
-L^{-T} times the left singular vectors.  The SVD is taken of B directly
+eigenproblem of the data Gram operator.  With M = R^T R this is the SVD of
+B = R W sqrt(Gamma): eigenvalues are squared singular values and modes are
+R^{-1} times the left singular vectors.  The SVD is taken of B directly
 (not of B B^T) so that small eigenvalues keep relative-level accuracy; the
 deep tails of the error formulas in the H1_0 norm need this.
 """
@@ -20,10 +20,11 @@ deep tails of the error formulas in the H1_0 norm need this.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import diffops
 from .fem import FemSpace, l2_norms_sq, h10_norms_sq
-from .linalg import SpdSolver, cholesky_tridiagonal, thin_svd
+from .linalg import LinAlgFailure, thin_svd
 from .wave import TimeGrid, Trajectory
 
 METHODS = ("standard", "dq1", "ddq")
@@ -98,14 +99,14 @@ def compute_basis(data: PodDataSet, rank_tol: float = 0.0) -> PodBasis:
     spectrum so that deep tails of the error formulas remain available.
     """
     space = data.space
-    chol = cholesky_tridiagonal(space.mass)
-    b = chol.transpose_matvec(data.columns * np.sqrt(data.weights)[None, :])
+    chol = space.mass.cholesky()
+    b = chol.r_matvec(data.columns * np.sqrt(data.weights)[None, :])
     u, sing = thin_svd(b)
     if sing[0] <= 0.0:
         raise ValueError("POD data is identically zero")
     cutoff = max(np.sqrt(rank_tol) * sing[0], 0.0)
     s = int(np.sum(sing > cutoff))
-    modes = chol.solve_transpose(u[:, :s])
+    modes = chol.r_solve(u[:, :s])
     _fix_mode_signs(modes)
     return PodBasis(modes=modes, eigenvalues=sing[:s] ** 2,
                     method=data.method, space=space, grid=data.grid)
@@ -141,7 +142,10 @@ def project_ritz(basis: PodBasis, r: int, v: np.ndarray) -> np.ndarray:
     phi = basis.modes[:, :r]
     a_v = basis.space.stiffness.matvec(v)
     reduced = phi.T @ basis.space.stiffness.matvec(phi)
-    coeffs = SpdSolver(reduced).solve(phi.T @ a_v)
+    try:
+        coeffs = scipy.linalg.solve(reduced, phi.T @ a_v, assume_a="pos", lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise LinAlgFailure(f"reduced stiffness is not SPD: {exc}") from exc
     return phi @ coeffs
 
 

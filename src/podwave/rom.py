@@ -109,17 +109,11 @@ def error_report(fe_traj: Trajectory, rom_traj: Trajectory, basis: PodBasis,
     phi = rom_traj.states[:2].T - project_ritz(basis, r, fe_traj.states[:2].T)
 
     l2_sq = l2_norms_sq(space, err.T)
-    err_traj = Trajectory(space=space, grid=fe_traj.grid, states=err)
-    e_energy = energy_series(err_traj, params.c)
+    e_energy = energy_series(space, err, dt, params.c)
     final_l2 = float(np.sqrt(max(l2_sq[-1], 0.0)))
 
     # discretization-error energy at the second time level
-    bd = (phi[:, 1] - phi[:, 0]) / dt
-    avg = 0.5 * (phi[:, 1] + phi[:, 0])
-    e_phi2 = float(
-        0.5 * l2_norms_sq(space, bd[:, None])[0]
-        + 0.5 * params.c**2 * h10_norms_sq(space, avg[:, None])[0]
-    )
+    e_phi2 = float(energy_series(space, phi.T, dt, params.c)[0])
     phi1_l2_sq = float(l2_norms_sq(space, phi[:, :1])[0])
 
     tail = basis.eigenvalues[r:]

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import diffops
 from .fem import FemSpace, l2_norms_sq, h10_norms_sq, l2_project
-from .linalg import TridiagSolver, solve_tridiagonal
 
 _TIME_GRID_TOL = 1e-12
 
@@ -41,10 +40,6 @@ class WaveParams:
             raise ValueError("wave speed c must be positive")
         if self.D < 0 or self.G < 0:
             raise ValueError("damping coefficients must be nonnegative")
-
-    @property
-    def is_damped(self) -> bool:
-        return self.D > 0 or self.G > 0
 
 
 @dataclass(frozen=True)
@@ -99,15 +94,6 @@ def step_matrices(space: FemSpace, params: WaveParams, dt: float):
     return lhs, b_cur, b_prev
 
 
-def step(space: FemSpace, params: WaveParams, grid: TimeGrid,
-         u_prev: np.ndarray, u_cur: np.ndarray) -> np.ndarray:
-    """One time step; assembles and factors the system fresh (test/reference
-    path; solve() reuses a single factorization)."""
-    lhs, b_cur, b_prev = step_matrices(space, params, grid.dt)
-    rhs = b_cur.matvec(u_cur) + b_prev.matvec(u_prev)
-    return solve_tridiagonal(lhs, rhs)
-
-
 def initial_states(space: FemSpace, grid: TimeGrid, params: WaveParams,
                    u0: Callable, u00: Callable):
     """Second-order accurate pair (u^1, u^2).
@@ -128,7 +114,7 @@ def initial_states(space: FemSpace, grid: TimeGrid, params: WaveParams,
         + dt * m.matvec(v)
         - 0.5 * dt * dt * (params.c**2 * a.matvec(u1) + params.G * a.matvec(v) + params.D * m.matvec(v))
     )
-    u2 = solve_tridiagonal(m, rhs)
+    u2 = m.cholesky().solve(rhs)
     return u1, u2
 
 
@@ -136,7 +122,7 @@ def solve(space: FemSpace, grid: TimeGrid, params: WaveParams,
           u0: Callable, u00: Callable) -> Trajectory:
     """Integrate the full trajectory u^1..u^N."""
     lhs, b_cur, b_prev = step_matrices(space, params, grid.dt)
-    solver = TridiagSolver(lhs)
+    solver = lhs.cholesky()
     states = np.empty((grid.N, space.n_dof))
     states[0], states[1] = initial_states(space, grid, params, u0, u00)
     for n in range(2, grid.N):
@@ -145,30 +131,19 @@ def solve(space: FemSpace, grid: TimeGrid, params: WaveParams,
     return Trajectory(space=space, grid=grid, states=states)
 
 
-def energy_series(traj: Trajectory, c: float) -> np.ndarray:
-    """E(u^n) = 0.5 ||bd(u^n)||^2_L2 + 0.5 c^2 ||avg(u^n)||^2_H10 for n = 2..N.
+def energy_series(space: FemSpace, states: np.ndarray, dt: float, c: float) -> np.ndarray:
+    """The discrete energy of a stack of two or more states (N, n_dof):
 
-    Returns an array of length N-1; entry i corresponds to n = i + 2.
+        E(u^n) = 0.5 ||(u^n - u^{n-1}) / dt||^2_L2 + 0.5 c^2 ||(u^n + u^{n-1}) / 2||^2_H10
+
+    for n = 2..N.  Returns an array of length N-1; entry i corresponds to
+    n = i + 2.
     """
-    dt = traj.grid.dt
-    bd = diffops.backward_diff(traj.states, dt)
-    avg = 0.5 * (traj.states[1:] + traj.states[:-1])
-    kinetic = 0.5 * l2_norms_sq(traj.space, bd.T)
-    potential = 0.5 * c * c * h10_norms_sq(traj.space, avg.T)
+    bd = diffops.forward_diff(states, dt)
+    avg = 0.5 * (states[1:] + states[:-1])
+    kinetic = 0.5 * l2_norms_sq(space, bd.T)
+    potential = 0.5 * c * c * h10_norms_sq(space, avg.T)
     return kinetic + potential
-
-
-def energy(traj: Trajectory, n: int, c: float) -> float:
-    """Discrete energy at time level n (1-based, 2 <= n <= N)."""
-    if not 2 <= n <= traj.grid.N:
-        raise ValueError("energy is defined for 2 <= n <= N")
-    dt = traj.grid.dt
-    bd = (traj.states[n - 1] - traj.states[n - 2]) / dt
-    avg = 0.5 * (traj.states[n - 1] + traj.states[n - 2])
-    return float(
-        0.5 * l2_norms_sq(traj.space, bd[:, None])[0]
-        + 0.5 * c * c * h10_norms_sq(traj.space, avg[:, None])[0]
-    )
 
 
 def energy_balance(traj: Trajectory, params: WaveParams):
@@ -179,7 +154,7 @@ def energy_balance(traj: Trajectory, params: WaveParams):
     dissipation[i] = D ||cd(u^n)||^2_L2 + G ||cd(u^n)||^2_H10 at n = i + 2.
     The scheme satisfies rate + dissipation = 0 exactly (up to round-off).
     """
-    e = energy_series(traj, params.c)
+    e = energy_series(traj.space, traj.states, traj.grid.dt, params.c)
     rate = (e[1:] - e[:-1]) / traj.grid.dt
     cd = diffops.centered_diff(traj.states, traj.grid.dt)
     dissipation = params.D * l2_norms_sq(traj.space, cd.T) + params.G * h10_norms_sq(traj.space, cd.T)
@@ -298,3 +273,12 @@ def default_u0(x: np.ndarray) -> np.ndarray:
 def default_u00(x: np.ndarray) -> np.ndarray:
     """Standard initial velocity: zero."""
     return np.zeros_like(np.asarray(x, dtype=float))
+
+
+def sine_mode(x: np.ndarray) -> np.ndarray:
+    """The first eigenmode sin(pi x), for clean convergence orders."""
+    return np.sin(np.pi * np.asarray(x, dtype=float))
+
+
+# initial-condition names accepted for RunConfig.u0 and RunConfig.u00
+INITIAL_CONDITIONS = {"default": default_u0, "sine": sine_mode, "zero": default_u00}

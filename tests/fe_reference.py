@@ -1,0 +1,52 @@
+"""Reference helpers for the tests: scalar inner products, dense matrices,
+time averages, one time step and the energy at one level, each written out
+on its own so that the vectorised program paths can be checked against it."""
+
+import numpy as np
+
+from podwave.wave import step_matrices
+
+
+def to_dense(a) -> np.ndarray:
+    """Dense copy of a SymTridiagonal."""
+    return np.diag(a.diag) + np.diag(a.off, 1) + np.diag(a.off, -1)
+
+
+def l2_inner(space, u, v) -> float:
+    """(u, v) in L2, i.e. u^T M v."""
+    return float(np.dot(u, space.mass.matvec(v)))
+
+
+def h10_inner(space, u, v) -> float:
+    """(u', v') in L2, i.e. u^T A v."""
+    return float(np.dot(u, space.stiffness.matvec(v)))
+
+
+def interpolate(f, space) -> np.ndarray:
+    """Nodal interpolant coefficients (values of f at interior nodes)."""
+    return np.asarray(f(space.nodes), dtype=float)
+
+
+def backward_avg(z: np.ndarray) -> np.ndarray:
+    """(z[j] + z[j-1]) / 2 for j = 2..N."""
+    return 0.5 * (z[1:] + z[:-1])
+
+
+def centered_avg(z: np.ndarray) -> np.ndarray:
+    """(z[j+1] + 2 z[j] + z[j-1]) / 4 for j = 2..N-1."""
+    return 0.25 * (z[2:] + 2.0 * z[1:-1] + z[:-2])
+
+
+def step(space, params, grid, u_prev, u_cur) -> np.ndarray:
+    """One time step by a dense solve of the step system."""
+    lhs, b_cur, b_prev = step_matrices(space, params, grid.dt)
+    rhs = b_cur.matvec(u_cur) + b_prev.matvec(u_prev)
+    return np.linalg.solve(to_dense(lhs), rhs)
+
+
+def energy(traj, n: int, c: float) -> float:
+    """Discrete energy at time level n (1-based, 2 <= n <= N)."""
+    u, u_prev = traj.states[n - 1], traj.states[n - 2]
+    bd = (u - u_prev) / traj.grid.dt
+    avg = 0.5 * (u + u_prev)
+    return 0.5 * l2_inner(traj.space, bd, bd) + 0.5 * c * c * h10_inner(traj.space, avg, avg)

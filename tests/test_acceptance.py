@@ -140,10 +140,11 @@ def test_energy_identity(kv_run, viscous_run, undamped_run):
     worst = 0.0
     for run in (viscous_run, kv_run, undamped_run):
         rate, dissipation = energy_balance(run.traj, run.params)
-        e2 = energy_series(run.traj, run.params.c)[0]
+        e2 = energy_series(run.space, run.traj.states, run.grid.dt, run.params.c)[0]
         assert rate.shape[0] == run.grid.N - 2  # 7999 interior steps
         worst = max(worst, float(np.max(np.abs(rate + dissipation))) / e2)
-    e = energy_series(undamped_run.traj, undamped_run.params.c)
+    e = energy_series(undamped_run.space, undamped_run.traj.states, undamped_run.grid.dt,
+                      undamped_run.params.c)
     drift = float(np.max(np.abs(e - e[0]))) / e[0]
     solve_time = kv_run.solve_seconds + viscous_run.solve_seconds + undamped_run.solve_seconds
     ok = worst <= 1e-9 and drift <= 1e-9 and solve_time <= 10.0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import podwave
-from podwave.cli import main
+from podwave.cli import main, write_csv
 from podwave.config import OUTPUT_DIR_ENV, ConfigError, RunConfig, make_config
 
 SMALL = ["--n-elements", "24", "--dt", "1/40", "--T", "2"]
@@ -78,6 +78,62 @@ def test_non_finite_config_exits_one(tmp_path, capsys, flag, value, message):
     assert err.startswith("configuration error:") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+COARSE = ["--n-elements", "8", "--dt", "1/8", "--T", "1"]  # POD rank 7
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--pod-method", "foo", "solve"], "pod_method must be one of"),
+    (["--u0", "wave", "solve"], "u0 must be one of"),
+    (["--n-elements", "abc", "solve"], "bad integer for n_elements"),
+    (["rom-sweep", "--values", "nan"], "D must be finite"),
+    (["rom-sweep", "--values", "inf"], "D must be finite"),
+    (["rom-sweep", "--values", "-1"], "must be nonnegative"),
+    (["train-interval", "--t-train", "nan"], "training interval nan"),
+    (["convergence", "--dt-list", "inf"], "dt must be finite"),
+    (["convergence", "--dt-list", "0.3"], "does not divide T"),
+    (["--D", "0.1", "--G", "0.001", "convergence"], "D = 0 or G = 0"),
+    (["profiles", "--times", "nan"], "profile time nan"),
+    (["profiles", "--times", "-0.01"], "profile time -0.01"),
+    (["profiles", "--times", "2.01"], "profile time 2.01"),
+    (["profiles", "--times", "0.01"], "profile time 0.01"),
+    (COARSE + ["profiles", "--times", "0", "1"], "r must be in [1, 7]"),
+    (COARSE + ["train-interval", "--t-train", "1"], "r must be in [1, 7]"),
+    (COARSE + ["--r-list", "20", "rom-sweep"], "r must be in [1, 7]"),
+    (COARSE + ["--r-list", "20", "error-formulas"], "r must be in [1, 7]"),
+], ids=["pod-method-foo", "u0-wave", "n-elements-abc", "values-nan", "values-inf",
+        "values-negative", "t-train-nan", "dt-list-inf", "dt-list-not-dividing",
+        "convergence-two-dampings", "times-nan", "times-negative", "times-past-T",
+        "times-off-grid", "profiles-r-above-rank",
+        "train-interval-r-above-rank", "rom-sweep-r-above-rank",
+        "error-formulas-r-above-rank"])
+def test_bad_values_exit_one(tmp_path, capsys, argv, message):
+    """Bad configuration and subcommand values exit 1 with one line."""
+    rc = main(SMALL + ["--output-dir", str(tmp_path)] + argv)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_write_csv_is_atomic(tmp_path):
+    """A row that fails to format leaves the earlier file whole and no
+    temporary file behind."""
+    config = RunConfig().validated()
+    path = str(tmp_path / "out.csv")
+    assert write_csv(path, config, "solve", ["a"], [[1.0]]) == path
+    before = (tmp_path / "out.csv").read_bytes()
+
+    class Unformattable:
+        def __str__(self):
+            raise RuntimeError("cannot format")
+
+    with pytest.raises(RuntimeError):
+        write_csv(path, config, "solve", ["a"], [[2.0], [Unformattable()], [3.0]])
+    assert (tmp_path / "out.csv").read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_cli_import_skips_scipy_signal():

@@ -3,17 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from podwave.linalg import (
-    LinAlgFailure,
-    SpdSolver,
-    TridiagonalMatrix,
-    TridiagSolver,
-    cholesky_tridiagonal,
-    solve_dense_spd,
-    solve_tridiagonal,
-    sym_eig,
-    thin_svd,
-)
+from fe_reference import to_dense
+from podwave.linalg import LinAlgFailure, SymTridiagonal, thin_svd
 
 
 def random_spd_tridiag(rng, n):
@@ -23,26 +14,30 @@ def random_spd_tridiag(rng, n):
     if n > 1:
         diag[:-1] += np.abs(off)
         diag[1:] += np.abs(off)
-    return TridiagonalMatrix(sub=off, diag=diag, sup=off.copy())
+    return SymTridiagonal(diag=diag, off=off)
+
+
+def dense_r(factor, n):
+    """The upper bidiagonal factor R as a dense matrix, column by column."""
+    return factor.r_matvec(np.eye(n))
 
 
 def test_solve_identity():
-    a = TridiagonalMatrix(sub=np.zeros(2), diag=np.ones(3), sup=np.zeros(2))
-    np.testing.assert_allclose(solve_tridiagonal(a, np.array([3.0, 4.0, 5.0])), [3, 4, 5])
+    a = SymTridiagonal(diag=np.ones(3), off=np.zeros(2))
+    np.testing.assert_allclose(a.cholesky().solve(np.array([3.0, 4.0, 5.0])), [3, 4, 5])
 
 
 def test_solve_second_difference_matrix():
     # forward elimination by hand gives (0.75, 0.5, 0.25)
-    a = TridiagonalMatrix(sub=np.array([-1.0, -1.0]), diag=np.array([2.0, 2.0, 2.0]),
-                          sup=np.array([-1.0, -1.0]))
-    x = solve_tridiagonal(a, np.array([1.0, 0.0, 0.0]))
+    a = SymTridiagonal(diag=np.array([2.0, 2.0, 2.0]), off=np.array([-1.0, -1.0]))
+    x = a.cholesky().solve(np.array([1.0, 0.0, 0.0]))
     np.testing.assert_allclose(x, [0.75, 0.5, 0.25], rtol=1e-14)
 
 
 def test_solve_dimension_mismatch():
-    a = TridiagonalMatrix(sub=np.zeros(1), diag=np.ones(2), sup=np.zeros(1))
+    a = SymTridiagonal(diag=np.ones(2), off=np.zeros(1))
     with pytest.raises(ValueError):
-        solve_tridiagonal(a, np.ones(3))
+        a.cholesky().solve(np.ones(3))
 
 
 @settings(max_examples=40, deadline=None)
@@ -51,28 +46,27 @@ def test_solve_round_trip(n, seed):
     rng = np.random.default_rng(seed)
     a = random_spd_tridiag(rng, n)
     x = rng.standard_normal(n)
-    got = solve_tridiagonal(a, a.matvec(x))
+    got = a.cholesky().solve(a.matvec(x))
     np.testing.assert_allclose(got, x, rtol=1e-10, atol=1e-12)
 
 
 def test_cholesky_diagonal():
-    a = TridiagonalMatrix(sub=np.zeros(1), diag=np.array([4.0, 9.0]), sup=np.zeros(1))
-    l = cholesky_tridiagonal(a)
-    np.testing.assert_allclose(l.diag, [2.0, 3.0])
-    np.testing.assert_allclose(l.sub, [0.0])
+    a = SymTridiagonal(diag=np.array([4.0, 9.0]), off=np.zeros(1))
+    np.testing.assert_allclose(dense_r(a.cholesky(), 2), np.diag([2.0, 3.0]))
 
 
 def test_cholesky_hand_factorization():
-    a = TridiagonalMatrix(sub=np.array([-1.0]), diag=np.array([2.0, 2.0]), sup=np.array([-1.0]))
-    l = cholesky_tridiagonal(a)
-    np.testing.assert_allclose(l.diag, [np.sqrt(2.0), np.sqrt(1.5)], rtol=1e-15)
-    np.testing.assert_allclose(l.sub, [-1.0 / np.sqrt(2.0)], rtol=1e-15)
+    a = SymTridiagonal(diag=np.array([2.0, 2.0]), off=np.array([-1.0]))
+    r = dense_r(a.cholesky(), 2)
+    np.testing.assert_allclose(np.diag(r), [np.sqrt(2.0), np.sqrt(1.5)], rtol=1e-15)
+    np.testing.assert_allclose(r[0, 1], -1.0 / np.sqrt(2.0), rtol=1e-15)
+    assert r[1, 0] == 0.0
 
 
 def test_cholesky_rejects_indefinite():
-    a = TridiagonalMatrix(sub=np.array([3.0]), diag=np.array([1.0, 1.0]), sup=np.array([3.0]))
+    a = SymTridiagonal(diag=np.array([1.0, 1.0]), off=np.array([3.0]))
     with pytest.raises(LinAlgFailure):
-        cholesky_tridiagonal(a)
+        a.cholesky()
 
 
 @settings(max_examples=40, deadline=None)
@@ -80,81 +74,31 @@ def test_cholesky_rejects_indefinite():
 def test_cholesky_reconstruction(n, seed):
     rng = np.random.default_rng(seed)
     a = random_spd_tridiag(rng, n)
-    l = cholesky_tridiagonal(a)
-    dense_l = np.diag(l.diag)
-    if n > 1:
-        dense_l += np.diag(l.sub, -1)
-    residual = np.max(np.abs(dense_l @ dense_l.T - a.to_dense()))
-    assert residual <= 1e-12 * np.max(np.abs(a.to_dense()))
+    r = dense_r(a.cholesky(), n)
+    residual = np.max(np.abs(r.T @ r - to_dense(a)))
+    assert residual <= 1e-12 * np.max(np.abs(to_dense(a)))
 
 
 def test_transpose_solve_matches_dense():
     rng = np.random.default_rng(7)
     a = random_spd_tridiag(rng, 9)
-    l = cholesky_tridiagonal(a)
+    factor = a.cholesky()
     b = rng.standard_normal((9, 3))
-    dense_l = np.diag(l.diag) + np.diag(l.sub, -1)
-    np.testing.assert_allclose(l.solve_transpose(b), np.linalg.solve(dense_l.T, b),
+    r = np.linalg.cholesky(to_dense(a)).T  # the unique upper factor with positive diagonal
+    np.testing.assert_allclose(factor.r_solve(b), np.linalg.solve(r, b),
                                rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(l.transpose_matvec(b), dense_l.T @ b, rtol=1e-13)
-
-
-def test_sym_eig_diagonal():
-    res = sym_eig(np.diag([3.0, 1.0, 2.0]))
-    np.testing.assert_allclose(res.eigenvalues, [3.0, 2.0, 1.0])
-    np.testing.assert_allclose(np.abs(res.eigenvectors),
-                               np.eye(3)[:, [0, 2, 1]], atol=1e-14)
-
-
-def test_sym_eig_two_by_two():
-    res = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    np.testing.assert_allclose(res.eigenvalues, [3.0, 1.0], rtol=1e-14)
-    v = res.eigenvectors
-    np.testing.assert_allclose(np.abs(v[:, 0]), [1 / np.sqrt(2)] * 2, rtol=1e-14)
-    np.testing.assert_allclose(np.abs(v[:, 1]), [1 / np.sqrt(2)] * 2, rtol=1e-14)
-    assert np.sign(v[0, 1]) != np.sign(v[1, 1])
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(2, 40), st.integers(0, 2**32 - 1))
-def test_sym_eig_recovers_synthetic_spectrum(n, seed):
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    lam = np.sort(rng.uniform(0.1, 10.0, size=n))[::-1]
-    res = sym_eig(q @ np.diag(lam) @ q.T)
-    np.testing.assert_allclose(res.eigenvalues, lam, rtol=1e-10)
-    v = res.eigenvectors
-    assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-12
-    a = q @ np.diag(lam) @ q.T
-    residual = np.linalg.norm(a @ v - v * res.eigenvalues, "fro")
-    assert residual <= 1e-10 * np.linalg.norm(a, "fro")
-
-
-def test_solve_dense_spd_round_trip():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((8, 8))
-    a = m @ m.T + 8 * np.eye(8)
-    b = rng.standard_normal((8, 2))
-    x = solve_dense_spd(a, b)
-    assert np.max(np.abs(a @ x - b)) <= 1e-10 * np.max(np.abs(b))
-
-
-def test_solve_dense_spd_rejects_indefinite():
-    with pytest.raises(LinAlgFailure):
-        solve_dense_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
+    np.testing.assert_allclose(factor.r_matvec(b), r @ b, rtol=1e-13)
 
 
 def test_reusable_solvers_match_one_shot():
     rng = np.random.default_rng(11)
     a = random_spd_tridiag(rng, 20)
-    solver = TridiagSolver(a)
-    b = rng.standard_normal(20)
-    np.testing.assert_allclose(solver.solve(b), solve_tridiagonal(a, b), rtol=1e-12)
-
-    m = rng.standard_normal((6, 6))
-    spd = m @ m.T + 6 * np.eye(6)
-    np.testing.assert_allclose(SpdSolver(spd).solve(b[:6]),
-                               solve_dense_spd(spd, b[:6]), rtol=1e-12)
+    factor = a.cholesky()
+    b = rng.standard_normal((20, 4))
+    stacked = factor.solve(b)
+    for j in range(4):
+        np.testing.assert_allclose(stacked[:, j], a.cholesky().solve(b[:, j]), rtol=1e-12)
+    np.testing.assert_allclose(stacked, np.linalg.solve(to_dense(a), b), rtol=1e-12)
 
 
 def test_thin_svd_orthonormal_and_exact():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from fe_reference import energy, h10_inner, step, to_dense
 from podwave.fem import assemble, l2_norms_sq, l2_project
 from podwave.wave import (
     TimeGrid,
@@ -10,12 +11,10 @@ from podwave.wave import (
     analytic_series,
     default_u0,
     default_u00,
-    energy,
     energy_balance,
     energy_series,
     initial_states,
     solve,
-    step,
 )
 
 
@@ -38,8 +37,6 @@ def test_wave_params_validation():
         WaveParams(c=0.0)
     with pytest.raises(ValueError):
         WaveParams(c=1.0, D=-0.1)
-    assert WaveParams(c=1.0, D=0.1).is_damped
-    assert not WaveParams(c=1.0).is_damped
 
 
 def test_zero_initial_data():
@@ -70,8 +67,8 @@ def test_second_state_third_order_in_dt():
     start-up state is third-order accurate in dt."""
     space = assemble(40)
     params = WaveParams(c=1.0, D=0.05, G=0.002)
-    m = space.mass.to_dense()
-    a = space.stiffness.to_dense()
+    m = to_dense(space.mass)
+    a = to_dense(space.stiffness)
     minv = np.linalg.inv(m)
     n = space.n_dof
     gen = np.zeros((2 * n, 2 * n))
@@ -137,7 +134,6 @@ def test_energy_constant_state():
     u = np.sin(np.pi * space.nodes)
     traj = solve(space, grid, WaveParams(c=1.0), default_u00, default_u00)
     traj.states[:] = u  # constant in time: kinetic term vanishes
-    from podwave.fem import h10_inner
 
     e = energy(traj, 2, params.c)
     assert e == pytest.approx(0.5 * params.c**2 * h10_inner(space, u, u), rel=1e-13)
@@ -148,7 +144,7 @@ def test_undamped_energy_conserved():
     grid = TimeGrid.from_dt(4.0, 1.0 / 60.0)
     params = WaveParams(c=1.0)
     traj = solve(space, grid, params, default_u0, default_u00)
-    e = energy_series(traj, params.c)
+    e = energy_series(space, traj.states, grid.dt, params.c)
     assert np.max(np.abs(e - e[0])) <= 1e-9 * e[0]
 
 
@@ -159,7 +155,7 @@ def test_energy_dissipation_identity(damping):
     params = WaveParams(c=1.0, **damping)
     traj = solve(space, grid, params, default_u0, default_u00)
     rate, dissipation = energy_balance(traj, params)
-    e2 = energy_series(traj, params.c)[0]
+    e2 = energy_series(space, traj.states, grid.dt, params.c)[0]
     assert np.max(np.abs(rate + dissipation)) <= 1e-10 * e2
     assert np.all(dissipation >= 0.0)
 
@@ -169,7 +165,7 @@ def test_energy_series_matches_pointwise():
     grid = TimeGrid.from_dt(1.0, 0.1)
     params = WaveParams(c=1.3, D=0.05)
     traj = solve(space, grid, params, default_u0, default_u00)
-    series = energy_series(traj, params.c)
+    series = energy_series(space, traj.states, grid.dt, params.c)
     for n in (2, 5, grid.N):
         assert series[n - 2] == pytest.approx(energy(traj, n, params.c), rel=1e-13)
 
