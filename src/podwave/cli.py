@@ -1,6 +1,6 @@
 """Command-line front end: solve, POD diagnostics, ROM sweeps, CSV output.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+Exit codes: 0 success, 1 configuration or output error, 2 numerical failure.
 """
 
 import argparse
@@ -181,6 +181,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](config, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 1
     except (LinAlgFailure, ArithmeticError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

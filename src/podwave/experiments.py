@@ -66,8 +66,7 @@ def trajectory_rows(traj: Trajectory, stride: int):
 
 def energy_rows(traj: Trajectory, params: WaveParams):
     """Rows (t_n, E, dE, -dissipation) for the interior levels n = 2..N-1."""
-    e = wave.energy_series(traj.space, traj.states, traj.grid.dt, params.c)
-    rate, dissipation = wave.energy_balance(traj, params)
+    e, rate, dissipation = wave.energy_balance(traj, params)
     times = traj.grid.times
     header = ["t", "energy", "energy_rate", "neg_dissipation"]
     rows = [
@@ -81,7 +80,7 @@ def singular_value_rows(config: RunConfig):
     traj = fe_trajectory(config)
     dataset = pod.build_dataset(traj, config.pod_method)
     header = ["k", "sigma"]
-    if not np.any(dataset.columns):
+    if not np.any(dataset.vectors):
         return header, []
     basis = pod.compute_basis(dataset, rank_tol=config.rank_tol)
     sigma = np.sqrt(basis.eigenvalues)
@@ -199,11 +198,11 @@ def convergence_rows(config: RunConfig, dt_list):
     rows = []
     prev = None
     for dt in dt_list:
-        run = replace(config, dt=float(dt), T_train=None).validated()  # dt must divide T
+        run = replace(config, dt=float(dt)).validated()  # dt must divide T
         grid = TimeGrid.from_dt(run.T, run.dt)
         traj = wave.solve(space, grid, params, u0, u00)
         diff = traj.states[-1] - exact_final
-        err = float(np.sqrt(l2_norms_sq(space, diff[:, None])[0]))
+        err = float(np.sqrt(l2_norms_sq(space, diff)))
         order = math.nan
         if prev is not None:
             prev_dt, prev_err = prev
@@ -226,9 +225,8 @@ def invariant_checks(config: RunConfig):
     space, grid, params, u0, u00 = setup(small)
     traj = wave.solve(space, grid, params, u0, u00)
 
-    rate, dissipation = wave.energy_balance(traj, params)
-    e2 = wave.energy_series(space, traj.states, grid.dt, params.c)[0]
-    res = float(np.max(np.abs(rate + dissipation))) / e2
+    e, rate, dissipation = wave.energy_balance(traj, params)
+    res = float(np.max(np.abs(rate + dissipation))) / e[0]
     record("energy_identity", res <= 1e-9, f"residual {res:.2e}")
 
     worst = 0.0

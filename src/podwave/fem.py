@@ -2,7 +2,7 @@
 
 Only the interior degrees of freedom are carried; boundary values are
 eliminated from every system.  Coefficient vectors are plain numpy arrays of
-length n_dof = n_elements - 1.
+length n_dof = n_elements - 1; stacks of them are (k, n_dof).
 """
 
 from dataclasses import dataclass
@@ -38,12 +38,11 @@ class FemSpace:
         return self.h * np.arange(self.n_elements + 1)
 
     def pad_boundary(self, u: np.ndarray) -> np.ndarray:
-        """Append the zero boundary values, for plotting/output."""
+        """Append the zero boundary values on the last axis, for output."""
         u = np.asarray(u, dtype=float)
-        if u.ndim == 1:
-            return np.concatenate(([0.0], u, [0.0]))
-        z = np.zeros((1, u.shape[1]))
-        return np.concatenate((z, u, z), axis=0)
+        padded = np.zeros(u.shape[:-1] + (u.shape[-1] + 2,))
+        padded[..., 1:-1] = u
+        return padded
 
 
 def assemble(n_elements: int) -> FemSpace:
@@ -57,14 +56,24 @@ def assemble(n_elements: int) -> FemSpace:
     return FemSpace(n_elements=n_elements, h=h, n_dof=n_dof, mass=mass, stiffness=stiffness)
 
 
-def l2_norms_sq(space: FemSpace, cols: np.ndarray) -> np.ndarray:
-    """Columnwise squared L2 norms of a (n_dof, k) stack."""
-    return np.einsum("ij,ij->j", cols, space.mass.matvec(cols))
+def l2_norms_sq(space: FemSpace, x: np.ndarray) -> np.ndarray:
+    """Squared L2 norms of the vectors of a stack (..., n_dof)."""
+    return _quadratic_form(space.mass, x)
 
 
-def h10_norms_sq(space: FemSpace, cols: np.ndarray) -> np.ndarray:
-    """Columnwise squared H1_0 norms of a (n_dof, k) stack."""
-    return np.einsum("ij,ij->j", cols, space.stiffness.matvec(cols))
+def h10_norms_sq(space: FemSpace, x: np.ndarray) -> np.ndarray:
+    """Squared H1_0 norms of the vectors of a stack (..., n_dof)."""
+    return _quadratic_form(space.stiffness, x)
+
+
+def _quadratic_form(a: SymTridiagonal, x: np.ndarray) -> np.ndarray:
+    """x^T A x on the last axis as sum s_i x_i^2 - sum o_i (x_{i+1} - x_i)^2,
+    with s = A 1 the row sums and o the off-diagonal.  For the stiffness
+    matrix no term cancels, so H1_0 norms of smooth states keep full
+    relative accuracy (sum d_i x_i^2 + 2 sum o_i x_i x_{i+1} does not)."""
+    s = a.matvec(np.ones(a.n))
+    dx = x[..., 1:] - x[..., :-1]
+    return np.einsum("...i,...i,i->...", x, x, s) - np.einsum("...i,...i,i->...", dx, dx, a.off)
 
 
 def load_vector(f: Callable[[np.ndarray], np.ndarray], space: FemSpace) -> np.ndarray:

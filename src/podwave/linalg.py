@@ -6,6 +6,10 @@ SPD tridiagonal factorisation serves the time stepping, the L2 projection
 and the POD geometry.  The heavy lifting is delegated to LAPACK via scipy;
 this module pins down the storage conventions and the error behavior the
 rest of the package relies on.
+
+Stacks of vectors are arrays (k, n) with the vector index first; every
+operator acts on the last axis, and a single vector (n,) is the k-less case
+of the same code.  LAPACK's column layout stays inside this module.
 """
 
 from dataclasses import dataclass
@@ -39,16 +43,13 @@ class SymTridiagonal:
         return self.diag.shape[0]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A @ x for a vector (n,) or stacked columns (n, k)."""
+        """A @ x on the last axis of x, a vector (n,) or a stack (..., n)."""
         x = np.asarray(x, dtype=float)
-        if x.shape[0] != self.n:
-            raise ValueError(f"dimension mismatch: matrix is {self.n}, vector is {x.shape[0]}")
-        d = self.diag if x.ndim == 1 else self.diag[:, None]
-        y = d * x
-        if self.n > 1:
-            e = self.off if x.ndim == 1 else self.off[:, None]
-            y[:-1] += e * x[1:]
-            y[1:] += e * x[:-1]
+        if x.shape[-1] != self.n:
+            raise ValueError(f"dimension mismatch: matrix is {self.n}, vector is {x.shape[-1]}")
+        y = self.diag * x
+        y[..., :-1] += self.off * x[..., 1:]
+        y[..., 1:] += self.off * x[..., :-1]
         return y
 
     def scaled_add(self, alpha: float, other: "SymTridiagonal", beta: float) -> "SymTridiagonal":
@@ -80,31 +81,36 @@ class BandedCholesky:
             raise LinAlgFailure(f"matrix is not SPD: {exc}") from exc
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve A x = b (b may be (n,) or (n, k))."""
-        return scipy.linalg.cho_solve_banded((self._cb, False), b)
+        """Solve A x = b on the last axis of b (..., n)."""
+        return _on_last_axis(lambda cols: scipy.linalg.cho_solve_banded((self._cb, False), cols), b)
 
     def r_matvec(self, x: np.ndarray) -> np.ndarray:
-        """R @ x (x may be (n,) or (n, k))."""
-        d = self._cb[1] if x.ndim == 1 else self._cb[1][:, None]
-        y = d * x
-        if x.shape[0] > 1:
-            s = self._cb[0, 1:] if x.ndim == 1 else self._cb[0, 1:, None]
-            y[:-1] += s * x[1:]
+        """R @ x on the last axis of x (..., n)."""
+        y = self._cb[1] * x
+        y[..., :-1] += self._cb[0, 1:] * x[..., 1:]
         return y
 
     def r_solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve R x = b (back substitution; b may be (n,) or (n, k))."""
-        return scipy.linalg.solve_banded((0, 1), self._cb, b)
+        """Solve R x = b on the last axis of b (..., n), by back substitution."""
+        return _on_last_axis(lambda cols: scipy.linalg.solve_banded((0, 1), self._cb, cols), b)
+
+
+def _on_last_axis(solve, b: np.ndarray) -> np.ndarray:
+    """Apply a LAPACK solve, which takes right-hand sides as the columns of
+    an (n, k) matrix, to the last axis of b (..., n)."""
+    b = np.asarray(b, dtype=float)
+    return solve(b.reshape(-1, b.shape[-1]).T).T.reshape(b.shape)
 
 
 def thin_svd(b: np.ndarray):
-    """Thin SVD b = U diag(s) Vt with singular values descending.
+    """Thin SVD of a stack b (k, n) of vectors, read as the (n, k) matrix
+    b^T = U diag(s) V^T with singular values descending.
 
-    Returns (U, s); the right factor is discarded (callers only need the
-    left subspace and the spectrum).
+    Returns (U^T, s): the left singular vectors as a stack (min(k, n), n)
+    and the spectrum; the right factor is discarded.
     """
     try:
-        u, s, _ = scipy.linalg.svd(b, full_matrices=False, check_finite=False)
+        u, s, _ = scipy.linalg.svd(b.T, full_matrices=False, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise LinAlgFailure(f"SVD did not converge: {exc}") from exc
-    return u, s
+    return u.T, s

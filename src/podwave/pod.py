@@ -17,7 +17,7 @@ R^{-1} times the left singular vectors.  The SVD is taken of B directly
 deep tails of the error formulas in the H1_0 norm need this.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -37,20 +37,25 @@ PROJECTOR_RITZ = "ritz"
 
 @dataclass
 class PodDataSet:
-    """Weighted data columns feeding the POD eigenproblem."""
+    """Weighted data vectors feeding the POD eigenproblem."""
 
-    columns: np.ndarray  # (n_dof, N_w)
+    vectors: np.ndarray  # (N_w, n_dof)
     weights: np.ndarray  # (N_w,)
     method: str
     space: FemSpace
     grid: TimeGrid
+    # the data matrix (n_dof, N_w) of the eigenproblem: a view of vectors
+    columns: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.columns = self.vectors.T
 
 
 @dataclass
 class PodBasis:
     """M-orthonormal POD modes with their eigenvalues, sorted descending."""
 
-    modes: np.ndarray        # (n_dof, s)
+    modes: np.ndarray        # (s, n_dof); modes[k] is mode k
     eigenvalues: np.ndarray  # (s,)
     method: str
     space: FemSpace
@@ -62,32 +67,22 @@ class PodBasis:
 
 
 def build_dataset(traj: Trajectory, method: str) -> PodDataSet:
-    """Assemble the POD data columns and weights for the given convention."""
+    """Assemble the POD data vectors and weights for the given convention."""
     if method not in METHODS:
         raise ValueError(f"unknown POD method {method!r}; expected one of {METHODS}")
     u = traj.states  # (N, m)
     n, dt = traj.grid.N, traj.grid.dt
+    weights = np.full(n, dt)
     if method == "standard":
-        cols = u.T.copy()
-        weights = np.full(n, dt)
+        vectors = u
     elif method == "dq1":
-        if n < 2:
-            raise ValueError("dq1 needs at least 2 snapshots")
-        cols = np.empty((traj.space.n_dof, n))
-        cols[:, 0] = u[0]
-        cols[:, 1:] = diffops.forward_diff(u, dt).T
-        weights = np.full(n, dt)
+        vectors = np.concatenate((u[:1], diffops.forward_diff(u, dt)))
         weights[0] = 1.0
     else:  # ddq
-        if n < 3:
-            raise ValueError("ddq needs at least 3 snapshots")
-        cols = np.empty((traj.space.n_dof, n))
-        cols[:, 0] = u[0]
-        cols[:, 1] = (u[1] - u[0]) / dt
-        cols[:, 2:] = diffops.second_diff(u, dt).T
-        weights = np.full(n, dt)
+        vectors = np.concatenate((u[:1], diffops.forward_diff(u[:2], dt),
+                                  diffops.second_diff(u, dt)))
         weights[:2] = 1.0
-    return PodDataSet(columns=cols, weights=weights, method=method,
+    return PodDataSet(vectors=vectors, weights=weights, method=method,
                       space=traj.space, grid=traj.grid)
 
 
@@ -100,13 +95,13 @@ def compute_basis(data: PodDataSet, rank_tol: float = 0.0) -> PodBasis:
     """
     space = data.space
     chol = space.mass.cholesky()
-    b = chol.r_matvec(data.columns * np.sqrt(data.weights)[None, :])
+    b = chol.r_matvec(data.vectors * np.sqrt(data.weights)[:, None])
     u, sing = thin_svd(b)
     if sing[0] <= 0.0:
         raise ValueError("POD data is identically zero")
     cutoff = max(np.sqrt(rank_tol) * sing[0], 0.0)
     s = int(np.sum(sing > cutoff))
-    modes = chol.r_solve(u[:, :s])
+    modes = chol.r_solve(u[:s])
     _fix_mode_signs(modes)
     return PodBasis(modes=modes, eigenvalues=sing[:s] ** 2,
                     method=data.method, space=space, grid=data.grid)
@@ -114,11 +109,10 @@ def compute_basis(data: PodDataSet, rank_tol: float = 0.0) -> PodBasis:
 
 def _fix_mode_signs(modes: np.ndarray):
     """Make the first nonzero coefficient of each mode positive, in place."""
-    scale = np.max(np.abs(modes), axis=0)
-    for k in range(modes.shape[1]):
-        nonzero = np.nonzero(np.abs(modes[:, k]) > 1e-12 * scale[k])[0]
-        if nonzero.size and modes[nonzero[0], k] < 0:
-            modes[:, k] = -modes[:, k]
+    for mode in modes:
+        nonzero = np.flatnonzero(np.abs(mode) > 1e-12 * np.max(np.abs(mode)))
+        if nonzero.size and mode[nonzero[0]] < 0:
+            mode *= -1.0
 
 
 def pod_basis(traj: Trajectory, method: str, rank_tol: float = 0.0) -> PodBasis:
@@ -127,29 +121,30 @@ def pod_basis(traj: Trajectory, method: str, rank_tol: float = 0.0) -> PodBasis:
 
 
 def project_l2(basis: PodBasis, r: int, v: np.ndarray) -> np.ndarray:
-    """L2-orthogonal projection onto the span of the first r modes.
-
-    v may be a single vector (n_dof,) or a stack of columns (n_dof, k).
-    """
+    """L2-orthogonal projection onto the span of the first r modes, of a
+    vector (n_dof,) or of each vector of a stack (k, n_dof)."""
     _check_r(basis, r)
-    phi = basis.modes[:, :r]
-    return phi @ (phi.T @ basis.space.mass.matvec(v))
+    phi = basis.modes[:r]
+    return np.inner(v, basis.space.mass.matvec(phi)) @ phi
 
 
 def project_ritz(basis: PodBasis, r: int, v: np.ndarray) -> np.ndarray:
-    """Ritz (H1_0-orthogonal) projection onto the span of the first r modes."""
+    """Ritz (H1_0-orthogonal) projection onto the span of the first r modes,
+    of a vector (n_dof,) or of each vector of a stack (k, n_dof)."""
     _check_r(basis, r)
-    phi = basis.modes[:, :r]
-    a_v = basis.space.stiffness.matvec(v)
-    reduced = phi.T @ basis.space.stiffness.matvec(phi)
+    phi = basis.modes[:r]
+    stiffness = basis.space.stiffness
     try:
-        coeffs = scipy.linalg.solve(reduced, phi.T @ a_v, assume_a="pos", lower=True)
+        lower = scipy.linalg.cholesky(np.inner(stiffness.matvec(phi), phi), lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise LinAlgFailure(f"reduced stiffness is not SPD: {exc}") from exc
-    return phi @ coeffs
+    # the rows of psi are an H1_0-orthonormal basis of the same span
+    psi = scipy.linalg.solve_triangular(lower, phi, lower=True)
+    return np.inner(v, stiffness.matvec(psi)) @ psi
 
 
 _PROJECTORS = {PROJECTOR_L2: project_l2, PROJECTOR_RITZ: project_ritz}
+_NORMS = {NORM_L2: l2_norms_sq, NORM_H10: h10_norms_sq}
 
 
 def _check_r(basis: PodBasis, r: int):
@@ -157,20 +152,12 @@ def _check_r(basis: PodBasis, r: int):
         raise ValueError(f"r must be in [1, {basis.rank}], got {r}")
 
 
-def _norms_sq(space: FemSpace, cols: np.ndarray, norm: str) -> np.ndarray:
-    if norm == NORM_L2:
-        return l2_norms_sq(space, cols)
-    if norm == NORM_H10:
-        return h10_norms_sq(space, cols)
-    raise ValueError(f"unknown norm {norm!r}")
-
-
 def data_error_actual(traj: Trajectory, basis: PodBasis, r: int,
                       norm: str = NORM_L2, projector: str = PROJECTOR_L2) -> float:
     """Weighted sum of squared projection errors over the basis's data set."""
     data = build_dataset(traj, basis.method)
-    residual = data.columns - _PROJECTORS[projector](basis, r, data.columns)
-    return float(np.dot(data.weights, _norms_sq(basis.space, residual, norm)))
+    residual = data.vectors - _PROJECTORS[projector](basis, r, data.vectors)
+    return float(np.dot(data.weights, _NORMS[norm](basis.space, residual)))
 
 
 def data_error_formula(basis: PodBasis, r: int,
@@ -182,18 +169,12 @@ def data_error_formula(basis: PodBasis, r: int,
     ||phi_k - P phi_k||^2 for a general projector such as Ritz.
     """
     _check_r(basis, r)
-    tail = basis.eigenvalues[r:]
-    if tail.size == 0:
-        return 0.0
+    tail, tail_modes = basis.eigenvalues[r:], basis.modes[r:]
     if projector == PROJECTOR_L2 and norm == NORM_L2:
         return float(np.sum(tail))
-    tail_modes = basis.modes[:, r:]
-    if projector == PROJECTOR_L2:
-        mults = _norms_sq(basis.space, tail_modes, norm)
-    else:
-        residual = tail_modes - _PROJECTORS[projector](basis, r, tail_modes)
-        mults = _norms_sq(basis.space, residual, norm)
-    return float(np.dot(tail, mults))
+    if projector != PROJECTOR_L2:
+        tail_modes = tail_modes - _PROJECTORS[projector](basis, r, tail_modes)
+    return float(np.dot(tail, _NORMS[norm](basis.space, tail_modes)))
 
 
 @dataclass(frozen=True)
@@ -250,9 +231,8 @@ def pointwise_bound_check(traj: Trajectory, basis: PodBasis, r: int,
         c = const.weighted_sum_dq1 if basis.method == "dq1" else const.weighted_sum_ddq
     else:
         raise ValueError(f"unknown statistic {statistic!r}")
-    u_cols = traj.states.T
-    residual = u_cols - _PROJECTORS[projector](basis, r, u_cols)
-    errs = _norms_sq(basis.space, residual, norm)
+    residual = traj.states - _PROJECTORS[projector](basis, r, traj.states)
+    errs = _NORMS[norm](basis.space, residual)
     lhs = float(np.max(errs)) if statistic == "max" else float(traj.grid.dt * np.sum(errs))
     rhs = c * data_error_formula(basis, r, norm=norm, projector=projector)
     return BoundCheck(lhs=lhs, rhs=rhs)

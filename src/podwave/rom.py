@@ -25,7 +25,7 @@ class RomSystem:
     """Reduced operators and initial coefficients for one (basis, r) run."""
 
     r: int
-    modes: np.ndarray             # (n_dof, r)
+    modes: np.ndarray             # (r, n_dof)
     reduced_stiffness: np.ndarray  # (r, r), SPD
     params: WaveParams
     grid: TimeGrid
@@ -40,16 +40,16 @@ def build_rom(basis: PodBasis, r: int, space: FemSpace, params: WaveParams,
     projections of the two starting states."""
     if not 1 <= r <= basis.rank:
         raise ValueError(f"r must be in [1, {basis.rank}], got {r}")
-    phi = basis.modes[:, :r]
+    phi = basis.modes[:r]
     m_phi = space.mass.matvec(phi)
-    reduced_mass = phi.T @ m_phi
+    reduced_mass = np.inner(m_phi, phi)
     if np.max(np.abs(reduced_mass - np.eye(r))) > _REDUCED_MASS_TOL:
         raise ValueError("modes are not orthonormal in the L2 inner product")
-    s_r = phi.T @ space.stiffness.matvec(phi)
+    s_r = np.inner(space.stiffness.matvec(phi), phi)
     s_r = 0.5 * (s_r + s_r.T)
     return RomSystem(
         r=r, modes=phi, reduced_stiffness=s_r, params=params, grid=grid,
-        space=space, a1=m_phi.T @ u1, a2=m_phi.T @ u2,
+        space=space, a1=m_phi @ u1, a2=m_phi @ u2,
     )
 
 
@@ -66,10 +66,10 @@ def solve_rom(romsys: RomSystem) -> Trajectory:
     b_cur = ((2.0 / dt**2) - (c2 / 2.0) * lam) / lhs
     b_prev = ((-1.0 / dt**2 + d / (2.0 * dt)) + (-c2 / 4.0 + g / (2.0 * dt)) * lam) / lhs
     z = np.empty((romsys.grid.N, romsys.r))
-    z[0], z[1] = q.T @ romsys.a1, q.T @ romsys.a2
+    z[0], z[1] = romsys.a1 @ q, romsys.a2 @ q
     for n in range(2, romsys.grid.N):
         z[n] = b_cur * z[n - 1] + b_prev * z[n - 2]
-    states = z @ (romsys.modes @ q).T
+    states = z @ (q.T @ romsys.modes)
     return Trajectory(space=romsys.space, grid=romsys.grid, states=states)
 
 
@@ -106,26 +106,22 @@ def error_report(fe_traj: Trajectory, rom_traj: Trajectory, basis: PodBasis,
     dt = fe_traj.grid.dt
     err = fe_traj.states - rom_traj.states  # (N, m)
     # phi at the first two levels only: that is all the denominators use
-    phi = rom_traj.states[:2].T - project_ritz(basis, r, fe_traj.states[:2].T)
+    phi = rom_traj.states[:2] - project_ritz(basis, r, fe_traj.states[:2])
 
-    l2_sq = l2_norms_sq(space, err.T)
+    l2_sq = l2_norms_sq(space, err)
     e_energy = energy_series(space, err, dt, params.c)
     final_l2 = float(np.sqrt(max(l2_sq[-1], 0.0)))
 
     # discretization-error energy at the second time level
-    e_phi2 = float(energy_series(space, phi.T, dt, params.c)[0])
-    phi1_l2_sq = float(l2_norms_sq(space, phi[:, :1])[0])
+    e_phi2 = float(energy_series(space, phi, dt, params.c)[0])
+    phi1_l2_sq = float(l2_norms_sq(space, phi[0]))
 
-    tail = basis.eigenvalues[r:]
-    if tail.size:
-        tail_modes = basis.modes[:, r:]
-        defect = tail_modes - project_ritz(basis, r, tail_modes)
-        d_l2 = l2_norms_sq(space, defect)
-        d_h10 = h10_norms_sq(space, defect)
-        tail_l2 = float(np.dot(tail, d_l2))
-        tail_both = float(np.dot(tail, d_l2 + d_h10))
-    else:
-        tail_l2 = tail_both = 0.0
+    # the Ritz defects of the discarded modes (none at full rank)
+    tail, tail_modes = basis.eigenvalues[r:], basis.modes[r:]
+    defect = tail_modes - project_ritz(basis, r, tail_modes)
+    d_l2 = l2_norms_sq(space, defect)
+    tail_l2 = float(np.dot(tail, d_l2))
+    tail_both = float(np.dot(tail, d_l2 + h10_norms_sq(space, defect)))
 
     energy_denom = e_phi2 + tail_both
     pointwise_denom = phi1_l2_sq + e_phi2 + tail_l2

@@ -62,8 +62,10 @@ class TimeGrid:
             raise ValueError("T and dt must be positive")
         steps = T / dt
         n_steps = round(steps)
-        if n_steps < 2 or abs(steps - n_steps) > 1e-9 * max(steps, 1.0):
+        if abs(steps - n_steps) > 1e-9 * max(steps, 1.0):
             raise ValueError(f"dt={dt} does not divide T={T} into an integer number of steps")
+        if n_steps < 2:
+            raise ValueError(f"dt={dt} leaves fewer than two time steps in T={T}")
         return cls(T=T, dt=T / n_steps, N=n_steps + 1)
 
     @property
@@ -141,24 +143,23 @@ def energy_series(space: FemSpace, states: np.ndarray, dt: float, c: float) -> n
     """
     bd = diffops.forward_diff(states, dt)
     avg = 0.5 * (states[1:] + states[:-1])
-    kinetic = 0.5 * l2_norms_sq(space, bd.T)
-    potential = 0.5 * c * c * h10_norms_sq(space, avg.T)
-    return kinetic + potential
+    return 0.5 * l2_norms_sq(space, bd) + 0.5 * c * c * h10_norms_sq(space, avg)
 
 
 def energy_balance(traj: Trajectory, params: WaveParams):
-    """Per-step energy rate and dissipation for n = 2..N-1.
+    """The energy and its per-step balance.
 
-    Returns (rate, dissipation) arrays of length N-2 where
-    rate[i] = (E(u^{n+1}) - E(u^n)) / dt and
+    Returns (energy, rate, dissipation): energy is energy_series of the
+    trajectory (length N-1, n = 2..N); rate and dissipation have length N-2
+    with rate[i] = (E(u^{n+1}) - E(u^n)) / dt and
     dissipation[i] = D ||cd(u^n)||^2_L2 + G ||cd(u^n)||^2_H10 at n = i + 2.
     The scheme satisfies rate + dissipation = 0 exactly (up to round-off).
     """
     e = energy_series(traj.space, traj.states, traj.grid.dt, params.c)
     rate = (e[1:] - e[:-1]) / traj.grid.dt
     cd = diffops.centered_diff(traj.states, traj.grid.dt)
-    dissipation = params.D * l2_norms_sq(traj.space, cd.T) + params.G * h10_norms_sq(traj.space, cd.T)
-    return rate, dissipation
+    dissipation = params.D * l2_norms_sq(traj.space, cd) + params.G * h10_norms_sq(traj.space, cd)
+    return e, rate, dissipation
 
 
 # ---------------------------------------------------------------------------

@@ -139,10 +139,9 @@ def test_energy_identity(kv_run, viscous_run, undamped_run):
     conservation when undamped, within the runtime budget."""
     worst = 0.0
     for run in (viscous_run, kv_run, undamped_run):
-        rate, dissipation = energy_balance(run.traj, run.params)
-        e2 = energy_series(run.space, run.traj.states, run.grid.dt, run.params.c)[0]
+        e, rate, dissipation = energy_balance(run.traj, run.params)
         assert rate.shape[0] == run.grid.N - 2  # 7999 interior steps
-        worst = max(worst, float(np.max(np.abs(rate + dissipation))) / e2)
+        worst = max(worst, float(np.max(np.abs(rate + dissipation))) / e[0])
     e = energy_series(undamped_run.space, undamped_run.traj.states, undamped_run.grid.dt,
                       undamped_run.params.c)
     drift = float(np.max(np.abs(e - e[0]))) / e[0]
@@ -258,7 +257,7 @@ def test_training_interval_shape(label, D, G):
     _, rows = train_interval_rows(cfg, list(windows), 20, methods=("standard",))
     errs = {row[0]: row[2] for row in rows}
     traj = fe_trajectory(cfg)
-    u_norm = float(np.sqrt(l2_norms_sq(traj.space, traj.states[-1][:, None])[0]))
+    u_norm = float(np.sqrt(l2_norms_sq(traj.space, traj.states[-1])))
     full = errs[10.0]
     held = max(errs[5.0] / full, errs[1.0] / full)
     threshold = min(1e3 * full, 0.5 * u_norm)
@@ -284,8 +283,8 @@ def test_full_rank_rom_consistency():
     romsys = build_rom(basis, basis.rank, space, params, grid,
                        traj.states[0], traj.states[1])
     rom_traj = solve_rom(romsys)
-    scale = float(np.max(np.sqrt(l2_norms_sq(space, traj.states.T))))
-    err = float(np.max(np.sqrt(l2_norms_sq(space, (traj.states - rom_traj.states).T))))
+    scale = float(np.max(np.sqrt(l2_norms_sq(space, traj.states))))
+    err = float(np.max(np.sqrt(l2_norms_sq(space, traj.states - rom_traj.states))))
     ok = err <= 1e-8 * scale
     report("full-rank-rom", ok, f"relative error {err / scale:.2e} (tol 1e-8)")
 

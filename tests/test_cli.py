@@ -25,7 +25,7 @@ def data_lines(text):
 
 def test_config_defaults_validate():
     cfg = RunConfig().validated()
-    assert cfg.T_train == cfg.T == 10.0
+    assert cfg.T == 10.0
     assert cfg.n_elements == 400 and cfg.dt == 1.0 / 800.0
     assert cfg.c == 1.0 and cfg.pod_method == "standard"
 
@@ -40,7 +40,7 @@ def test_config_file_and_overrides(tmp_path):
 
 @pytest.mark.parametrize("overrides", [
     {"dt": "0.3", "T": "1.0"},                 # dt does not divide T
-    {"T_train": "3.0", "T": "2.0"},            # training window too long
+    {"dt": "2.0", "T": "2.0"},                 # one step: the grid needs two
     {"pod_method": "qr"},
     {"n_elements": 1},
     {"r_list": "0,4"},
@@ -93,6 +93,7 @@ COARSE = ["--n-elements", "8", "--dt", "1/8", "--T", "1"]  # POD rank 7
     (["train-interval", "--t-train", "nan"], "training interval nan"),
     (["convergence", "--dt-list", "inf"], "dt must be finite"),
     (["convergence", "--dt-list", "0.3"], "does not divide T"),
+    (["--dt", "2", "--T", "2", "solve"], "fewer than two time steps"),
     (["--D", "0.1", "--G", "0.001", "convergence"], "D = 0 or G = 0"),
     (["profiles", "--times", "nan"], "profile time nan"),
     (["profiles", "--times", "-0.01"], "profile time -0.01"),
@@ -104,6 +105,7 @@ COARSE = ["--n-elements", "8", "--dt", "1/8", "--T", "1"]  # POD rank 7
     (COARSE + ["--r-list", "20", "error-formulas"], "r must be in [1, 7]"),
 ], ids=["pod-method-foo", "u0-wave", "n-elements-abc", "values-nan", "values-inf",
         "values-negative", "t-train-nan", "dt-list-inf", "dt-list-not-dividing",
+        "dt-equals-T",
         "convergence-two-dampings", "times-nan", "times-negative", "times-past-T",
         "times-off-grid", "profiles-r-above-rank",
         "train-interval-r-above-rank", "rom-sweep-r-above-rank",
@@ -116,6 +118,17 @@ def test_bad_values_exit_one(tmp_path, capsys, argv, message):
     assert err.startswith("configuration error:") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+def test_unwritable_output_dir_exits_one(tmp_path, capsys):
+    """An output directory that cannot be created exits 1 with one line."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = main(COARSE + ["--output-dir", str(blocker / "sub"), "solve"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("output error:") and str(blocker) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_write_csv_is_atomic(tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fe_reference import h10_inner, interpolate, l2_inner, to_dense
 from podwave.fem import assemble, h10_norms_sq, l2_norms_sq, l2_project
-from podwave.wave import default_u0
+from podwave.wave import TimeGrid, WaveParams, default_u0, default_u00, sine_mode, solve
 
 
 def test_assemble_two_elements():
@@ -111,9 +111,41 @@ def test_projection_second_order():
 def test_columnwise_norms_match_scalar_inner():
     rng = np.random.default_rng(2)
     space = assemble(16)
-    cols = rng.standard_normal((space.n_dof, 5))
-    l2 = l2_norms_sq(space, cols)
-    h10 = h10_norms_sq(space, cols)
+    x = rng.standard_normal((space.n_dof, 5)).T  # a stack of 5 vectors
+    l2 = l2_norms_sq(space, x)
+    h10 = h10_norms_sq(space, x)
     for j in range(5):
-        assert l2[j] == pytest.approx(l2_inner(space, cols[:, j], cols[:, j]), rel=1e-13)
-        assert h10[j] == pytest.approx(h10_inner(space, cols[:, j], cols[:, j]), rel=1e-13)
+        assert l2[j] == pytest.approx(l2_inner(space, x[j], x[j]), rel=1e-13)
+        assert h10[j] == pytest.approx(h10_inner(space, x[j], x[j]), rel=1e-13)
+
+
+@pytest.mark.parametrize("u0", [default_u0, sine_mode], ids=["default", "sine"])
+def test_h10_norms_full_relative_accuracy(u0):
+    """The H1_0 norms of smooth reference-scale states (400 elements,
+    dt = 1/800, T = 2.5) agree with an extended-precision evaluation to
+    1e-13 relative; the expanded form sum d x^2 + 2 sum o x x' loses about
+    four digits to cancellation on these states."""
+    space = assemble(400)
+    grid = TimeGrid.from_dt(2.5, 1.0 / 800.0)
+    states = solve(space, grid, WaveParams(c=1.0, D=0.1), u0, default_u00).states
+    x = states.astype(np.longdouble)
+    a = space.stiffness
+    exact = (np.sum(x * x * a.diag.astype(np.longdouble), axis=1)
+             + 2 * np.sum(x[:, 1:] * x[:, :-1] * a.off.astype(np.longdouble), axis=1))
+    rel = np.abs(h10_norms_sq(space, states) - exact) / exact
+    assert float(np.max(rel)) <= 1e-13
+
+
+def test_one_vector_is_a_row_of_the_stack():
+    """Every operator acts on the last axis: a single vector gives the
+    matching row of the result for the stack."""
+    rng = np.random.default_rng(3)
+    space = assemble(12)
+    x = rng.standard_normal((4, space.n_dof))
+    chol = space.mass.cholesky()
+    ops = [lambda v: l2_norms_sq(space, v), lambda v: h10_norms_sq(space, v),
+           space.stiffness.matvec, chol.r_matvec, chol.solve, chol.r_solve]
+    for op in ops:
+        stacked = op(x)
+        for j in range(4):
+            np.testing.assert_array_equal(op(x[j]), stacked[j])

@@ -18,8 +18,9 @@ def random_spd_tridiag(rng, n):
 
 
 def dense_r(factor, n):
-    """The upper bidiagonal factor R as a dense matrix, column by column."""
-    return factor.r_matvec(np.eye(n))
+    """The upper bidiagonal factor R as a dense matrix: row i of
+    r_matvec(I) is R e_i, the column i of R."""
+    return factor.r_matvec(np.eye(n)).T
 
 
 def test_solve_identity():
@@ -85,9 +86,9 @@ def test_transpose_solve_matches_dense():
     factor = a.cholesky()
     b = rng.standard_normal((9, 3))
     r = np.linalg.cholesky(to_dense(a)).T  # the unique upper factor with positive diagonal
-    np.testing.assert_allclose(factor.r_solve(b), np.linalg.solve(r, b),
+    np.testing.assert_allclose(factor.r_solve(b.T), np.linalg.solve(r, b).T,
                                rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(factor.r_matvec(b), r @ b, rtol=1e-13)
+    np.testing.assert_allclose(factor.r_matvec(b.T), (r @ b).T, rtol=1e-13)
 
 
 def test_reusable_solvers_match_one_shot():
@@ -95,16 +96,16 @@ def test_reusable_solvers_match_one_shot():
     a = random_spd_tridiag(rng, 20)
     factor = a.cholesky()
     b = rng.standard_normal((20, 4))
-    stacked = factor.solve(b)
+    stacked = factor.solve(b.T)
     for j in range(4):
-        np.testing.assert_allclose(stacked[:, j], a.cholesky().solve(b[:, j]), rtol=1e-12)
-    np.testing.assert_allclose(stacked, np.linalg.solve(to_dense(a), b), rtol=1e-12)
+        np.testing.assert_allclose(stacked[j], a.cholesky().solve(b[:, j]), rtol=1e-12)
+    np.testing.assert_allclose(stacked, np.linalg.solve(to_dense(a), b).T, rtol=1e-12)
 
 
 def test_thin_svd_orthonormal_and_exact():
     rng = np.random.default_rng(5)
     b = rng.standard_normal((12, 40))
-    u, s = thin_svd(b)
-    assert np.max(np.abs(u.T @ u - np.eye(12))) <= 1e-13
+    u, s = thin_svd(b.T)  # the stack of the 40 columns of b
+    assert np.max(np.abs(u @ u.T - np.eye(12))) <= 1e-13
     assert np.all(np.diff(s) <= 1e-12)
     np.testing.assert_allclose(np.sum(s**2), np.sum(b * b), rtol=1e-12)

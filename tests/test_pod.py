@@ -37,19 +37,19 @@ def test_dataset_weights_and_shapes():
     n, dt = traj.grid.N, traj.grid.dt
     std = pod.build_dataset(traj, "standard")
     np.testing.assert_allclose(std.weights, dt)
-    np.testing.assert_allclose(std.columns, traj.states.T)
+    np.testing.assert_allclose(std.vectors, traj.states)
 
     dq1 = pod.build_dataset(traj, "dq1")
-    assert dq1.columns.shape == (traj.space.n_dof, n)
+    assert dq1.vectors.shape == (n, traj.space.n_dof)
     np.testing.assert_allclose(dq1.weights, [1.0] + [dt] * (n - 1))
-    np.testing.assert_allclose(dq1.columns[:, 0], traj.states[0])
-    np.testing.assert_allclose(dq1.columns[:, 3], (traj.states[3] - traj.states[2]) / dt)
+    np.testing.assert_allclose(dq1.vectors[0], traj.states[0])
+    np.testing.assert_allclose(dq1.vectors[3], (traj.states[3] - traj.states[2]) / dt)
 
     ddq = pod.build_dataset(traj, "ddq")
     np.testing.assert_allclose(ddq.weights, [1.0, 1.0] + [dt] * (n - 2))
-    np.testing.assert_allclose(ddq.columns[:, 1], (traj.states[1] - traj.states[0]) / dt)
+    np.testing.assert_allclose(ddq.vectors[1], (traj.states[1] - traj.states[0]) / dt)
     np.testing.assert_allclose(
-        ddq.columns[:, 4],
+        ddq.vectors[4],
         (traj.states[4] - 2 * traj.states[3] + traj.states[2]) / dt**2)
 
     with pytest.raises(ValueError):
@@ -64,17 +64,17 @@ def test_dataset_polynomial_time_profiles():
 
     const = make_traj(space, np.tile(v, (6, 1)), dt)
     d = pod.build_dataset(const, "ddq")
-    np.testing.assert_allclose(d.columns[:, 0], v)
-    np.testing.assert_allclose(d.columns[:, 1:], 0.0, atol=1e-12)
+    np.testing.assert_allclose(d.vectors[0], v)
+    np.testing.assert_allclose(d.vectors[1:], 0.0, atol=1e-12)
 
     linear = make_traj(space, np.outer(t, v), dt)
     d = pod.build_dataset(linear, "ddq")
-    np.testing.assert_allclose(d.columns[:, 1], v, rtol=1e-12)
-    np.testing.assert_allclose(d.columns[:, 2:], 0.0, atol=1e-11)
+    np.testing.assert_allclose(d.vectors[1], v, rtol=1e-12)
+    np.testing.assert_allclose(d.vectors[2:], 0.0, atol=1e-11)
 
     quad = make_traj(space, np.outer(t**2, v), dt)
     d = pod.build_dataset(quad, "ddq")
-    np.testing.assert_allclose(d.columns[:, 2:], np.tile(2.0 * v, (4, 1)).T, rtol=1e-10)
+    np.testing.assert_allclose(d.vectors[2:], np.tile(2.0 * v, (4, 1)), rtol=1e-10)
 
 
 # --- basis -------------------------------------------------------------------
@@ -84,14 +84,14 @@ def test_single_column_basis():
     space = assemble(10)
     rng = np.random.default_rng(1)
     w = rng.standard_normal(space.n_dof)
-    data = pod.PodDataSet(columns=w[:, None], weights=np.array([1.0]),
+    data = pod.PodDataSet(vectors=w[None], weights=np.array([1.0]),
                           method="standard", space=space,
                           grid=TimeGrid(T=1.0, dt=0.5, N=3))
     basis = pod.compute_basis(data)
     norm_sq = l2_inner(space, w, w)
     assert basis.rank == 1
     assert basis.eigenvalues[0] == pytest.approx(norm_sq, rel=1e-12)
-    got = basis.modes[:, 0]
+    got = basis.modes[0]
     want = w / np.sqrt(norm_sq)
     np.testing.assert_allclose(got, np.sign(np.dot(got, want)) * want, rtol=1e-10)
 
@@ -99,32 +99,32 @@ def test_single_column_basis():
 def test_two_orthonormal_columns():
     space = assemble(10)
     rng = np.random.default_rng(2)
-    cols = rng.standard_normal((space.n_dof, 2))
+    vecs = rng.standard_normal((space.n_dof, 2)).T.copy()
     # Gram-Schmidt in the mass inner product
-    cols[:, 0] /= np.sqrt(l2_inner(space, cols[:, 0], cols[:, 0]))
-    cols[:, 1] -= l2_inner(space, cols[:, 1], cols[:, 0]) * cols[:, 0]
-    cols[:, 1] /= np.sqrt(l2_inner(space, cols[:, 1], cols[:, 1]))
-    data = pod.PodDataSet(columns=cols, weights=np.ones(2), method="standard",
+    vecs[0] /= np.sqrt(l2_inner(space, vecs[0], vecs[0]))
+    vecs[1] -= l2_inner(space, vecs[1], vecs[0]) * vecs[0]
+    vecs[1] /= np.sqrt(l2_inner(space, vecs[1], vecs[1]))
+    data = pod.PodDataSet(vectors=vecs, weights=np.ones(2), method="standard",
                           space=space, grid=TimeGrid(T=1.0, dt=0.5, N=3))
     basis = pod.compute_basis(data)
     np.testing.assert_allclose(basis.eigenvalues, [1.0, 1.0], rtol=1e-10)
     # same plane: projecting the data onto the modes loses nothing
-    proj = pod.project_l2(basis, 2, cols)
-    np.testing.assert_allclose(proj, cols, rtol=1e-9, atol=1e-12)
+    proj = pod.project_l2(basis, 2, vecs)
+    np.testing.assert_allclose(proj, vecs, rtol=1e-9, atol=1e-12)
 
 
 def test_orthogonal_columns_spectrum_by_hand():
-    """For mutually orthogonal data columns the eigenvalues are just the
+    """For mutually orthogonal data vectors the eigenvalues are just the
     weighted squared norms, sorted; an independent check of the SVD route."""
     space = assemble(64)
     x = space.nodes
-    sines = np.stack([np.sin(k * np.pi * x) for k in (1, 2, 3)], axis=1)
-    # normalize in the mass inner product; columns stay mutually orthogonal
+    sines = np.stack([np.sin(k * np.pi * x) for k in (1, 2, 3)])
+    # normalize in the mass inner product; the vectors stay mutually orthogonal
     for j in range(3):
-        sines[:, j] /= np.sqrt(l2_inner(space, sines[:, j], sines[:, j]))
+        sines[j] /= np.sqrt(l2_inner(space, sines[j], sines[j]))
     amps = np.array([0.7, 2.0, 0.4])
     weights = np.array([0.5, 0.25, 2.0])
-    data = pod.PodDataSet(columns=sines * amps, weights=weights, method="standard",
+    data = pod.PodDataSet(vectors=amps[:, None] * sines, weights=weights, method="standard",
                           space=space, grid=TimeGrid(T=1.0, dt=0.5, N=3))
     basis = pod.compute_basis(data)
     expected = np.sort(weights * amps**2)[::-1]
@@ -137,11 +137,11 @@ def test_basis_orthonormal_and_trace():
         data = pod.build_dataset(traj, method)
         basis = pod.compute_basis(data)
         phi = basis.modes
-        gram = phi.T @ traj.space.mass.matvec(phi)
+        gram = phi @ traj.space.mass.matvec(phi).T
         assert np.max(np.abs(gram - np.eye(basis.rank))) <= 1e-10
         total = float(np.dot(data.weights,
-                             np.einsum("ij,ij->j", data.columns,
-                                       traj.space.mass.matvec(data.columns))))
+                             np.einsum("ij,ij->i", data.vectors,
+                                       traj.space.mass.matvec(data.vectors))))
         assert np.sum(basis.eigenvalues) == pytest.approx(total, rel=1e-10)
         assert np.all(np.diff(basis.eigenvalues) <= 1e-12 * basis.eigenvalues[0])
 
@@ -157,9 +157,9 @@ def test_mode_sign_convention():
     traj, _ = solved_traj(n_elements=24, T=1.0, dt=1.0 / 24.0)
     basis = pod.pod_basis(traj, "standard")
     for k in range(basis.rank):
-        col = basis.modes[:, k]
-        nonzero = np.nonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))[0]
-        assert col[nonzero[0]] > 0
+        mode = basis.modes[k]
+        nonzero = np.nonzero(np.abs(mode) > 1e-12 * np.max(np.abs(mode)))[0]
+        assert mode[nonzero[0]] > 0
 
 
 def test_rank_tolerance_truncates():
@@ -191,8 +191,8 @@ def test_l2_projection_properties():
     rng = np.random.default_rng(3)
     v = rng.standard_normal(traj.space.n_dof)
     r = 6
-    np.testing.assert_allclose(pod.project_l2(basis, r, basis.modes[:, 0]),
-                               basis.modes[:, 0], rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(pod.project_l2(basis, r, basis.modes[0]),
+                               basis.modes[0], rtol=1e-10, atol=1e-12)
     pv = pod.project_l2(basis, r, v)
     np.testing.assert_allclose(pod.project_l2(basis, r, pv), pv, rtol=1e-12, atol=1e-14)
     # r = s recovers anything in the data span
@@ -212,13 +212,13 @@ def test_ritz_projection_properties():
     v = rng.standard_normal(space.n_dof)
     r = 7
     # fixes the subspace
-    w = basis.modes[:, :r] @ rng.standard_normal(r)
+    w = rng.standard_normal(r) @ basis.modes[:r]
     np.testing.assert_allclose(pod.project_ritz(basis, r, w), w, rtol=1e-10, atol=1e-12)
     # defining orthogonality in the gradient inner product
     res = v - pod.project_ritz(basis, r, v)
     scale = np.sqrt(h10_inner(space, v, v))
     for k in range(r):
-        phk = basis.modes[:, k]
+        phk = basis.modes[k]
         gap = h10_inner(space, res, phk) / (scale * np.sqrt(h10_inner(space, phk, phk)))
         assert abs(gap) <= 1e-10
     # optimal in the gradient norm over the subspace
@@ -321,7 +321,7 @@ def _sequence_bound_gaps(space, z, dt):
     const = pod.BoundConstants.for_final_time((n - 1) * dt)
 
     def norms_sq(seq):
-        return np.einsum("ij,ij->i", seq, space.mass.matvec(seq.T).T)
+        return np.einsum("ij,ij->i", seq, space.mass.matvec(seq))
 
     z_sq = norms_sq(z)
     dz = diffops.forward_diff(z, dt)
@@ -363,7 +363,7 @@ def test_sequence_bounds_on_pod_error_sequences():
         basis = pod.pod_basis(traj, method)
         for r in (3, 8):
             for projector in (pod.PROJECTOR_L2, pod.PROJECTOR_RITZ):
-                proj = pod._PROJECTORS[projector](basis, r, traj.states.T)
-                err_seq = traj.states - proj.T
+                proj = pod._PROJECTORS[projector](basis, r, traj.states)
+                err_seq = traj.states - proj
                 for lhs, rhs in _sequence_bound_gaps(space, err_seq, traj.grid.dt):
                     assert lhs <= rhs * (1 + 1e-12)

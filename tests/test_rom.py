@@ -30,7 +30,7 @@ def stepping_rom_states(romsys):
     coeffs[0], coeffs[1] = romsys.a1, romsys.a2
     for n in range(2, romsys.grid.N):
         coeffs[n] = scipy.linalg.cho_solve(factor, b_cur @ coeffs[n - 1] + b_prev @ coeffs[n - 2])
-    return coeffs @ romsys.modes.T
+    return coeffs @ romsys.modes
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +51,7 @@ def test_reduced_system_shape_and_symmetry(small_run):
     assert np.max(np.abs(s - s.T)) <= 1e-12 * np.max(np.abs(s))
     assert np.all(np.linalg.eigvalsh(s) > 0)
     # reduced initial coefficients reproduce the projected initial states
-    recon = romsys.modes @ romsys.a1
+    recon = romsys.a1 @ romsys.modes
     np.testing.assert_allclose(recon, pod.project_l2(basis, 6, traj.states[0]),
                                rtol=1e-12, atol=1e-14)
 
@@ -80,8 +80,8 @@ def test_full_rank_rom_reproduces_fe(small_run):
     romsys = build_rom(basis, basis.rank, space, params, grid,
                        traj.states[0], traj.states[1])
     rom_traj = solve_rom(romsys)
-    scale = np.max(np.sqrt(l2_norms_sq(space, traj.states.T)))
-    err = np.max(np.sqrt(l2_norms_sq(space, (traj.states - rom_traj.states).T)))
+    scale = np.max(np.sqrt(l2_norms_sq(space, traj.states)))
+    err = np.max(np.sqrt(l2_norms_sq(space, traj.states - rom_traj.states)))
     assert err <= 1e-8 * scale
 
 
@@ -90,9 +90,8 @@ def test_rom_energy_identity(small_run):
     basis = pod.pod_basis(traj, "ddq")
     romsys = build_rom(basis, 8, space, params, grid, traj.states[0], traj.states[1])
     rom_traj = solve_rom(romsys)
-    rate, dissipation = energy_balance(rom_traj, params)
-    e2 = energy_series(space, rom_traj.states, grid.dt, params.c)[0]
-    assert np.max(np.abs(rate + dissipation)) <= 1e-10 * e2
+    e, rate, dissipation = energy_balance(rom_traj, params)
+    assert np.max(np.abs(rate + dissipation)) <= 1e-10 * e[0]
 
 
 def test_rom_energy_conserved_undamped():
@@ -114,7 +113,7 @@ def test_error_report_fields(small_run):
     rom_traj = solve_rom(romsys)
     rep = error_report(traj, rom_traj, basis, r, space, params)
 
-    err_sq = l2_norms_sq(space, (traj.states - rom_traj.states).T)
+    err_sq = l2_norms_sq(space, traj.states - rom_traj.states)
     assert rep.max_l2_sq == pytest.approx(float(np.max(err_sq)), rel=1e-12)
     assert rep.final_l2 == pytest.approx(float(np.sqrt(err_sq[-1])), rel=1e-12)
     err_traj_energy = energy_series(space, traj.states - rom_traj.states, grid.dt, params.c)
@@ -148,8 +147,8 @@ def test_rom_on_invariant_subspace_matches_fe():
     r = min(basis.rank, 4)
     romsys = build_rom(basis, r, space, params, grid, traj.states[0], traj.states[1])
     rom_traj = solve_rom(romsys)
-    scale = np.max(np.sqrt(l2_norms_sq(space, traj.states.T)))
-    err = np.max(np.sqrt(l2_norms_sq(space, (traj.states - rom_traj.states).T)))
+    scale = np.max(np.sqrt(l2_norms_sq(space, traj.states)))
+    err = np.max(np.sqrt(l2_norms_sq(space, traj.states - rom_traj.states)))
     assert err <= 1e-7 * scale
 
 

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from fe_reference import energy, h10_inner, step, to_dense
+from podwave import experiments, wave
 from podwave.fem import assemble, l2_norms_sq, l2_project
 from podwave.wave import (
     TimeGrid,
@@ -19,7 +20,7 @@ from podwave.wave import (
 
 
 def l2_norm(space, v):
-    return float(np.sqrt(l2_norms_sq(space, v[:, None])[0]))
+    return float(np.sqrt(l2_norms_sq(space, v)))
 
 
 def test_time_grid_validation():
@@ -154,10 +155,26 @@ def test_energy_dissipation_identity(damping):
     grid = TimeGrid.from_dt(2.0, 1.0 / 50.0)
     params = WaveParams(c=1.0, **damping)
     traj = solve(space, grid, params, default_u0, default_u00)
-    rate, dissipation = energy_balance(traj, params)
-    e2 = energy_series(space, traj.states, grid.dt, params.c)[0]
-    assert np.max(np.abs(rate + dissipation)) <= 1e-10 * e2
+    e, rate, dissipation = energy_balance(traj, params)
+    assert np.max(np.abs(rate + dissipation)) <= 1e-10 * e[0]
     assert np.all(dissipation >= 0.0)
+
+
+def test_energy_rows_evaluate_the_energy_once(monkeypatch):
+    space = assemble(10)
+    grid = TimeGrid.from_dt(1.0, 0.1)
+    params = WaveParams(c=1.0, D=0.1)
+    traj = solve(space, grid, params, default_u0, default_u00)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return energy_series(*args, **kwargs)
+
+    monkeypatch.setattr(wave, "energy_series", counted)
+    _, rows = experiments.energy_rows(traj, params)
+    assert len(rows) == grid.N - 2
+    assert len(calls) == 1
 
 
 def test_energy_series_matches_pointwise():
