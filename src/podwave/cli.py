@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 configuration or output error, 2 numerical failure.
 """
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import fields
@@ -15,17 +16,17 @@ from .linalg import LinAlgFailure
 _FLOAT_FMT = "%.16e"  # 17 significant digits
 
 
-def _format_cell(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, float):
-        return _FLOAT_FMT % v
-    return str(v)
+@functools.lru_cache(maxsize=64)
+def _row_format(types: tuple) -> str:
+    """The %-format line for a row whose cells have these types: floats
+    (numpy's included) as %.16e, every other cell, bool included, as str()."""
+    return ",".join(_FLOAT_FMT if issubclass(t, float) else "%s" for t in types) + "\n"
 
 
 def write_csv(path: str, config: RunConfig, command: str, header, rows):
     """Write the CSV atomically: a temporary file next to `path`, renamed
-    over it only once every row is written."""
+    over it only once every row is written.  `rows` may be any iterable of
+    sequences, a generator included."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -35,7 +36,8 @@ def write_csv(path: str, config: RunConfig, command: str, header, rows):
                 fh.write(f"# {key}={value}\n")
             fh.write(",".join(header) + "\n")
             for row in rows:
-                fh.write(",".join(_format_cell(v) for v in row) + "\n")
+                row = tuple(row)
+                fh.write(_row_format(tuple(map(type, row))) % row)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

@@ -58,8 +58,8 @@ class RunConfig:
             raise ConfigError("r_list must be nonempty positive integers")
         if self.stride < 1:
             raise ConfigError("stride must be at least 1")
-        if self.rank_tol < 0:
-            raise ConfigError("rank_tol must be nonnegative")
+        if not 0 <= self.rank_tol < 1:  # a cutoff of sigma_1 or more keeps no mode
+            raise ConfigError(f"rank_tol must be in [0, 1), got {self.rank_tol}")
         if self.k_max < 1:
             raise ConfigError("k_max must be at least 1")
         return self

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpbtrs
 
 
 class LinAlgFailure(RuntimeError):
@@ -81,8 +82,22 @@ class BandedCholesky:
             raise LinAlgFailure(f"matrix is not SPD: {exc}") from exc
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve A x = b on the last axis of b (..., n)."""
-        return _on_last_axis(lambda cols: scipy.linalg.cho_solve_banded((self._cb, False), cols), b)
+        """Solve A x = b on the last axis of b (..., n).
+
+        Calls LAPACK dpbtrs on the factor directly: time stepping solves
+        once per step, and the scipy wrapper's per-call dispatch costs more
+        than the two banded sweeps of a small system.
+        """
+        b = np.asarray(b, dtype=float)
+        if b.shape[-1] != self._cb.shape[1]:
+            raise ValueError(f"dimension mismatch: matrix is {self._cb.shape[1]}, "
+                             f"right-hand side is {b.shape[-1]}")
+        if not np.isfinite(b).all():
+            raise ValueError("right-hand side must be finite")
+        x, info = dpbtrs(self._cb, b.reshape(-1, b.shape[-1]).T, lower=0)
+        if info != 0:
+            raise LinAlgFailure(f"dpbtrs failed with info={info}")
+        return x.T.reshape(b.shape)
 
     def r_matvec(self, x: np.ndarray) -> np.ndarray:
         """R @ x on the last axis of x (..., n)."""
@@ -92,14 +107,9 @@ class BandedCholesky:
 
     def r_solve(self, b: np.ndarray) -> np.ndarray:
         """Solve R x = b on the last axis of b (..., n), by back substitution."""
-        return _on_last_axis(lambda cols: scipy.linalg.solve_banded((0, 1), self._cb, cols), b)
-
-
-def _on_last_axis(solve, b: np.ndarray) -> np.ndarray:
-    """Apply a LAPACK solve, which takes right-hand sides as the columns of
-    an (n, k) matrix, to the last axis of b (..., n)."""
-    b = np.asarray(b, dtype=float)
-    return solve(b.reshape(-1, b.shape[-1]).T).T.reshape(b.shape)
+        b = np.asarray(b, dtype=float)
+        x = scipy.linalg.solve_banded((0, 1), self._cb, b.reshape(-1, b.shape[-1]).T)
+        return x.T.reshape(b.shape)
 
 
 def thin_svd(b: np.ndarray):

@@ -120,17 +120,36 @@ def initial_states(space: FemSpace, grid: TimeGrid, params: WaveParams,
     return u1, u2
 
 
+def _integrate(space: FemSpace, grid: TimeGrid, params: WaveParams,
+               u0: Callable, u00: Callable, buf: np.ndarray) -> np.ndarray:
+    """Step u^1..u^N, writing level n (0-based) into row n % len(buf).
+
+    A buffer of N rows keeps every level; one of two rows keeps the last
+    two, which is all the three-level scheme reads.  Returns buf.
+    """
+    lhs, b_cur, b_prev = step_matrices(space, params, grid.dt)
+    solver = lhs.cholesky()
+    k = len(buf)
+    buf[0], buf[1] = initial_states(space, grid, params, u0, u00)
+    for n in range(2, grid.N):
+        rhs = b_cur.matvec(buf[(n - 1) % k]) + b_prev.matvec(buf[(n - 2) % k])
+        buf[n % k] = solver.solve(rhs)
+    return buf
+
+
 def solve(space: FemSpace, grid: TimeGrid, params: WaveParams,
           u0: Callable, u00: Callable) -> Trajectory:
     """Integrate the full trajectory u^1..u^N."""
-    lhs, b_cur, b_prev = step_matrices(space, params, grid.dt)
-    solver = lhs.cholesky()
-    states = np.empty((grid.N, space.n_dof))
-    states[0], states[1] = initial_states(space, grid, params, u0, u00)
-    for n in range(2, grid.N):
-        rhs = b_cur.matvec(states[n - 1]) + b_prev.matvec(states[n - 2])
-        states[n] = solver.solve(rhs)
+    states = _integrate(space, grid, params, u0, u00, np.empty((grid.N, space.n_dof)))
     return Trajectory(space=space, grid=grid, states=states)
+
+
+def final_state(space: FemSpace, grid: TimeGrid, params: WaveParams,
+                u0: Callable, u00: Callable) -> np.ndarray:
+    """The final state u^N alone, bitwise that of solve(...).states[-1],
+    with two time levels in memory instead of N."""
+    buf = _integrate(space, grid, params, u0, u00, np.empty((2, space.n_dof)))
+    return buf[(grid.N - 1) % 2]
 
 
 def energy_series(space: FemSpace, states: np.ndarray, dt: float, c: float) -> np.ndarray:

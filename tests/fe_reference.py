@@ -1,10 +1,12 @@
 """Reference helpers for the tests: scalar inner products, dense matrices,
-time averages, one time step and the energy at one level, each written out
-on its own so that the vectorised program paths can be checked against it."""
+time averages, one time step, a whole stepping loop and the energy at one
+level, each written out on its own so that the vectorised program paths can
+be checked against it."""
 
 import numpy as np
+import scipy.linalg
 
-from podwave.wave import step_matrices
+from podwave.wave import initial_states, step_matrices
 
 
 def to_dense(a) -> np.ndarray:
@@ -42,6 +44,28 @@ def step(space, params, grid, u_prev, u_cur) -> np.ndarray:
     lhs, b_cur, b_prev = step_matrices(space, params, grid.dt)
     rhs = b_cur.matvec(u_cur) + b_prev.matvec(u_prev)
     return np.linalg.solve(to_dense(lhs), rhs)
+
+
+def banded_upper(a) -> np.ndarray:
+    """Upper band storage (2, n) of a SymTridiagonal, as scipy's banded
+    Cholesky routines take it."""
+    ab = np.zeros((2, a.n))
+    ab[0, 1:] = a.off
+    ab[1, :] = a.diag
+    return ab
+
+
+def solve_states(space, grid, params, u0, u00) -> np.ndarray:
+    """All levels (N, n_dof) of the three-level scheme, each step solved by
+    scipy.linalg.cho_solve_banded on a factor from cholesky_banded."""
+    lhs, b_cur, b_prev = step_matrices(space, params, grid.dt)
+    cb = scipy.linalg.cholesky_banded(banded_upper(lhs), lower=False)
+    states = np.empty((grid.N, space.n_dof))
+    states[0], states[1] = initial_states(space, grid, params, u0, u00)
+    for n in range(2, grid.N):
+        rhs = b_cur.matvec(states[n - 1]) + b_prev.matvec(states[n - 2])
+        states[n] = scipy.linalg.cho_solve_banded((cb, False), rhs)
+    return states
 
 
 def energy(traj, n: int, c: float) -> float:

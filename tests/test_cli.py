@@ -1,12 +1,15 @@
 """End-to-end checks of the command-line tool and its configuration layer,
 on reduced problem sizes."""
 
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import podwave
 from podwave.cli import main, write_csv
@@ -103,13 +106,17 @@ COARSE = ["--n-elements", "8", "--dt", "1/8", "--T", "1"]  # POD rank 7
     (COARSE + ["train-interval", "--t-train", "1"], "r must be in [1, 7]"),
     (COARSE + ["--r-list", "20", "rom-sweep"], "r must be in [1, 7]"),
     (COARSE + ["--r-list", "20", "error-formulas"], "r must be in [1, 7]"),
+    (COARSE + ["--rank-tol", "2", "error-formulas"], "rank_tol must be in [0, 1)"),
+    (COARSE + ["--rank-tol", "1", "singvals"], "rank_tol must be in [0, 1)"),
+    (["--rank-tol", "-0.5", "singvals"], "rank_tol must be in [0, 1)"),
 ], ids=["pod-method-foo", "u0-wave", "n-elements-abc", "values-nan", "values-inf",
         "values-negative", "t-train-nan", "dt-list-inf", "dt-list-not-dividing",
         "dt-equals-T",
         "convergence-two-dampings", "times-nan", "times-negative", "times-past-T",
         "times-off-grid", "profiles-r-above-rank",
         "train-interval-r-above-rank", "rom-sweep-r-above-rank",
-        "error-formulas-r-above-rank"])
+        "error-formulas-r-above-rank", "rank-tol-two", "rank-tol-one",
+        "rank-tol-negative"])
 def test_bad_values_exit_one(tmp_path, capsys, argv, message):
     """Bad configuration and subcommand values exit 1 with one line."""
     rc = main(SMALL + ["--output-dir", str(tmp_path)] + argv)
@@ -147,6 +154,40 @@ def test_write_csv_is_atomic(tmp_path):
         write_csv(path, config, "solve", ["a"], [[2.0], [Unformattable()], [3.0]])
     assert (tmp_path / "out.csv").read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def reference_cell(v) -> str:
+    """The CSV cell rule: %.16e for floats, numpy's included; str() for
+    every other value, bool included."""
+    if isinstance(v, bool):
+        return str(v)
+    if isinstance(v, float):
+        return "%.16e" % v
+    return str(v)
+
+
+CELLS = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, np.float64(-0.0)]),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.lists(CELLS, min_size=1, max_size=6), max_size=6))
+def test_write_csv_cells_follow_the_reference_rule(tmp_path, rows):
+    config = RunConfig().validated()
+    path = tmp_path / "cells.csv"
+    write_csv(str(path), config, "solve", ["a"], [])
+    head = path.read_bytes()
+    write_csv(str(path), config, "solve", ["a"], iter(rows))
+    body = "".join(",".join(reference_cell(v) for v in row) + "\n" for row in rows)
+    assert path.read_bytes() == head + body.encode("utf-8")
 
 
 def test_cli_import_skips_scipy_signal():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fe_reference import to_dense
+from fe_reference import banded_upper, to_dense
 from podwave.linalg import LinAlgFailure, SymTridiagonal, thin_svd
 
 
@@ -39,6 +40,35 @@ def test_solve_dimension_mismatch():
     a = SymTridiagonal(diag=np.ones(2), off=np.zeros(1))
     with pytest.raises(ValueError):
         a.cholesky().solve(np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_rejects_non_finite_rhs(bad):
+    a = SymTridiagonal(diag=np.full(3, 2.0), off=np.full(2, -1.0))
+    b = np.array([1.0, bad, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        a.cholesky().solve(b)
+    with pytest.raises(ValueError, match="finite"):
+        a.cholesky().solve(np.stack([np.ones(3), b]))
+
+
+def test_solve_one_unknown():
+    a = SymTridiagonal(diag=np.array([4.0]), off=np.zeros(0))
+    assert a.cholesky().solve(np.array([2.0])).tolist() == [0.5]
+    assert a.cholesky().solve(np.array([[2.0], [-8.0]])).tolist() == [[0.5], [-2.0]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 50), st.integers(0, 5), st.integers(0, 2**32 - 1))
+def test_solve_is_bitwise_cho_solve_banded(n, k, seed):
+    """A stack of k right-hand sides gives bit for bit the columns of
+    scipy's cho_solve_banded on the same factor."""
+    rng = np.random.default_rng(seed)
+    a = random_spd_tridiag(rng, n)
+    b = rng.standard_normal((k, n))
+    cb = scipy.linalg.cholesky_banded(banded_upper(a), lower=False)
+    expected = scipy.linalg.cho_solve_banded((cb, False), b.T).T
+    assert np.array_equal(a.cholesky().solve(b), expected)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from fe_reference import energy, h10_inner, step, to_dense
+from fe_reference import energy, h10_inner, solve_states, step, to_dense
 from podwave import experiments, wave
+from podwave.config import RunConfig
 from podwave.fem import assemble, l2_norms_sq, l2_project
 from podwave.wave import (
     TimeGrid,
@@ -14,6 +17,7 @@ from podwave.wave import (
     default_u00,
     energy_balance,
     energy_series,
+    final_state,
     initial_states,
     solve,
 )
@@ -113,6 +117,59 @@ def test_step_matches_solver_and_zero_case():
     np.testing.assert_allclose(u3, traj.states[2], rtol=1e-12, atol=1e-15)
     zero = np.zeros(space.n_dof)
     np.testing.assert_allclose(step(space, params, grid, zero, zero), 0.0)
+
+
+DAMPINGS = pytest.mark.parametrize("D, G", [(0.0, 0.0), (0.1, 0.0), (0.0, 0.001)],
+                                    ids=["undamped", "viscous", "kelvin-voigt"])
+
+
+@DAMPINGS
+def test_solve_is_bitwise_the_cho_solve_banded_loop(D, G):
+    """The stepping calls LAPACK dpbtrs itself; its states are bit for bit
+    those of the same loop through scipy's cho_solve_banded."""
+    space = assemble(40)
+    grid = TimeGrid.from_dt(2.0, 1.0 / 80.0)
+    params = WaveParams(c=1.0, D=D, G=G)
+    traj = solve(space, grid, params, default_u0, default_u00)
+    assert np.array_equal(traj.states, solve_states(space, grid, params, default_u0, default_u00))
+
+
+@DAMPINGS
+@pytest.mark.parametrize("dt", [1.0 / 80.0, 2.0 / 159.0], ids=["N-odd", "N-even"])
+def test_final_state_is_bitwise_the_last_level(D, G, dt):
+    space = assemble(40)
+    grid = TimeGrid.from_dt(2.0, dt)
+    params = WaveParams(c=1.0, D=D, G=G)
+    last = solve(space, grid, params, default_u0, default_u00).states[-1]
+    assert np.array_equal(final_state(space, grid, params, default_u0, default_u00), last)
+
+
+def test_convergence_never_stores_a_trajectory(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(wave, "solve", counted)
+    config = RunConfig(n_elements=40, dt=0.01, T=1.25, u0="sine", k_max=20).validated()
+    _, rows = experiments.convergence_rows(config, [0.01, 0.005])
+    assert len(rows) == 2 and calls == []
+
+
+def test_convergence_memory_is_two_time_levels():
+    """At 2000 elements and dt = 1/3200, all N x n_dof states would take
+    4001 * 1999 * 8 bytes = 64 MB; the run keeps two levels."""
+    config = RunConfig(n_elements=2000, dt=1.0 / 3200.0, T=1.25, u0="sine",
+                       k_max=20).validated()
+    tracemalloc.start()
+    try:
+        _, rows = experiments.convergence_rows(config, [1.0 / 3200.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < rows[0][2] < 1e-6
+    assert peak < 8e6
 
 
 def test_scheme_second_order_vs_single_mode():
