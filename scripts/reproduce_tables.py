@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Reproduce the reference experiment tables and figure data as CSV files.
 
-Runs the podwave CLI for every experiment family:
+Runs the podwave CLI in this one process for every experiment family, so
+the study cache computes each shared FE trajectory and POD basis once:
 
   error_formulas/   actual-vs-formula data errors (standard and ddq)
   singvals/         POD singular value decay for both damping types
@@ -34,14 +35,9 @@ def run(outdir, *args):
         sys.exit(rc)
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default="results", help="output root directory")
-    parser.add_argument("--quick", action="store_true",
-                        help="reduced problem size for a fast smoke run")
-    args = parser.parse_args()
-
-    if args.quick:
+def invocations(quick=False):
+    """(output subdirectory, podwave argv) of every experiment, in run order."""
+    if quick:
         base = ["--n-elements", "48", "--dt", "1/96", "--T", "4"]
         r_data, r_visc, r_kv = "4,8,12", "8,12", "4,8"
         conv = ["--n-elements", "400", "--T", "1.25"]
@@ -56,41 +52,52 @@ def main():
 
     kv = base + ["--c", C_KELVIN_VOIGT, "--G", "0.001"]
     visc = base + ["--c", "1.0", "--D", "0.1"]
+    ops = []
 
     for method in ("standard", "ddq"):
-        run(os.path.join(args.out, "error_formulas", method),
-            *kv, "--pod-method", method, "--r-list", r_data, "error-formulas")
-        run(os.path.join(args.out, "singvals", "kelvin_voigt"),
-            *kv, "--pod-method", method, "singvals")
-        run(os.path.join(args.out, "singvals", "viscous"),
-            *visc, "--pod-method", method, "singvals")
+        ops.append((os.path.join("error_formulas", method),
+                    [*kv, "--pod-method", method, "--r-list", r_data, "error-formulas"]))
+        ops.append((os.path.join("singvals", "kelvin_voigt"),
+                    [*kv, "--pod-method", method, "singvals"]))
+        ops.append((os.path.join("singvals", "viscous"),
+                    [*visc, "--pod-method", method, "singvals"]))
 
-    run(os.path.join(args.out, "rom_sweep", "viscous"),
-        *base, "--c", "1.0", "--r-list", r_visc,
-        "rom-sweep", "--param", "D", "--values", *DAMPING_VALUES)
-    run(os.path.join(args.out, "rom_sweep", "kelvin_voigt"),
-        *base, "--c", "1.0", "--r-list", r_kv,
-        "rom-sweep", "--param", "G", "--values", *DAMPING_VALUES)
+    ops.append((os.path.join("rom_sweep", "viscous"),
+                [*base, "--c", "1.0", "--r-list", r_visc,
+                 "rom-sweep", "--param", "D", "--values", *DAMPING_VALUES]))
+    ops.append((os.path.join("rom_sweep", "kelvin_voigt"),
+                [*base, "--c", "1.0", "--r-list", r_kv,
+                 "rom-sweep", "--param", "G", "--values", *DAMPING_VALUES]))
 
     for method in ("standard", "ddq"):
         for r in (10, 20):
-            run(os.path.join(args.out, "profiles", f"viscous_r{r}_{method}"),
-                *visc, "--pod-method", method, "profiles", "--r", str(r),
-                "--times", *times)
+            ops.append((os.path.join("profiles", f"viscous_r{r}_{method}"),
+                        [*visc, "--pod-method", method, "profiles", "--r", str(r),
+                         "--times", *times]))
         for r in (5, 10):
-            run(os.path.join(args.out, "profiles", f"kelvin_voigt_r{r}_{method}"),
-                *kv, "--pod-method", method, "profiles", "--r", str(r),
-                "--times", *times)
+            ops.append((os.path.join("profiles", f"kelvin_voigt_r{r}_{method}"),
+                        [*kv, "--pod-method", method, "profiles", "--r", str(r),
+                         "--times", *times]))
 
     for label, flags in (("viscous", ["--D", "0.1"]), ("kelvin_voigt", ["--G", "0.001"])):
-        run(os.path.join(args.out, "train_interval", label),
-            *base, "--c", "1.0", *flags,
-            "train-interval", "--t-train", *windows, "--r", "20")
+        ops.append((os.path.join("train_interval", label),
+                    [*base, "--c", "1.0", *flags,
+                     "train-interval", "--t-train", *windows, "--r", "20"]))
 
-    run(os.path.join(args.out, "convergence"),
-        *conv, "--dt", "1/100", "--c", "1.0", "--u0", "sine",
-        "convergence", "--dt-list", "0.01", "0.005", "0.0025")
+    ops.append(("convergence",
+                [*conv, "--dt", "1/100", "--c", "1.0", "--u0", "sine",
+                 "convergence", "--dt-list", "0.01", "0.005", "0.0025"]))
+    return ops
 
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default="results", help="output root directory")
+    parser.add_argument("--quick", action="store_true",
+                        help="reduced problem size for a fast smoke run")
+    args = parser.parse_args()
+    for subdir, argv in invocations(args.quick):
+        run(os.path.join(args.out, subdir), *argv)
     print(f"done; results under {args.out}/")
 
 

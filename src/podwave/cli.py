@@ -9,7 +9,7 @@ import os
 import sys
 from dataclasses import fields
 
-from . import experiments, wave
+from . import experiments
 from .config import ConfigError, RunConfig, make_config, parse_number
 from .linalg import LinAlgFailure
 
@@ -50,11 +50,10 @@ def _out_path(config: RunConfig, name: str) -> str:
 
 
 def cmd_solve(config: RunConfig, args) -> int:
-    space, grid, params, u0, u00 = experiments.setup(config)
-    traj = wave.solve(space, grid, params, u0, u00)
+    traj = experiments.fe_trajectory(config)
     header, rows = experiments.trajectory_rows(traj, config.stride)
     p1 = write_csv(_out_path(config, "trajectory.csv"), config, "solve", header, rows)
-    header, rows = experiments.energy_rows(traj, params)
+    header, rows = experiments.energy_rows(traj, config.wave_params())
     p2 = write_csv(_out_path(config, "energy.csv"), config, "solve", header, rows)
     print(p1)
     print(p2)

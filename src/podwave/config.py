@@ -45,8 +45,8 @@ class RunConfig:
         if self.n_elements < 2:
             raise ConfigError("n_elements must be at least 2")
         try:  # the time grid's and the equation's own rules
-            TimeGrid.from_dt(self.T, self.dt)
-            WaveParams(c=self.c, D=self.D, G=self.G)
+            self.time_grid()
+            self.wave_params()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.pod_method not in METHODS:
@@ -63,6 +63,12 @@ class RunConfig:
         if self.k_max < 1:
             raise ConfigError("k_max must be at least 1")
         return self
+
+    def time_grid(self) -> TimeGrid:
+        return TimeGrid.from_dt(self.T, self.dt)
+
+    def wave_params(self) -> WaveParams:
+        return WaveParams(c=self.c, D=self.D, G=self.G)
 
     def resolve_output_dir(self) -> str:
         if self.output_dir is not None:

@@ -3,9 +3,19 @@
 Each function takes a validated RunConfig, runs the pipeline and returns
 plain rows ready for CSV output, so the same code paths are exercised by the
 CLI, the test suite, and the reproduction scripts.
+
+The drivers get their FE trajectories and POD bases from one study cache,
+so that a process making one CLI call per table, as the reproduction script
+does, computes each distinct trajectory and basis once.  Entries are keyed
+by value, a basis by its trajectory's key, its snapshot count, method and
+rank_tol.  The cache evicts the least recently used entries to stay within
+_CACHE_BUDGET_BYTES of array bytes and never stores a larger entry, so a
+reference-scale trajectory does not stay resident.  Cached arrays are
+read-only, so no caller can change a later call's input.
 """
 
 import math
+from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
@@ -15,19 +25,59 @@ from .config import ConfigError, RunConfig
 from .fem import assemble, l2_norms_sq
 from .wave import TimeGrid, Trajectory, WaveParams
 
+# A larger budget saves a few more solves and SVDs in a reproduction run,
+# but the resident bytes then raise its peak memory.
+_CACHE_BUDGET_BYTES = 8 << 20
+_cache = OrderedDict()  # key -> (value, array bytes), least recently used first
+
+
+def _cached(key, compute, nbytes):
+    """The cached value of key, else compute() stored under the budget."""
+    if key in _cache:
+        _cache.move_to_end(key)
+        return _cache[key][0]
+    value = compute()
+    size = nbytes(value)
+    if size <= _CACHE_BUDGET_BYTES:
+        while sum(s for _, s in _cache.values()) + size > _CACHE_BUDGET_BYTES:
+            _cache.popitem(last=False)
+        _cache[key] = (value, size)
+    return value
+
+
+def _trajectory_key(config: RunConfig):
+    """What wave.solve reads, with the grid's values: equal grids share a key."""
+    grid = config.time_grid()
+    return (config.n_elements, grid.T, grid.dt, grid.N,
+            config.c, config.D, config.G, config.u0, config.u00)
+
 
 def setup(config: RunConfig):
     """(space, grid, params, u0, u00) from a validated config."""
-    space = assemble(config.n_elements)
-    grid = TimeGrid.from_dt(config.T, config.dt)
-    params = WaveParams(c=config.c, D=config.D, G=config.G)
     ics = wave.INITIAL_CONDITIONS
-    return space, grid, params, ics[config.u0], ics[config.u00]
+    return (assemble(config.n_elements), config.time_grid(), config.wave_params(),
+            ics[config.u0], ics[config.u00])
 
 
 def fe_trajectory(config: RunConfig) -> Trajectory:
-    space, grid, params, u0, u00 = setup(config)
-    return wave.solve(space, grid, params, u0, u00)
+    """The FE trajectory of a validated config, from the study cache."""
+    def compute():
+        traj = wave.solve(*setup(config))
+        traj.states.flags.writeable = False
+        return traj
+    return _cached(_trajectory_key(config), compute, lambda traj: traj.states.nbytes)
+
+
+def _basis(config: RunConfig, traj: Trajectory, method: str) -> pod.PodBasis:
+    """The POD basis of traj, which is fe_trajectory(config) or a training
+    slice of it, with the config's rank_tol, from the study cache."""
+    def compute():
+        basis = pod.pod_basis(traj, method, rank_tol=config.rank_tol)
+        basis.modes.flags.writeable = False
+        basis.eigenvalues.flags.writeable = False
+        return basis
+    key = (_trajectory_key(config), traj.grid.N, method, config.rank_tol)
+    return _cached(key, compute, lambda b: b.modes.nbytes + b.eigenvalues.nbytes)
 
 
 def _time_level(grid: TimeGrid, t: float, what: str) -> int:
@@ -53,6 +103,8 @@ def training_slice(traj: Trajectory, t_train: float) -> Trajectory:
     m = _time_level(traj.grid, t_train, "training interval") + 1
     if m < 3:
         raise ConfigError(f"training interval {t_train} leaves too few snapshots")
+    if m == traj.grid.N:  # then the cached basis keeps the full grid
+        return traj
     sub_grid = TimeGrid(T=(m - 1) * dt, dt=dt, N=m)
     return Trajectory(space=traj.space, grid=sub_grid, states=traj.states[:m])
 
@@ -80,11 +132,10 @@ def energy_rows(traj: Trajectory, params: WaveParams):
 
 def singular_value_rows(config: RunConfig):
     traj = fe_trajectory(config)
-    dataset = pod.build_dataset(traj, config.pod_method)
     header = ["k", "sigma"]
-    if not np.any(dataset.vectors):
+    if not np.any(traj.states):  # then every data set of it is zero too
         return header, []
-    basis = pod.compute_basis(dataset, rank_tol=config.rank_tol)
+    basis = _basis(config, traj, config.pod_method)
     sigma = np.sqrt(basis.eigenvalues)
     return header, [[k + 1, sigma[k]] for k in range(basis.rank)]
 
@@ -92,26 +143,31 @@ def singular_value_rows(config: RunConfig):
 def error_formula_rows(config: RunConfig):
     """Actual-vs-formula data errors for each r and both norms."""
     traj = fe_trajectory(config)
-    basis = pod.pod_basis(traj, config.pod_method, rank_tol=config.rank_tol)
+    basis = _basis(config, traj, config.pod_method)
+    data = pod.build_dataset(traj, config.pod_method)
     header = ["r", "norm", "actual", "formula", "relative_gap"]
     rows = []
     lam1 = basis.eigenvalues[0]
     for r in config.r_list:
         _check_rank(basis, int(r))
         for norm in (pod.NORM_L2, pod.NORM_H10):
-            actual = pod.data_error_actual(traj, basis, int(r), norm=norm)
+            actual = pod.data_error_actual(data, basis, int(r), norm=norm)
             formula = pod.data_error_formula(basis, int(r), norm=norm)
             gap = abs(actual - formula) / max(formula, lam1 * 1e-6)
             rows.append([int(r), norm, actual, formula, gap])
     return header, rows
 
 
-def _rom_report(traj, basis, r, space, params):
+def _rom_trajectory(traj, basis, r, params):
     _check_rank(basis, r)
-    romsys = rom.build_rom(basis, r, space, params, traj.grid,
+    romsys = rom.build_rom(basis, r, traj.space, params, traj.grid,
                            traj.states[0], traj.states[1])
-    rom_traj = rom.solve_rom(romsys)
-    return rom.error_report(traj, rom_traj, basis, r, space, params)
+    return rom.solve_rom(romsys)
+
+
+def _rom_report(traj, basis, r, params):
+    rom_traj = _rom_trajectory(traj, basis, r, params)
+    return rom.error_report(traj, rom_traj, basis, r, traj.space, params)
 
 
 def rom_sweep_rows(config: RunConfig, param: str, values, methods=("standard", "ddq")):
@@ -122,18 +178,16 @@ def rom_sweep_rows(config: RunConfig, param: str, values, methods=("standard", "
     """
     if param not in ("D", "G"):
         raise ConfigError("sweep parameter must be D or G")
-    space, grid, _, u0, u00 = setup(config)
     header = [param, "r", "method", "max_l2_sq", "max_energy",
               "ratio_energy", "ratio_pointwise"]
     rows = []
     for value in values:
         swept = replace(config, **{param: float(value)}).validated()
-        params = WaveParams(c=swept.c, D=swept.D, G=swept.G)
-        traj = wave.solve(space, grid, params, u0, u00)
+        traj, params = fe_trajectory(swept), swept.wave_params()
         for method in methods:
-            basis = pod.pod_basis(traj, method, rank_tol=config.rank_tol)
+            basis = _basis(swept, traj, method)
             for r in config.r_list:
-                rep = _rom_report(traj, basis, int(r), space, params)
+                rep = _rom_report(traj, basis, int(r), params)
                 rows.append([
                     float(value), int(r), method, rep.max_l2_sq, rep.max_energy,
                     _nan_if_none(rep.ratio_energy), _nan_if_none(rep.ratio_pointwise),
@@ -147,13 +201,11 @@ def _nan_if_none(x):
 
 def profile_rows(config: RunConfig, times, r: int):
     """FE and reconstructed ROM values on the full node set at chosen times."""
-    space, grid, params, u0, u00 = setup(config)
-    levels = [_time_level(grid, float(t), "profile time") for t in times]
-    traj = wave.solve(space, grid, params, u0, u00)
-    basis = pod.pod_basis(traj, config.pod_method, rank_tol=config.rank_tol)
-    _check_rank(basis, r)
-    romsys = rom.build_rom(basis, r, space, params, grid, traj.states[0], traj.states[1])
-    rom_traj = rom.solve_rom(romsys)
+    levels = [_time_level(config.time_grid(), float(t), "profile time") for t in times]
+    traj = fe_trajectory(config)
+    space = traj.space
+    basis = _basis(config, traj, config.pod_method)
+    rom_traj = _rom_trajectory(traj, basis, r, config.wave_params())
     header = ["x"]
     cols = [space.full_nodes]
     for t, n in zip(times, levels):
@@ -171,15 +223,14 @@ def train_interval_rows(config: RunConfig, t_train_list, r: int,
     `final_time_l2` is the plain norm ||u_h(T) - u_r(T)||_L2, not its square;
     the ROM runs over the whole grid [0, T] in every row.
     """
-    space, grid, params, u0, u00 = setup(config)
-    traj = wave.solve(space, grid, params, u0, u00)
+    traj, params = fe_trajectory(config), config.wave_params()
     header = ["T_train", "method", "final_time_l2"]
     rows = []
     for t_train in t_train_list:
         sub = training_slice(traj, float(t_train))
         for method in methods:
-            basis = pod.pod_basis(sub, method, rank_tol=config.rank_tol)
-            rep = _rom_report(traj, basis, r, space, params)
+            basis = _basis(config, sub, method)
+            rep = _rom_report(traj, basis, r, params)
             rows.append([float(t_train), method, rep.final_l2])
     return header, rows
 
@@ -202,8 +253,7 @@ def convergence_rows(config: RunConfig, dt_list):
     prev = None
     for dt in dt_list:
         run = replace(config, dt=float(dt)).validated()  # dt must divide T
-        grid = TimeGrid.from_dt(run.T, run.dt)
-        diff = wave.final_state(space, grid, params, u0, u00) - exact_final
+        diff = wave.final_state(space, run.time_grid(), params, u0, u00) - exact_final
         err = float(np.sqrt(l2_norms_sq(space, diff)))
         order = math.nan
         if prev is not None:
@@ -224,8 +274,8 @@ def invariant_checks(config: RunConfig):
 
     small = RunConfig(n_elements=24, dt=1.0 / 40.0, T=2.0, c=config.c,
                       D=0.05, G=0.001).validated()
-    space, grid, params, u0, u00 = setup(small)
-    traj = wave.solve(space, grid, params, u0, u00)
+    params = small.wave_params()
+    traj = fe_trajectory(small)
 
     e, rate, dissipation = wave.energy_balance(traj, params)
     res = float(np.max(np.abs(rate + dissipation))) / e[0]
@@ -233,19 +283,20 @@ def invariant_checks(config: RunConfig):
 
     worst = 0.0
     for method in pod.METHODS:
-        basis = pod.pod_basis(traj, method)
+        basis = _basis(small, traj, method)
+        data = pod.build_dataset(traj, method)
         lam1 = basis.eigenvalues[0]
         for r in (1, min(5, basis.rank), min(12, basis.rank)):
             for norm in (pod.NORM_L2, pod.NORM_H10):
                 for projector in (pod.PROJECTOR_L2, pod.PROJECTOR_RITZ):
-                    act = pod.data_error_actual(traj, basis, r, norm, projector)
+                    act = pod.data_error_actual(data, basis, r, norm, projector)
                     form = pod.data_error_formula(basis, r, norm, projector)
                     worst = max(worst, abs(act - form) / max(form, lam1 * 1e-6))
     record("error_formula_identity", worst <= 1e-8, f"worst gap {worst:.2e}")
 
     ok = True
     for method in ("dq1", "ddq"):
-        basis = pod.pod_basis(traj, method)
+        basis = _basis(small, traj, method)
         for statistic in ("max", "sum"):
             chk = pod.pointwise_bound_check(traj, basis, 4, statistic=statistic)
             ok = ok and (chk.lhs <= chk.rhs * (1 + 1e-12))
@@ -258,10 +309,10 @@ def invariant_checks(config: RunConfig):
     gap = float(np.max(np.abs(rebuilt - z))) / max(float(np.max(np.abs(z))), 1e-30)
     record("sequence_rebuild_identity", gap <= 1e-11, f"gap {gap:.2e}")
 
-    basis = pod.pod_basis(traj, "standard")
-    rep = _rom_report(traj, basis, basis.rank, space, params)
+    basis = _basis(small, traj, "standard")
+    rep = _rom_report(traj, basis, basis.rank, params)
     scale = float(np.max(np.abs(traj.states)))
-    ok = rep.max_l2_sq <= (1e-8 * scale) ** 2 * space.n_dof
+    ok = rep.max_l2_sq <= (1e-8 * scale) ** 2 * traj.space.n_dof
     record("full_rank_rom_consistency", ok, f"max_l2_sq {rep.max_l2_sq:.2e}")
 
     return results

@@ -100,10 +100,13 @@ class BandedCholesky:
         return x.T.reshape(b.shape)
 
     def r_matvec(self, x: np.ndarray) -> np.ndarray:
-        """R @ x on the last axis of x (..., n)."""
-        y = self._cb[1] * x
-        y[..., :-1] += self._cb[0, 1:] * x[..., 1:]
-        return y
+        """R @ x on the last axis of x (..., n), in place: x, a float array,
+        is overwritten with the product and returned, so that the POD data
+        matrix is formed with one full-size temporary."""
+        upper = self._cb[0, 1:] * x[..., 1:]
+        x *= self._cb[1]
+        x[..., :-1] += upper
+        return x
 
     def r_solve(self, b: np.ndarray) -> np.ndarray:
         """Solve R x = b on the last axis of b (..., n), by back substitution."""
@@ -117,10 +120,12 @@ def thin_svd(b: np.ndarray):
     b^T = U diag(s) V^T with singular values descending.
 
     Returns (U^T, s): the left singular vectors as a stack (min(k, n), n)
-    and the spectrum; the right factor is discarded.
+    and the spectrum; the right factor is discarded.  b is scratch: LAPACK
+    may overwrite it, so a caller that reads b afterwards passes a copy.
     """
     try:
-        u, s, _ = scipy.linalg.svd(b.T, full_matrices=False, check_finite=False)
+        u, s, _ = scipy.linalg.svd(b.T, full_matrices=False, overwrite_a=True,
+                                   check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise LinAlgFailure(f"SVD did not converge: {exc}") from exc
     return u.T, s

@@ -96,7 +96,7 @@ def compute_basis(data: PodDataSet, rank_tol: float = 0.0) -> PodBasis:
     space = data.space
     chol = space.mass.cholesky()
     b = chol.r_matvec(data.vectors * np.sqrt(data.weights)[:, None])
-    u, sing = thin_svd(b)
+    u, sing = thin_svd(b)  # overwrites b
     if sing[0] <= 0.0:
         raise ValueError("POD data is identically zero")
     cutoff = max(np.sqrt(rank_tol) * sing[0], 0.0)
@@ -108,11 +108,11 @@ def compute_basis(data: PodDataSet, rank_tol: float = 0.0) -> PodBasis:
 
 
 def _fix_mode_signs(modes: np.ndarray):
-    """Make the first nonzero coefficient of each mode positive, in place."""
-    for mode in modes:
-        nonzero = np.flatnonzero(np.abs(mode) > 1e-12 * np.max(np.abs(mode)))
-        if nonzero.size and mode[nonzero[0]] < 0:
-            mode *= -1.0
+    """Make the first nonzero coefficient of each mode positive, in place;
+    a coefficient is nonzero above 1e-12 times the largest of its mode."""
+    mags = np.abs(modes)
+    first = np.argmax(mags > 1e-12 * mags.max(axis=1, keepdims=True), axis=1)
+    modes[modes[np.arange(len(modes)), first] < 0] *= -1.0
 
 
 def pod_basis(traj: Trajectory, method: str, rank_tol: float = 0.0) -> PodBasis:
@@ -152,10 +152,10 @@ def _check_r(basis: PodBasis, r: int):
         raise ValueError(f"r must be in [1, {basis.rank}], got {r}")
 
 
-def data_error_actual(traj: Trajectory, basis: PodBasis, r: int,
+def data_error_actual(data: PodDataSet, basis: PodBasis, r: int,
                       norm: str = NORM_L2, projector: str = PROJECTOR_L2) -> float:
-    """Weighted sum of squared projection errors over the basis's data set."""
-    data = build_dataset(traj, basis.method)
+    """Weighted sum of squared projection errors over a data set; over the
+    basis's own data set it equals data_error_formula."""
     residual = data.vectors - _PROJECTORS[projector](basis, r, data.vectors)
     return float(np.dot(data.weights, _NORMS[norm](basis.space, residual)))
 

@@ -186,6 +186,7 @@ def energy_balance(traj: Trajectory, params: WaveParams):
 # ---------------------------------------------------------------------------
 
 _SERIES_PANELS = 2000  # composite Gauss panels for sine coefficients
+_SINE_BLOCK = 16  # modes per block of sine values: 1.3 MB at 2000 panels
 _GAUSS_X5, _GAUSS_W5 = np.polynomial.legendre.leggauss(5)
 _DEGENERATE_TOL = 1e-12
 
@@ -219,8 +220,16 @@ def _sine_coefficients(f: Callable, k_max: int, panels: int = _SERIES_PANELS) ->
     fvals = np.asarray(f(xq), dtype=float)
     if fvals.shape != xq.shape:
         fvals = np.broadcast_to(fvals, xq.shape)
-    k = np.arange(1, k_max + 1)
-    return 2.0 * np.sin(np.pi * np.outer(k, xq)) @ (wq * fvals)
+    weighted = wq * fvals
+    coef = np.empty(k_max)
+    # Blocks start at multiples of _SINE_BLOCK, so BLAS sums each row as in
+    # one product of all k_max rows; a last lone row joins the block before
+    # it, since BLAS sums a single-row product in another order.
+    starts = range(0, max(k_max - 1, 1), _SINE_BLOCK)
+    for lo, hi in zip(starts, [*starts[1:], k_max]):
+        k = np.arange(lo + 1, hi + 1)
+        coef[lo:hi] = 2.0 * np.sin(np.pi * np.outer(k, xq)) @ weighted
+    return coef
 
 
 def analytic_series(params: WaveParams, u0: Callable, u00: Callable,

@@ -101,10 +101,11 @@ def test_error_formula_identity(kv_run):
     t0 = time.perf_counter()
     for method in ("standard", "ddq"):
         basis = kv_run.basis(method)
+        data = pod.build_dataset(kv_run.traj, method)
         lam1 = basis.eigenvalues[0]
         for r in (10, 20, 40, 60):
             for norm in (pod.NORM_L2, pod.NORM_H10):
-                actual = pod.data_error_actual(kv_run.traj, basis, r, norm=norm)
+                actual = pod.data_error_actual(data, basis, r, norm=norm)
                 formula = pod.data_error_formula(basis, r, norm=norm)
                 gap = abs(actual - formula) / max(formula, lam1 * 1e-6)
                 worst = max(worst, gap)
@@ -119,11 +120,13 @@ def test_reference_magnitudes(kv_run, viscous_run):
     """Three pinned table entries reproduce within the stated factors."""
     details, ok = [], True
 
-    std = pod.data_error_actual(kv_run.traj, kv_run.basis("standard"), 10)
+    std = pod.data_error_actual(pod.build_dataset(kv_run.traj, "standard"),
+                                kv_run.basis("standard"), 10)
     ok &= 5.18e-5 / 5 <= std <= 5.18e-5 * 5
     details.append(f"standard r=10 L2 {std:.2e} (target 5.18e-05 x5)")
 
-    ddq = pod.data_error_actual(kv_run.traj, kv_run.basis("ddq"), 40)
+    ddq = pod.data_error_actual(pod.build_dataset(kv_run.traj, "ddq"),
+                                kv_run.basis("ddq"), 40)
     ok &= 1.26e-3 / 5 <= ddq <= 1.26e-3 * 5
     details.append(f"ddq r=40 L2 {ddq:.2e} (target 1.26e-03 x5)")
 

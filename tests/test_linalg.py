@@ -118,7 +118,7 @@ def test_transpose_solve_matches_dense():
     r = np.linalg.cholesky(to_dense(a)).T  # the unique upper factor with positive diagonal
     np.testing.assert_allclose(factor.r_solve(b.T), np.linalg.solve(r, b).T,
                                rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(factor.r_matvec(b.T), (r @ b).T, rtol=1e-13)
+    np.testing.assert_allclose(factor.r_matvec(b.T.copy()), (r @ b).T, rtol=1e-13)
 
 
 def test_reusable_solvers_match_one_shot():
@@ -135,7 +135,31 @@ def test_reusable_solvers_match_one_shot():
 def test_thin_svd_orthonormal_and_exact():
     rng = np.random.default_rng(5)
     b = rng.standard_normal((12, 40))
-    u, s = thin_svd(b.T)  # the stack of the 40 columns of b
+    u, s = thin_svd(b.T.copy())  # the stack of the 40 columns of b; b is read below
     assert np.max(np.abs(u @ u.T - np.eye(12))) <= 1e-13
     assert np.all(np.diff(s) <= 1e-12)
     np.testing.assert_allclose(np.sum(s**2), np.sum(b * b), rtol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(30,), (7, 30), (3, 5, 30)])
+def test_r_matvec_in_place_is_bitwise_the_product(shape):
+    """r_matvec overwrites its argument with the bits of the product formed
+    in a new array."""
+    rng = np.random.default_rng(6)
+    factor = random_spd_tridiag(rng, 30).cholesky()
+    x = rng.standard_normal(shape)
+    diag, upper = factor._cb[1], factor._cb[0, 1:]
+    expected = diag * x
+    expected[..., :-1] += upper * x[..., 1:]
+    assert factor.r_matvec(x) is x
+    assert np.array_equal(x, expected)
+
+
+@pytest.mark.parametrize("shape", [(12, 40), (40, 12)])
+def test_thin_svd_of_scratch_is_bitwise_that_of_a_copy(shape):
+    """thin_svd lets LAPACK overwrite its argument; the factors are those of
+    an SVD that works on a copy."""
+    b = np.random.default_rng(7).standard_normal(shape)
+    u, s, _ = scipy.linalg.svd(b.T, full_matrices=False)
+    u_scratch, s_scratch = thin_svd(b.copy())
+    assert np.array_equal(u_scratch, u.T) and np.array_equal(s_scratch, s)

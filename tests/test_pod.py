@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -235,12 +236,13 @@ def test_error_formula_identity_random_data(seed):
     traj = random_traj(seed)
     for method in pod.METHODS:
         basis = pod.pod_basis(traj, method)
+        data = pod.build_dataset(traj, method)
         lam1 = basis.eigenvalues[0]
         for r in (1, 4, basis.rank // 2, basis.rank):
             r = max(1, r)
             for norm in (pod.NORM_L2, pod.NORM_H10):
                 for projector in (pod.PROJECTOR_L2, pod.PROJECTOR_RITZ):
-                    actual = pod.data_error_actual(traj, basis, r, norm, projector)
+                    actual = pod.data_error_actual(data, basis, r, norm, projector)
                     formula = pod.data_error_formula(basis, r, norm, projector)
                     assert abs(actual - formula) <= 1e-8 * max(formula, lam1)
 
@@ -367,3 +369,37 @@ def test_sequence_bounds_on_pod_error_sequences():
                 err_seq = traj.states - proj
                 for lhs, rhs in _sequence_bound_gaps(space, err_seq, traj.grid.dt):
                     assert lhs <= rhs * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("method", pod.METHODS)
+def test_basis_is_bitwise_that_of_an_svd_on_a_copy(method):
+    """compute_basis lets the SVD overwrite R W^(1/2) data; the basis is that
+    of an SVD that works on a copy."""
+    traj, _ = solved_traj(n_elements=24, dt=1.0 / 40.0)
+    data = pod.build_dataset(traj, method)
+    chol = traj.space.mass.cholesky()
+    b = chol.r_matvec(data.vectors * np.sqrt(data.weights)[:, None])
+    u, sing, _ = scipy.linalg.svd(b.T, full_matrices=False)
+    modes = chol.r_solve(u.T)
+    pod._fix_mode_signs(modes)
+    basis = pod.compute_basis(data)
+    assert np.array_equal(basis.eigenvalues, sing ** 2)
+    assert np.array_equal(basis.modes, modes)
+
+
+def test_mode_signs_follow_the_first_nonzero_coefficient():
+    """The sign rule, mode by mode: rows with a negative leading coefficient
+    flip, a leading coefficient below 1e-12 of the row's largest does not
+    count, and an all-zero row is left alone."""
+    modes = np.random.default_rng(8).standard_normal((6, 9))
+    modes[1, :3] = [-1e-14, 0.0, 2.0]   # the first coefficient is round-off
+    modes[2, :3] = [0.0, -1e-14, -2.0]
+    modes[3] = 0.0
+    expected = modes.copy()
+    for mode in expected:
+        nonzero = np.flatnonzero(np.abs(mode) > 1e-12 * np.max(np.abs(mode)))
+        if nonzero.size and mode[nonzero[0]] < 0:
+            mode *= -1.0
+    pod._fix_mode_signs(modes)
+    assert np.array_equal(modes, expected)
+    assert modes[1, 0] == -1e-14 and modes[2, 2] == 2.0

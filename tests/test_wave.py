@@ -313,3 +313,23 @@ def test_solver_tracks_series_with_damping():
         n = round(t / grid.dt)
         exact = analytic_eval(sol, space.nodes, t)
         assert l2_norm(space, traj.states[n] - exact) <= 5e-4
+
+
+def one_product_sine_coefficients(f, k_max, panels=wave._SERIES_PANELS):
+    """The coefficients as one (k_max, 5 panels) product, as computed before
+    the rows were blocked."""
+    width = 1.0 / panels
+    lefts = width * np.arange(panels)
+    xq = (lefts[:, None] + 0.5 * width * (wave._GAUSS_X5[None, :] + 1.0)).ravel()
+    wq = np.tile(0.5 * width * wave._GAUSS_W5, panels)
+    fvals = np.broadcast_to(np.asarray(f(xq), dtype=float), xq.shape)
+    k = np.arange(1, k_max + 1)
+    return 2.0 * np.sin(np.pi * np.outer(k, xq)) @ (wq * fvals)
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 16, 17, 20, 33, 200])
+@pytest.mark.parametrize("name", sorted(wave.INITIAL_CONDITIONS))
+def test_blocked_sine_coefficients_are_bitwise_one_product(name, k_max):
+    f = wave.INITIAL_CONDITIONS[name]
+    assert np.array_equal(wave._sine_coefficients(f, k_max),
+                          one_product_sine_coefficients(f, k_max))
