@@ -62,6 +62,8 @@ class RunConfig:
             raise ConfigError(f"rank_tol must be in [0, 1), got {self.rank_tol}")
         if self.k_max < 1:
             raise ConfigError("k_max must be at least 1")
+        if self.seed < 0:  # the random generator takes no negative seed
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         return self
 
     def time_grid(self) -> TimeGrid:

@@ -31,13 +31,18 @@ _CACHE_BUDGET_BYTES = 8 << 20
 _cache = OrderedDict()  # key -> (value, array bytes), least recently used first
 
 
-def _cached(key, compute, nbytes):
-    """The cached value of key, else compute() stored under the budget."""
+def _cached(key, compute, arrays):
+    """The cached value of key, else compute() stored under the budget.
+    arrays(value) are the value's arrays: they are made read-only, and
+    their bytes are what the entry costs."""
     if key in _cache:
         _cache.move_to_end(key)
         return _cache[key][0]
     value = compute()
-    size = nbytes(value)
+    size = 0
+    for array in arrays(value):
+        array.flags.writeable = False
+        size += array.nbytes
     if size <= _CACHE_BUDGET_BYTES:
         while sum(s for _, s in _cache.values()) + size > _CACHE_BUDGET_BYTES:
             _cache.popitem(last=False)
@@ -61,23 +66,16 @@ def setup(config: RunConfig):
 
 def fe_trajectory(config: RunConfig) -> Trajectory:
     """The FE trajectory of a validated config, from the study cache."""
-    def compute():
-        traj = wave.solve(*setup(config))
-        traj.states.flags.writeable = False
-        return traj
-    return _cached(_trajectory_key(config), compute, lambda traj: traj.states.nbytes)
+    return _cached(_trajectory_key(config), lambda: wave.solve(*setup(config)),
+                   lambda traj: (traj.states,))
 
 
 def _basis(config: RunConfig, traj: Trajectory, method: str) -> pod.PodBasis:
     """The POD basis of traj, which is fe_trajectory(config) or a training
     slice of it, with the config's rank_tol, from the study cache."""
-    def compute():
-        basis = pod.pod_basis(traj, method, rank_tol=config.rank_tol)
-        basis.modes.flags.writeable = False
-        basis.eigenvalues.flags.writeable = False
-        return basis
     key = (_trajectory_key(config), traj.grid.N, method, config.rank_tol)
-    return _cached(key, compute, lambda b: b.modes.nbytes + b.eigenvalues.nbytes)
+    return _cached(key, lambda: pod.pod_basis(traj, method, rank_tol=config.rank_tol),
+                   lambda basis: (basis.modes, basis.eigenvalues))
 
 
 def _time_level(grid: TimeGrid, t: float, what: str) -> int:
@@ -142,6 +140,9 @@ def singular_value_rows(config: RunConfig):
 
 def error_formula_rows(config: RunConfig):
     """Actual-vs-formula data errors for each r and both norms."""
+    if config.rank_tol > 0:  # the formula sums the tail that a cutoff drops
+        raise ConfigError(f"error-formulas needs every POD mode: rank_tol must be 0, "
+                          f"got {config.rank_tol}")
     traj = fe_trajectory(config)
     basis = _basis(config, traj, config.pod_method)
     data = pod.build_dataset(traj, config.pod_method)
@@ -160,14 +161,12 @@ def error_formula_rows(config: RunConfig):
 
 def _rom_trajectory(traj, basis, r, params):
     _check_rank(basis, r)
-    romsys = rom.build_rom(basis, r, traj.space, params, traj.grid,
-                           traj.states[0], traj.states[1])
-    return rom.solve_rom(romsys)
+    return rom.solve_rom(rom.build_rom(basis, r, traj, params))
 
 
 def _rom_report(traj, basis, r, params):
     rom_traj = _rom_trajectory(traj, basis, r, params)
-    return rom.error_report(traj, rom_traj, basis, r, traj.space, params)
+    return rom.error_report(traj, rom_traj, basis, r, params)
 
 
 def rom_sweep_rows(config: RunConfig, param: str, values, methods=("standard", "ddq")):
@@ -252,11 +251,13 @@ def convergence_rows(config: RunConfig, dt_list):
     rows = []
     prev = None
     for dt in dt_list:
+        if prev is not None and float(dt) == prev[0]:
+            raise ConfigError(f"dt-list repeats the step {dt}: an order needs two sizes")
         run = replace(config, dt=float(dt)).validated()  # dt must divide T
         diff = wave.final_state(space, run.time_grid(), params, u0, u00) - exact_final
         err = float(np.sqrt(l2_norms_sq(space, diff)))
-        order = math.nan
-        if prev is not None:
+        order = math.nan  # also where an error is 0 and has no logarithm
+        if prev is not None and prev[1] > 0 and err > 0:
             prev_dt, prev_err = prev
             order = math.log(prev_err / err) / math.log(prev_dt / float(dt))
         rows.append([float(dt), space.h, err, order])

@@ -123,7 +123,7 @@ def pod_basis(traj: Trajectory, method: str, rank_tol: float = 0.0) -> PodBasis:
 def project_l2(basis: PodBasis, r: int, v: np.ndarray) -> np.ndarray:
     """L2-orthogonal projection onto the span of the first r modes, of a
     vector (n_dof,) or of each vector of a stack (k, n_dof)."""
-    _check_r(basis, r)
+    check_rank(basis, r)
     phi = basis.modes[:r]
     return np.inner(v, basis.space.mass.matvec(phi)) @ phi
 
@@ -131,7 +131,7 @@ def project_l2(basis: PodBasis, r: int, v: np.ndarray) -> np.ndarray:
 def project_ritz(basis: PodBasis, r: int, v: np.ndarray) -> np.ndarray:
     """Ritz (H1_0-orthogonal) projection onto the span of the first r modes,
     of a vector (n_dof,) or of each vector of a stack (k, n_dof)."""
-    _check_r(basis, r)
+    check_rank(basis, r)
     phi = basis.modes[:r]
     stiffness = basis.space.stiffness
     try:
@@ -147,7 +147,8 @@ _PROJECTORS = {PROJECTOR_L2: project_l2, PROJECTOR_RITZ: project_ritz}
 _NORMS = {NORM_L2: l2_norms_sq, NORM_H10: h10_norms_sq}
 
 
-def _check_r(basis: PodBasis, r: int):
+def check_rank(basis: PodBasis, r: int):
+    """ValueError unless 1 <= r <= basis.rank."""
     if not 1 <= r <= basis.rank:
         raise ValueError(f"r must be in [1, {basis.rank}], got {r}")
 
@@ -168,7 +169,7 @@ def data_error_formula(basis: PodBasis, r: int,
     ||phi_k||^2 in the requested norm for the L2-orthogonal projector, and
     ||phi_k - P phi_k||^2 for a general projector such as Ritz.
     """
-    _check_r(basis, r)
+    check_rank(basis, r)
     tail, tail_modes = basis.eigenvalues[r:], basis.modes[r:]
     if projector == PROJECTOR_L2 and norm == NORM_L2:
         return float(np.sum(tail))
@@ -206,10 +207,6 @@ class BoundConstants:
 class BoundCheck:
     lhs: float
     rhs: float
-
-    @property
-    def ratio(self) -> float:
-        return self.lhs / self.rhs if self.rhs > 0 else np.inf
 
 
 def pointwise_bound_check(traj: Trajectory, basis: PodBasis, r: int,

@@ -13,8 +13,8 @@ from typing import Optional
 import numpy as np
 
 from .fem import FemSpace, l2_norms_sq, h10_norms_sq
-from .pod import PodBasis, project_ritz
-from .wave import TimeGrid, Trajectory, WaveParams, energy_series
+from .pod import PodBasis, check_rank, project_ritz
+from .wave import TimeGrid, Trajectory, WaveParams, energy_series, step_weights
 
 _REDUCED_MASS_TOL = 1e-10
 _RATIO_FLOOR = 1e-14
@@ -34,12 +34,11 @@ class RomSystem:
     a2: np.ndarray
 
 
-def build_rom(basis: PodBasis, r: int, space: FemSpace, params: WaveParams,
-              grid: TimeGrid, u1: np.ndarray, u2: np.ndarray) -> RomSystem:
-    """Assemble the reduced system; initial coefficients are the L2
-    projections of the two starting states."""
-    if not 1 <= r <= basis.rank:
-        raise ValueError(f"r must be in [1, {basis.rank}], got {r}")
+def build_rom(basis: PodBasis, r: int, traj: Trajectory, params: WaveParams) -> RomSystem:
+    """Assemble the reduced system on the space and grid of traj; initial
+    coefficients are the L2 projections of its first two states."""
+    check_rank(basis, r)
+    space = traj.space
     phi = basis.modes[:r]
     m_phi = space.mass.matvec(phi)
     reduced_mass = np.inner(m_phi, phi)
@@ -48,23 +47,22 @@ def build_rom(basis: PodBasis, r: int, space: FemSpace, params: WaveParams,
     s_r = np.inner(space.stiffness.matvec(phi), phi)
     s_r = 0.5 * (s_r + s_r.T)
     return RomSystem(
-        r=r, modes=phi, reduced_stiffness=s_r, params=params, grid=grid,
-        space=space, a1=m_phi @ u1, a2=m_phi @ u2,
+        r=r, modes=phi, reduced_stiffness=s_r, params=params, grid=traj.grid,
+        space=space, a1=m_phi @ traj.states[0], a2=m_phi @ traj.states[1],
     )
 
 
 def solve_rom(romsys: RomSystem) -> Trajectory:
     """Integrate the reduced system and reconstruct full-order states.
 
-    With S_r = Q diag(lam) Q^T the coordinates z = Q^T a decouple: mode k
-    follows z^n = b_cur[k] z^{n-1} + b_prev[k] z^{n-2}, with no linear solve.
+    With S_r = Q diag(lam) Q^T the coordinates z = Q^T a decouple: each FE
+    step matrix w_m M + w_a A becomes w_m + w_a lam, and mode k follows
+    z^n = b_cur[k] z^{n-1} + b_prev[k] z^{n-2}, with no linear solve.
     """
-    dt = romsys.grid.dt
-    c2, d, g = romsys.params.c**2, romsys.params.D, romsys.params.G
     lam, q = np.linalg.eigh(romsys.reduced_stiffness)
-    lhs = (1.0 / dt**2 + d / (2.0 * dt)) + (c2 / 4.0 + g / (2.0 * dt)) * lam
-    b_cur = ((2.0 / dt**2) - (c2 / 2.0) * lam) / lhs
-    b_prev = ((-1.0 / dt**2 + d / (2.0 * dt)) + (-c2 / 4.0 + g / (2.0 * dt)) * lam) / lhs
+    weights = step_weights(romsys.params, romsys.grid.dt)
+    lhs, b_cur, b_prev = (wm + wa * lam for wm, wa in weights)
+    b_cur, b_prev = b_cur / lhs, b_prev / lhs
     z = np.empty((romsys.grid.N, romsys.r))
     z[0], z[1] = romsys.a1 @ q, romsys.a2 @ q
     for n in range(2, romsys.grid.N):
@@ -78,21 +76,15 @@ class RomErrorReport:
     """Error metrics for a ROM run; squared quantities follow the bound
     statements (max_l2_sq = max_n ||e^n||^2), final_l2 is the plain norm."""
 
-    r: int
-    method: str
     max_l2_sq: float
     max_energy: float
     final_l2: float
     ratio_energy: Optional[float]
     ratio_pointwise: Optional[float]
-    energy_bound_denom: float
-    pointwise_bound_denom: float
-    l2_sq_series: np.ndarray      # ||e^n||^2 for n = 1..N
-    energy_err_series: np.ndarray  # E(e^n) for n = 2..N
 
 
 def error_report(fe_traj: Trajectory, rom_traj: Trajectory, basis: PodBasis,
-                 r: int, space: FemSpace, params: WaveParams) -> RomErrorReport:
+                 r: int, params: WaveParams) -> RomErrorReport:
     """Compare ROM against FE and evaluate the error-bound quotients.
 
     The error splits as e^n = eta^n - phi^n with eta^n = u_h^n - R_r u_h^n
@@ -103,7 +95,7 @@ def error_report(fe_traj: Trajectory, rom_traj: Trajectory, basis: PodBasis,
     """
     if fe_traj.grid.N != rom_traj.grid.N:
         raise ValueError("trajectories live on different grids")
-    dt = fe_traj.grid.dt
+    space, dt = fe_traj.space, fe_traj.grid.dt
     err = fe_traj.states - rom_traj.states  # (N, m)
     # phi at the first two levels only: that is all the denominators use
     phi = rom_traj.states[:2] - project_ritz(basis, r, fe_traj.states[:2])
@@ -132,8 +124,6 @@ def error_report(fe_traj: Trajectory, rom_traj: Trajectory, basis: PodBasis,
     ratio_pointwise = max_l2_sq / pointwise_denom if pointwise_denom > _RATIO_FLOOR * scale else None
 
     return RomErrorReport(
-        r=r, method=basis.method, max_l2_sq=max_l2_sq, max_energy=max_energy,
-        final_l2=final_l2, ratio_energy=ratio_energy, ratio_pointwise=ratio_pointwise,
-        energy_bound_denom=energy_denom, pointwise_bound_denom=pointwise_denom,
-        l2_sq_series=l2_sq, energy_err_series=e_energy,
+        max_l2_sq=max_l2_sq, max_energy=max_energy, final_l2=final_l2,
+        ratio_energy=ratio_energy, ratio_pointwise=ratio_pointwise,
     )

@@ -86,14 +86,20 @@ class Trajectory:
             raise ValueError("states shape must be (N, n_dof)")
 
 
+def step_weights(params: WaveParams, dt: float):
+    """The (mass, stiffness) weight pairs of lhs, b_cur and b_prev: each step
+    matrix is w_m M + w_a A, for the FE scheme and its Galerkin ROM alike."""
+    c2 = params.c * params.c
+    lhs = (1.0 / dt**2 + params.D / (2.0 * dt), c2 / 4.0 + params.G / (2.0 * dt))
+    b_cur = (2.0 / dt**2, -c2 / 2.0)
+    b_prev = (-1.0 / dt**2 + params.D / (2.0 * dt), -c2 / 4.0 + params.G / (2.0 * dt))
+    return lhs, b_cur, b_prev
+
+
 def step_matrices(space: FemSpace, params: WaveParams, dt: float):
     """(lhs, b_cur, b_prev) with lhs u^{n+1} = b_cur u^n + b_prev u^{n-1}."""
     m, a = space.mass, space.stiffness
-    c2 = params.c * params.c
-    lhs = m.scaled_add(1.0 / dt**2 + params.D / (2.0 * dt), a, c2 / 4.0 + params.G / (2.0 * dt))
-    b_cur = m.scaled_add(2.0 / dt**2, a, -c2 / 2.0)
-    b_prev = m.scaled_add(-1.0 / dt**2 + params.D / (2.0 * dt), a, -c2 / 4.0 + params.G / (2.0 * dt))
-    return lhs, b_cur, b_prev
+    return tuple(m.scaled_add(wm, a, wa) for wm, wa in step_weights(params, dt))
 
 
 def initial_states(space: FemSpace, grid: TimeGrid, params: WaveParams,
@@ -208,7 +214,6 @@ class AnalyticSeriesSolution:
     coef_a: np.ndarray = field(repr=False)
     coef_b: np.ndarray = field(repr=False)
     degenerate: np.ndarray = field(repr=False)
-    tail_magnitude: float = 0.0
 
 
 def _sine_coefficients(f: Callable, k_max: int, panels: int = _SERIES_PANELS) -> np.ndarray:
@@ -267,10 +272,9 @@ def analytic_series(params: WaveParams, u0: Callable, u00: Callable,
     coef_a[degenerate] = f0[degenerate]
     coef_b[degenerate] = f00[degenerate] + sigma[degenerate] * f0[degenerate]
 
-    tail = float(np.abs(coef_a[-1]) + np.abs(coef_b[-1]))
     return AnalyticSeriesSolution(
         params=params, k_max=k_max, mu_plus=mu_plus, mu_minus=mu_minus,
-        coef_a=coef_a, coef_b=coef_b, degenerate=degenerate, tail_magnitude=tail,
+        coef_a=coef_a, coef_b=coef_b, degenerate=degenerate,
     )
 
 

@@ -72,10 +72,8 @@ class ReferenceRun:
 
     def rom_report(self, method: str, r: int):
         basis = self.basis(method)
-        romsys = build_rom(basis, r, self.space, self.params, self.grid,
-                           self.traj.states[0], self.traj.states[1])
-        rom_traj = solve_rom(romsys)
-        return error_report(self.traj, rom_traj, basis, r, self.space, self.params)
+        rom_traj = solve_rom(build_rom(basis, r, self.traj, self.params))
+        return error_report(self.traj, rom_traj, basis, r, self.params)
 
 
 @pytest.fixture(scope="module")
@@ -283,8 +281,7 @@ def test_full_rank_rom_consistency():
     params = WaveParams(c=1.0, D=0.1)
     traj = solve(space, grid, params, default_u0, default_u00)
     basis = pod.pod_basis(traj, "standard")
-    romsys = build_rom(basis, basis.rank, space, params, grid,
-                       traj.states[0], traj.states[1])
+    romsys = build_rom(basis, basis.rank, traj, params)
     rom_traj = solve_rom(romsys)
     scale = float(np.max(np.sqrt(l2_norms_sq(space, traj.states))))
     err = float(np.max(np.sqrt(l2_norms_sq(space, traj.states - rom_traj.states))))

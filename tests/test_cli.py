@@ -1,19 +1,24 @@
 """End-to-end checks of the command-line tool and its configuration layer,
 on reduced problem sizes."""
 
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import podwave
+from podwave import pod
 from podwave.cli import main, write_csv
 from podwave.config import OUTPUT_DIR_ENV, ConfigError, RunConfig, make_config
+from podwave.wave import INITIAL_CONDITIONS
 
 SMALL = ["--n-elements", "24", "--dt", "1/40", "--T", "2"]
 
@@ -109,6 +114,9 @@ COARSE = ["--n-elements", "8", "--dt", "1/8", "--T", "1"]  # POD rank 7
     (COARSE + ["--rank-tol", "2", "error-formulas"], "rank_tol must be in [0, 1)"),
     (COARSE + ["--rank-tol", "1", "singvals"], "rank_tol must be in [0, 1)"),
     (["--rank-tol", "-0.5", "singvals"], "rank_tol must be in [0, 1)"),
+    (COARSE + ["--rank-tol", "0.5", "error-formulas"], "rank_tol must be 0, got 0.5"),
+    (["convergence", "--dt-list", "0.1", "1/10"], "dt-list repeats the step 0.1"),
+    (["--seed", "-1", "check"], "seed must be nonnegative, got -1"),
 ], ids=["pod-method-foo", "u0-wave", "n-elements-abc", "values-nan", "values-inf",
         "values-negative", "t-train-nan", "dt-list-inf", "dt-list-not-dividing",
         "dt-equals-T",
@@ -116,7 +124,8 @@ COARSE = ["--n-elements", "8", "--dt", "1/8", "--T", "1"]  # POD rank 7
         "times-off-grid", "profiles-r-above-rank",
         "train-interval-r-above-rank", "rom-sweep-r-above-rank",
         "error-formulas-r-above-rank", "rank-tol-two", "rank-tol-one",
-        "rank-tol-negative"])
+        "rank-tol-negative", "error-formulas-rank-tol", "dt-list-repeated",
+        "seed-negative"])
 def test_bad_values_exit_one(tmp_path, capsys, argv, message):
     """Bad configuration and subcommand values exit 1 with one line."""
     rc = main(SMALL + ["--output-dir", str(tmp_path)] + argv)
@@ -304,6 +313,17 @@ def test_convergence_output(tmp_path):
     assert 1.7 <= order <= 2.3
 
 
+def test_convergence_zero_error_has_no_order(tmp_path):
+    """Zero initial data has an exact error of 0: the order is nan, not a
+    division by zero."""
+    rc = main(SMALL + ["--u0", "zero", "--output-dir", str(tmp_path),
+                       "convergence", "--dt-list", "0.1", "0.05"])
+    assert rc == 0
+    rows = [l.split(",") for l in data_lines(read(tmp_path / "convergence.csv"))[1:]]
+    assert [float(row[2]) for row in rows] == [0.0, 0.0]
+    assert all(math.isnan(float(row[3])) for row in rows)
+
+
 def test_check_command_passes(capsys):
     rc = main(SMALL + ["check"])
     out = capsys.readouterr().out
@@ -316,3 +336,100 @@ def test_output_dir_env_fallback(tmp_path, monkeypatch):
     rc = main(SMALL + ["--G", "0.001", "singvals"])
     assert rc == 0
     assert (tmp_path / "singvals_standard.csv").exists()
+
+
+# Columns whose cells may be nan: a bound quotient with a round-off-level
+# denominator, and the order of a first or error-free convergence row.
+NAN_COLUMNS = {"ratio_energy", "ratio_pointwise", "observed_order"}
+
+
+@st.composite
+def tiny_runs(draw):
+    """argv for one subcommand on a tiny configuration: at most 24 elements,
+    100 time levels and 50 series modes."""
+    T = draw(st.floats(0.01, 100.0))
+    steps = draw(st.integers(2, 99))
+    grid_time = st.integers(0, steps).map(lambda n: repr(n * T / steps))
+    a_time = st.one_of(grid_time, st.floats(0.0, T).map(repr))
+    small_r = st.one_of(st.integers(1, 4), st.integers(1, 30))  # a POD rank is often small
+    argv = ["--T", repr(T), "--dt", repr(T / steps),
+            "--n-elements", str(draw(st.integers(2, 24))),
+            "--c", repr(draw(st.floats(0.01, 100.0))),
+            "--D", repr(draw(st.one_of(st.just(0.0), st.floats(0.0, 1000.0)))),
+            "--G", repr(draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0)))),
+            "--pod-method", draw(st.sampled_from(pod.METHODS)),
+            "--r-list", ",".join(map(str, draw(st.lists(small_r, min_size=1, max_size=3)))),
+            "--seed", str(draw(st.integers(0, 2**32))),
+            "--u0", draw(st.sampled_from(sorted(INITIAL_CONDITIONS))),
+            "--u00", draw(st.sampled_from(sorted(INITIAL_CONDITIONS))),
+            "--rank-tol", repr(draw(st.one_of(st.just(0.0), st.floats(0.0, 0.99)))),
+            "--k-max", str(draw(st.integers(1, 50))),
+            "--stride", str(draw(st.integers(1, 5)))]
+    command = draw(st.sampled_from(["solve", "singvals", "error-formulas", "rom-sweep",
+                                    "profiles", "train-interval", "convergence", "check"]))
+    args = []
+    r = st.one_of(st.just([]), small_r.map(lambda r: ["--r", str(r)]))
+    if command == "rom-sweep":
+        args = draw(st.one_of(st.just([]), st.sampled_from(["D", "G"]).map(
+            lambda p: ["--param", p])))
+        args += ["--values", *draw(st.lists(st.floats(0.0, 1.0).map(repr),
+                                            min_size=1, max_size=2))]
+    elif command == "profiles":
+        args = ["--times", *draw(st.lists(a_time, min_size=1, max_size=3)), *draw(r)]
+    elif command == "train-interval":
+        args = ["--t-train", *draw(st.lists(a_time, min_size=1, max_size=3)), *draw(r)]
+    elif command == "convergence":
+        dts = st.integers(2, 99).map(lambda k: repr(T / k))
+        args = ["--dt-list", *draw(st.lists(dts, min_size=1, max_size=3))]
+    return argv, [command, *args]
+
+
+def csv_tables(out_dir):
+    """{file name: (header, rows)} of every CSV written into out_dir."""
+    tables = {}
+    for name in sorted(os.listdir(out_dir)):
+        with open(os.path.join(out_dir, name), encoding="utf-8") as fh:
+            lines = data_lines(fh.read())
+        tables[name] = (lines[0].split(","), [l.split(",") for l in lines[1:]])
+    return tables
+
+
+def as_number(cell):
+    try:
+        return float(cell)
+    except ValueError:  # a method or norm name
+        return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tiny_runs())
+@example(([*COARSE, "--r-list", "1", "--u00", "default", "--rank-tol", "0.5"],
+          ["error-formulas"]))  # a cutoff drops part of the tail the formula sums
+def test_cli_runs_end_in_csv_or_one_line(run):
+    """Every tiny run either exits 0 with finite numbers, or exits 1 or 2
+    with one stderr line and no traceback."""
+    argv, command = run
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main(argv + ["--output-dir", out] + command)
+        tables = csv_tables(out)
+    err = stderr.getvalue()
+    if rc != 0:
+        assert rc in (1, 2) and err.count("\n") == 1 and "Traceback" not in err, err
+        return
+    assert err == ""
+    for name, (header, rows) in tables.items():
+        for row in rows:
+            for column, cell in zip(header, row):
+                value = as_number(cell)
+                if value is not None and not math.isfinite(value):
+                    assert column in NAN_COLUMNS and math.isnan(value), (name, column, cell)
+    if command[0] == "solve":  # per step: E^{n+1} - E^n = -dt * dissipation
+        _, rows = tables["energy.csv"]
+        e, rate, neg_diss = (np.array([float(row[i]) for row in rows]) for i in (1, 2, 3))
+        dt = float(argv[argv.index("--dt") + 1])
+        assert dt * np.max(np.abs(rate - neg_diss), initial=0.0) <= 1e-9 * np.max(e, initial=0.0)
+    if command[0] == "error-formulas":
+        _, rows = tables["error_formulas.csv"]
+        assert max(float(row[4]) for row in rows) <= 1e-6

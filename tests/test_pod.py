@@ -293,7 +293,7 @@ def test_pointwise_bounds_on_solved_trajectory():
         basis = pod.pod_basis(traj, method)
         for projector in (pod.PROJECTOR_L2, pod.PROJECTOR_RITZ):
             chk = pod.pointwise_bound_check(traj, basis, 8, projector=projector)
-            assert 0 <= chk.ratio <= 1
+            assert chk.rhs > 0 and 0 <= chk.lhs <= chk.rhs
 
 
 def test_pointwise_bound_full_rank_degenerates():

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from podwave import pod
 from podwave.fem import assemble, l2_norms_sq
 from podwave.rom import build_rom, error_report, solve_rom
 from podwave.wave import (
     TimeGrid,
+    Trajectory,
     WaveParams,
     default_u0,
     default_u00,
@@ -45,7 +48,7 @@ def small_run():
 def test_reduced_system_shape_and_symmetry(small_run):
     space, grid, params, traj = small_run
     basis = pod.pod_basis(traj, "standard")
-    romsys = build_rom(basis, 6, space, params, grid, traj.states[0], traj.states[1])
+    romsys = build_rom(basis, 6, traj, params)
     s = romsys.reduced_stiffness
     assert s.shape == (6, 6)
     assert np.max(np.abs(s - s.T)) <= 1e-12 * np.max(np.abs(s))
@@ -62,14 +65,14 @@ def test_non_orthonormal_modes_rejected(small_run):
     skewed = pod.PodBasis(modes=2.0 * basis.modes, eigenvalues=basis.eigenvalues,
                           method=basis.method, space=space, grid=basis.grid)
     with pytest.raises(ValueError):
-        build_rom(skewed, 4, space, params, grid, traj.states[0], traj.states[1])
+        build_rom(skewed, 4, traj, params)
 
 
 def test_zero_initial_coefficients_stay_zero(small_run):
     space, grid, params, traj = small_run
     basis = pod.pod_basis(traj, "standard")
-    zero = np.zeros(space.n_dof)
-    romsys = build_rom(basis, 5, space, params, grid, zero, zero)
+    zero = Trajectory(space=space, grid=grid, states=np.zeros((grid.N, space.n_dof)))
+    romsys = build_rom(basis, 5, zero, params)
     rom_traj = solve_rom(romsys)
     np.testing.assert_allclose(rom_traj.states, 0.0)
 
@@ -77,8 +80,7 @@ def test_zero_initial_coefficients_stay_zero(small_run):
 def test_full_rank_rom_reproduces_fe(small_run):
     space, grid, params, traj = small_run
     basis = pod.pod_basis(traj, "standard")
-    romsys = build_rom(basis, basis.rank, space, params, grid,
-                       traj.states[0], traj.states[1])
+    romsys = build_rom(basis, basis.rank, traj, params)
     rom_traj = solve_rom(romsys)
     scale = np.max(np.sqrt(l2_norms_sq(space, traj.states)))
     err = np.max(np.sqrt(l2_norms_sq(space, traj.states - rom_traj.states)))
@@ -88,7 +90,7 @@ def test_full_rank_rom_reproduces_fe(small_run):
 def test_rom_energy_identity(small_run):
     space, grid, params, traj = small_run
     basis = pod.pod_basis(traj, "ddq")
-    romsys = build_rom(basis, 8, space, params, grid, traj.states[0], traj.states[1])
+    romsys = build_rom(basis, 8, traj, params)
     rom_traj = solve_rom(romsys)
     e, rate, dissipation = energy_balance(rom_traj, params)
     assert np.max(np.abs(rate + dissipation)) <= 1e-10 * e[0]
@@ -100,7 +102,7 @@ def test_rom_energy_conserved_undamped():
     params = WaveParams(c=1.0)
     traj = solve(space, grid, params, default_u0, default_u00)
     basis = pod.pod_basis(traj, "standard")
-    romsys = build_rom(basis, 7, space, params, grid, traj.states[0], traj.states[1])
+    romsys = build_rom(basis, 7, traj, params)
     e = energy_series(space, solve_rom(romsys).states, grid.dt, params.c)
     assert np.max(np.abs(e - e[0])) <= 1e-10 * e[0]
 
@@ -109,17 +111,15 @@ def test_error_report_fields(small_run):
     space, grid, params, traj = small_run
     basis = pod.pod_basis(traj, "ddq")
     r = 8
-    romsys = build_rom(basis, r, space, params, grid, traj.states[0], traj.states[1])
+    romsys = build_rom(basis, r, traj, params)
     rom_traj = solve_rom(romsys)
-    rep = error_report(traj, rom_traj, basis, r, space, params)
+    rep = error_report(traj, rom_traj, basis, r, params)
 
     err_sq = l2_norms_sq(space, traj.states - rom_traj.states)
     assert rep.max_l2_sq == pytest.approx(float(np.max(err_sq)), rel=1e-12)
     assert rep.final_l2 == pytest.approx(float(np.sqrt(err_sq[-1])), rel=1e-12)
     err_traj_energy = energy_series(space, traj.states - rom_traj.states, grid.dt, params.c)
     assert rep.max_energy == pytest.approx(float(np.max(err_traj_energy)), rel=1e-12)
-    assert rep.l2_sq_series.shape == (grid.N,)
-    assert rep.energy_err_series.shape == (grid.N - 1,)
     # bound quotients are finite, positive, and below one on a damped run
     assert 0 < rep.ratio_energy <= 1
     assert 0 < rep.ratio_pointwise <= 1
@@ -129,8 +129,8 @@ def test_error_report_full_rank_ratios_flagged(small_run):
     space, grid, params, traj = small_run
     basis = pod.pod_basis(traj, "standard")
     r = basis.rank
-    romsys = build_rom(basis, r, space, params, grid, traj.states[0], traj.states[1])
-    rep = error_report(traj, solve_rom(romsys), basis, r, space, params)
+    romsys = build_rom(basis, r, traj, params)
+    rep = error_report(traj, solve_rom(romsys), basis, r, params)
     # denominators collapse to round-off; quotients are reported as missing
     assert rep.ratio_energy is None
     assert rep.ratio_pointwise is None
@@ -145,16 +145,19 @@ def test_rom_on_invariant_subspace_matches_fe():
     traj = solve(space, grid, params, lambda x: np.sin(np.pi * x), default_u00)
     basis = pod.pod_basis(traj, "standard", rank_tol=1e-24)
     r = min(basis.rank, 4)
-    romsys = build_rom(basis, r, space, params, grid, traj.states[0], traj.states[1])
+    romsys = build_rom(basis, r, traj, params)
     rom_traj = solve_rom(romsys)
     scale = np.max(np.sqrt(l2_norms_sq(space, traj.states)))
     err = np.max(np.sqrt(l2_norms_sq(space, traj.states - rom_traj.states)))
     assert err <= 1e-7 * scale
 
 
-@pytest.mark.parametrize("damping", [
+ROM_DAMPINGS = pytest.mark.parametrize("damping", [
     {}, {"D": 0.1}, {"G": 0.001}, {"D": 50.0, "G": 0.05},
 ], ids=["undamped", "viscous", "kelvin-voigt", "heavy"])
+
+
+@ROM_DAMPINGS
 def test_modal_rom_matches_stepping(damping):
     space = assemble(24)
     grid = TimeGrid.from_dt(4.0, 0.02)  # 201 time levels
@@ -162,7 +165,47 @@ def test_modal_rom_matches_stepping(damping):
     traj = solve(space, grid, params, default_u0, default_u00)
     basis = pod.pod_basis(traj, "standard")
     for r in (1, basis.rank // 2, basis.rank):
-        romsys = build_rom(basis, r, space, params, grid, traj.states[0], traj.states[1])
+        romsys = build_rom(basis, r, traj, params)
         ref = stepping_rom_states(romsys)
         gap = np.max(np.abs(solve_rom(romsys).states - ref)) / np.max(np.abs(ref))
         assert gap <= 1e-9, f"r={r}: relative gap {gap:.2e}"
+
+
+def written_out_modal_states(romsys):
+    """The modal scheme with its weights written out, c^2 as c * c like the
+    FE scheme: a bitwise reference for solve_rom."""
+    dt = romsys.grid.dt
+    c2, d, g = romsys.params.c * romsys.params.c, romsys.params.D, romsys.params.G
+    lam, q = np.linalg.eigh(romsys.reduced_stiffness)
+    lhs = (1.0 / dt**2 + d / (2.0 * dt)) + (c2 / 4.0 + g / (2.0 * dt)) * lam
+    b_cur = ((2.0 / dt**2) - (c2 / 2.0) * lam) / lhs
+    b_prev = ((-1.0 / dt**2 + d / (2.0 * dt)) + (-c2 / 4.0 + g / (2.0 * dt)) * lam) / lhs
+    z = np.empty((romsys.grid.N, romsys.r))
+    z[0], z[1] = romsys.a1 @ q, romsys.a2 @ q
+    for n in range(2, romsys.grid.N):
+        z[n] = b_cur * z[n - 1] + b_prev * z[n - 2]
+    return z @ (q.T @ romsys.modes)
+
+
+def assert_rom_bitwise(c, damping):
+    space = assemble(16)
+    grid = TimeGrid.from_dt(1.0, 0.02)  # 51 time levels
+    params = WaveParams(c=c, **damping)
+    traj = solve(space, grid, params, default_u0, default_u00)
+    basis = pod.pod_basis(traj, "standard")
+    for r in (1, basis.rank // 2, basis.rank):
+        romsys = build_rom(basis, r, traj, params)
+        assert np.array_equal(solve_rom(romsys).states, written_out_modal_states(romsys)), r
+
+
+@ROM_DAMPINGS
+@pytest.mark.parametrize("c", [1.0, 2.0 / np.pi], ids=["c-1", "c-2/pi"])
+def test_modal_rom_is_bitwise_the_written_out_scheme(damping, c):
+    assert_rom_bitwise(c, damping)
+
+
+@ROM_DAMPINGS
+@settings(max_examples=10, deadline=None)
+@given(c=st.floats(0.01, 100.0))
+def test_modal_rom_is_bitwise_the_written_out_scheme_at_any_c(damping, c):
+    assert_rom_bitwise(c, damping)
