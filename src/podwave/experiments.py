@@ -8,8 +8,11 @@ The drivers get their FE trajectories and POD bases from one study cache,
 so that a process making one CLI call per table, as the reproduction script
 does, computes each distinct trajectory and basis once.  Entries are keyed
 by value, a basis by its trajectory's key, its snapshot count, method and
-rank_tol.  The cache evicts the least recently used entries to stay within
-_CACHE_BUDGET_BYTES of array bytes and never stores a larger entry, so a
+rank_tol.  To stay within _CACHE_BUDGET_BYTES of array bytes the cache
+evicts the least recently used entry that has never been hit, and only when
+every entry has been hit the least recently used one, so that a run of
+single-use entries (the trajectories of one rom-sweep) does not flush those
+that other ops share.  It never stores an entry larger than the budget, so a
 reference-scale trajectory does not stay resident.  Cached arrays are
 read-only, so no caller can change a later call's input.
 """
@@ -28,7 +31,7 @@ from .wave import TimeGrid, Trajectory, WaveParams
 # A larger budget saves a few more solves and SVDs in a reproduction run,
 # but the resident bytes then raise its peak memory.
 _CACHE_BUDGET_BYTES = 8 << 20
-_cache = OrderedDict()  # key -> (value, array bytes), least recently used first
+_cache = OrderedDict()  # key -> (value, array bytes, hits), least recently used first
 
 
 def _cached(key, compute, arrays):
@@ -36,17 +39,20 @@ def _cached(key, compute, arrays):
     arrays(value) are the value's arrays: they are made read-only, and
     their bytes are what the entry costs."""
     if key in _cache:
+        value, size, hits = _cache[key]
+        _cache[key] = (value, size, hits + 1)
         _cache.move_to_end(key)
-        return _cache[key][0]
+        return value
     value = compute()
     size = 0
     for array in arrays(value):
         array.flags.writeable = False
         size += array.nbytes
     if size <= _CACHE_BUDGET_BYTES:
-        while sum(s for _, s in _cache.values()) + size > _CACHE_BUDGET_BYTES:
-            _cache.popitem(last=False)
-        _cache[key] = (value, size)
+        while sum(s for _, s, _ in _cache.values()) + size > _CACHE_BUDGET_BYTES:
+            never_hit = (k for k, (_, _, hits) in _cache.items() if hits == 0)
+            del _cache[next(never_hit, next(iter(_cache)))]
+        _cache[key] = (value, size, 0)
     return value
 
 

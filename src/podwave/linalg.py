@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg.lapack import dgerqf, dpbtrs
 
 
 class LinAlgFailure(RuntimeError):
@@ -120,11 +120,25 @@ def thin_svd(b: np.ndarray):
     b^T = U diag(s) V^T with singular values descending.
 
     Returns (U^T, s): the left singular vectors as a stack (min(k, n), n)
-    and the spectrum; the right factor is discarded.  b is scratch: LAPACK
-    may overwrite it, so a caller that reads b afterwards passes a copy.
+    and the spectrum; the right factor is not returned.  b is scratch:
+    LAPACK may overwrite it, so a caller that reads b afterwards passes a
+    copy.
+
+    For k >= 2n the wide b^T is first factored as R Q (LAPACK dgerqf, in
+    place), Q with orthonormal rows; the SVD of the n x n triangle R then
+    has the U and s of b^T and never forms the n x k right factor (Chan's
+    R-SVD).  Below k = 2n the direct SVD is as fast or faster.
     """
+    k, n = b.shape
+    a = b.T
     try:
-        u, s, _ = scipy.linalg.svd(b.T, full_matrices=False, overwrite_a=True,
+        if k >= 2 * n:
+            _, _, work, _ = dgerqf(a, lwork=-1, overwrite_a=True)  # workspace query
+            rq, _, _, info = dgerqf(a, lwork=int(work[0]), overwrite_a=True)
+            if info != 0:
+                raise LinAlgFailure(f"dgerqf failed with info={info}")
+            a = np.triu(rq[:, k - n:])
+        u, s, _ = scipy.linalg.svd(a, full_matrices=False, overwrite_a=True,
                                    check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise LinAlgFailure(f"SVD did not converge: {exc}") from exc

@@ -12,9 +12,12 @@ Three data-set conventions are supported for a trajectory u^1..u^N:
 The POD space is L2: modes are M-orthonormal and solve the weighted
 eigenproblem of the data Gram operator.  With M = R^T R this is the SVD of
 B = R W sqrt(Gamma): eigenvalues are squared singular values and modes are
-R^{-1} times the left singular vectors.  The SVD is taken of B directly
-(not of B B^T) so that small eigenvalues keep relative-level accuracy; the
-deep tails of the error formulas in the H1_0 norm need this.
+R^{-1} times the left singular vectors.  thin_svd reduces a wide B to a
+triangle by an RQ factorisation first.  The SVD is of B, not of B B^T: a
+backward-stable SVD moves each sigma_k by about eps * sigma_1, so
+lambda_k = sigma_k^2 is accurate to about eps * sigma_1 * sigma_k, where
+B B^T would give eps * sigma_1^2; the deep H1_0 tails of the error formulas
+need the smaller error.
 """
 
 from dataclasses import dataclass, field

@@ -1,7 +1,7 @@
 """Reference helpers for the tests: scalar inner products, dense matrices,
-time averages, one time step, a whole stepping loop and the energy at one
-level, each written out on its own so that the vectorised program paths can
-be checked against it."""
+time averages, one time step, a whole stepping loop, the energy at one
+level and the thin SVD on a copy, each written out on its own so that the
+vectorised program paths can be checked against it."""
 
 import numpy as np
 import scipy.linalg
@@ -74,3 +74,13 @@ def energy(traj, n: int, c: float) -> float:
     bd = (u - u_prev) / traj.grid.dt
     avg = 0.5 * (u + u_prev)
     return 0.5 * l2_inner(traj.space, bd, bd) + 0.5 * c * c * h10_inner(traj.space, avg, avg)
+
+
+def thin_svd_of_a_copy(b: np.ndarray):
+    """(U^T, s) of the (n, k) matrix b^T for a stack b (k, n), left intact:
+    for k >= 2n the SVD of the triangle of scipy's RQ factorisation of b^T,
+    otherwise the SVD of b^T itself."""
+    k, n = b.shape
+    a = scipy.linalg.rq(b.T, mode="r")[:, k - n:] if k >= 2 * n else b.T
+    u, s, _ = scipy.linalg.svd(a, full_matrices=False)
+    return u.T, s

@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fe_reference import banded_upper, to_dense
+from fe_reference import banded_upper, thin_svd_of_a_copy, to_dense
 from podwave.linalg import LinAlgFailure, SymTridiagonal, thin_svd
 
 
@@ -155,11 +155,35 @@ def test_r_matvec_in_place_is_bitwise_the_product(shape):
     assert np.array_equal(x, expected)
 
 
-@pytest.mark.parametrize("shape", [(12, 40), (40, 12)])
+@pytest.mark.parametrize("shape", [(12, 40), (40, 12), (24, 12), (23, 12)])
 def test_thin_svd_of_scratch_is_bitwise_that_of_a_copy(shape):
     """thin_svd lets LAPACK overwrite its argument; the factors are those of
-    an SVD that works on a copy."""
+    the same algorithm on a copy: RQ first from k = 2n rows on, (24, 12),
+    and the direct SVD below, (23, 12)."""
     b = np.random.default_rng(7).standard_normal(shape)
-    u, s, _ = scipy.linalg.svd(b.T, full_matrices=False)
+    u, s = thin_svd_of_a_copy(b)
     u_scratch, s_scratch = thin_svd(b.copy())
-    assert np.array_equal(u_scratch, u.T) and np.array_equal(s_scratch, s)
+    assert np.array_equal(u_scratch, u) and np.array_equal(s_scratch, s)
+
+
+@pytest.mark.parametrize("shape", [(400, 60), (120, 60), (90, 60)])
+def test_thin_svd_is_as_accurate_as_the_direct_svd(shape):
+    """On a graded matrix, sigma from 1 down to 1e-14, sigma agrees with the
+    exact values and with LAPACK's direct gesdd to a few eps * sigma_1, and
+    the span of the leading j singular vectors with gesdd's to a few
+    eps * sigma_1 / (sigma_j - sigma_j+1), the bound of a backward-stable
+    SVD."""
+    k, n = shape
+    rng = np.random.default_rng(9)
+    sigma = np.logspace(0.0, -14.0, n)
+    v, _ = np.linalg.qr(rng.standard_normal((k, n)))
+    w, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    b = (v * sigma) @ w.T  # the stack of the k columns of w diag(sigma) v^T
+    u_direct, s_direct, _ = scipy.linalg.svd(b.T, full_matrices=False, lapack_driver="gesdd")
+    u, s = thin_svd(b.copy())
+    tol = 16.0 * np.finfo(float).eps * s_direct[0]
+    assert np.max(np.abs(s - s_direct)) <= tol
+    assert np.max(np.abs(s - sigma)) <= tol
+    for j in (1, 5, 20, 40):
+        span, span_direct = u[:j].T @ u[:j], u_direct[:, :j] @ u_direct[:, :j].T
+        assert np.linalg.norm(span - span_direct, 2) <= tol / (s_direct[j - 1] - s_direct[j])

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fe_reference import backward_avg, h10_inner, l2_inner
+from fe_reference import backward_avg, h10_inner, l2_inner, thin_svd_of_a_copy
 from podwave import pod
 from podwave.fem import assemble
 from podwave.wave import TimeGrid, Trajectory, WaveParams, default_u0, default_u00, solve
@@ -374,13 +373,13 @@ def test_sequence_bounds_on_pod_error_sequences():
 @pytest.mark.parametrize("method", pod.METHODS)
 def test_basis_is_bitwise_that_of_an_svd_on_a_copy(method):
     """compute_basis lets the SVD overwrite R W^(1/2) data; the basis is that
-    of an SVD that works on a copy."""
+    of the same SVD on a copy (RQ first: the data are 81 x 23)."""
     traj, _ = solved_traj(n_elements=24, dt=1.0 / 40.0)
     data = pod.build_dataset(traj, method)
     chol = traj.space.mass.cholesky()
     b = chol.r_matvec(data.vectors * np.sqrt(data.weights)[:, None])
-    u, sing, _ = scipy.linalg.svd(b.T, full_matrices=False)
-    modes = chol.r_solve(u.T)
+    u, sing = thin_svd_of_a_copy(b)
+    modes = chol.r_solve(u)
     pod._fix_mode_signs(modes)
     basis = pod.compute_basis(data)
     assert np.array_equal(basis.eigenvalues, sing ** 2)

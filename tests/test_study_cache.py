@@ -2,10 +2,12 @@
 is computed once per process, the outputs do not depend on what the cache
 holds, cached arrays are read-only, and the byte budget holds."""
 
+import functools
 import importlib.util
 import os
 import random
 
+import numpy as np
 import pytest
 
 from podwave import experiments, pod, wave
@@ -108,32 +110,48 @@ def test_cached_arrays_are_read_only():
 
 
 def resident_bytes():
-    return sum(size for _, size in experiments._cache.values())
+    return sum(size for _, size, _ in experiments._cache.values())
+
+
+def small_solves(counter, D, dt=1.0 / 40.0):
+    """The wave.solve calls of one fe_trajectory call under a 4 KiB budget.
+    3 dofs and 41 levels make a 984-byte trajectory, so four fit."""
+    before = counter.solves
+    experiments.fe_trajectory(RunConfig(n_elements=4, dt=dt, T=1.0, D=D).validated())
+    assert resident_bytes() <= 4096
+    assert resident_bytes() == sum(v.states.nbytes for v, _, _ in experiments._cache.values())
+    return counter.solves - before
 
 
 def test_budget_bounds_the_cache(monkeypatch):
-    """3 dofs and 41 levels make a 984-byte trajectory: four fit a 4 KiB
-    budget, a fifth evicts the least recently used one, and a 201-level
-    trajectory (4824 bytes) is never stored."""
+    """Four 984-byte trajectories fit a 4 KiB budget, a fifth evicts the
+    least recently used one that was never hit, or, when all were hit, the
+    least recently used one; a 201-level trajectory (4824 bytes) is never
+    stored."""
     monkeypatch.setattr(experiments, "_CACHE_BUDGET_BYTES", 4096)
-    counter = CallCounter(monkeypatch)
-
-    def solves(D, dt=1.0 / 40.0):
-        """The wave.solve calls of one fe_trajectory call."""
-        before = counter.solves
-        experiments.fe_trajectory(RunConfig(n_elements=4, dt=dt, T=1.0, D=D).validated())
-        assert resident_bytes() <= 4096
-        assert resident_bytes() == sum(v.states.nbytes for v, _ in experiments._cache.values())
-        return counter.solves - before
-
+    solves = functools.partial(small_solves, CallCounter(monkeypatch))
     for D in (0.1, 0.2, 0.3, 0.4):
         assert solves(D) == 1
     assert resident_bytes() == 4 * 984
     assert solves(0.1) == 0      # a hit makes D = 0.1 the most recently used
-    assert solves(0.5) == 1      # evicts D = 0.2, the least recently used
+    assert solves(0.5) == 1      # evicts D = 0.2, the least recently used never hit
     assert [solves(D) for D in (0.1, 0.3, 0.4, 0.5)] == [0, 0, 0, 0]
-    assert solves(0.2) == 1
+    assert solves(0.2) == 1      # all were hit: evicts D = 0.1, the least recently used
+    assert solves(0.1) == 1
 
     assert solves(0.1, dt=1.0 / 200.0) == 1  # over the budget: returned, not stored
     assert solves(0.1, dt=1.0 / 200.0) == 1
     assert len(experiments._cache) == 4
+
+
+def test_a_hit_entry_outlives_single_use_entries(monkeypatch):
+    """A run of single-use entries that overflows the budget evicts its own
+    entries, not one that has been hit, however long ago."""
+    monkeypatch.setattr(experiments, "_CACHE_BUDGET_BYTES", 4096)
+    counter = CallCounter(monkeypatch)
+    assert small_solves(counter, 0.05) == 1
+    assert small_solves(counter, 0.05) == 0
+    assert [small_solves(counter, D) for D in np.arange(1, 11) / 10] == [1] * 10
+    assert small_solves(counter, 0.05) == 0
+    assert small_solves(counter, 1.0) == 0   # the most recent single-use entries stay
+    assert small_solves(counter, 0.1) == 1
