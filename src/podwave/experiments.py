@@ -165,14 +165,18 @@ def error_formula_rows(config: RunConfig):
     return header, rows
 
 
-def _rom_trajectory(traj, basis, r, params):
+def _rom_run(traj, basis, r, params):
+    """(the ROM system of size r on basis, its coefficients)."""
     _check_rank(basis, r)
-    return rom.solve_rom(rom.build_rom(basis, r, traj, params))
+    romsys = rom.build_rom(basis, r, traj, params)
+    return romsys, rom.solve_rom(romsys)
 
 
-def _rom_report(traj, basis, r, params):
-    rom_traj = _rom_trajectory(traj, basis, r, params)
-    return rom.error_report(traj, rom_traj, basis, r, params)
+def _rom_reports(traj, basis, params, r_list):
+    """The error reports of the ROMs of each size in r_list on basis, from one
+    error frame, which is freed on return: before the next basis is made."""
+    frame = rom.ErrorFrame(traj, basis, params)
+    return [rom.error_report(frame, _rom_run(traj, basis, int(r), params)[1]) for r in r_list]
 
 
 def rom_sweep_rows(config: RunConfig, param: str, values, methods=("standard", "ddq")):
@@ -191,8 +195,7 @@ def rom_sweep_rows(config: RunConfig, param: str, values, methods=("standard", "
         traj, params = fe_trajectory(swept), swept.wave_params()
         for method in methods:
             basis = _basis(swept, traj, method)
-            for r in config.r_list:
-                rep = _rom_report(traj, basis, int(r), params)
+            for r, rep in zip(config.r_list, _rom_reports(traj, basis, params, config.r_list)):
                 rows.append([
                     float(value), int(r), method, rep.max_l2_sq, rep.max_energy,
                     _nan_if_none(rep.ratio_energy), _nan_if_none(rep.ratio_pointwise),
@@ -210,13 +213,14 @@ def profile_rows(config: RunConfig, times, r: int):
     traj = fe_trajectory(config)
     space = traj.space
     basis = _basis(config, traj, config.pod_method)
-    rom_traj = _rom_trajectory(traj, basis, r, config.wave_params())
+    romsys, coeffs = _rom_run(traj, basis, r, config.wave_params())
+    rom_states = coeffs[levels] @ romsys.modes
     header = ["x"]
     cols = [space.full_nodes]
-    for t, n in zip(times, levels):
+    for t, n, rom_state in zip(times, levels, rom_states):
         header += [f"fe_t{t:g}", f"rom_t{t:g}"]
         cols.append(space.pad_boundary(traj.states[n]))
-        cols.append(space.pad_boundary(rom_traj.states[n]))
+        cols.append(space.pad_boundary(rom_state))
     rows = [list(row) for row in zip(*cols)]
     return header, rows
 
@@ -235,8 +239,9 @@ def train_interval_rows(config: RunConfig, t_train_list, r: int,
         sub = training_slice(traj, float(t_train))
         for method in methods:
             basis = _basis(config, sub, method)
-            rep = _rom_report(traj, basis, r, params)
-            rows.append([float(t_train), method, rep.final_l2])
+            romsys, coeffs = _rom_run(traj, basis, r, params)
+            final_sq = l2_norms_sq(traj.space, traj.states[-1] - coeffs[-1] @ romsys.modes)
+            rows.append([float(t_train), method, math.sqrt(max(final_sq, 0.0))])
     return header, rows
 
 
@@ -317,7 +322,7 @@ def invariant_checks(config: RunConfig):
     record("sequence_rebuild_identity", gap <= 1e-11, f"gap {gap:.2e}")
 
     basis = _basis(small, traj, "standard")
-    rep = _rom_report(traj, basis, basis.rank, params)
+    rep, = _rom_reports(traj, basis, params, [basis.rank])
     scale = float(np.max(np.abs(traj.states)))
     ok = rep.max_l2_sq <= (1e-8 * scale) ** 2 * traj.space.n_dof
     record("full_rank_rom_consistency", ok, f"max_l2_sq {rep.max_l2_sq:.2e}")

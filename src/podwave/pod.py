@@ -131,19 +131,26 @@ def project_l2(basis: PodBasis, r: int, v: np.ndarray) -> np.ndarray:
     return np.inner(v, basis.space.mass.matvec(phi)) @ phi
 
 
+def stiffness_factor(basis: PodBasis, r: int):
+    """(L, A Phi_r) for the first r modes Phi_r, with Phi_r A Phi_r^T = L L^T.
+    The rows of L^{-1} Phi_r are an H1_0-orthonormal basis of span Phi_r, and
+    L over r modes is the leading block of L over more."""
+    check_rank(basis, r)
+    phi = basis.modes[:r]
+    a_phi = basis.space.stiffness.matvec(phi)
+    try:
+        return scipy.linalg.cholesky(np.inner(a_phi, phi), lower=True), a_phi
+    except scipy.linalg.LinAlgError as exc:
+        raise LinAlgFailure(f"reduced stiffness is not SPD: {exc}") from exc
+
+
 def project_ritz(basis: PodBasis, r: int, v: np.ndarray) -> np.ndarray:
     """Ritz (H1_0-orthogonal) projection onto the span of the first r modes,
     of a vector (n_dof,) or of each vector of a stack (k, n_dof)."""
-    check_rank(basis, r)
-    phi = basis.modes[:r]
-    stiffness = basis.space.stiffness
-    try:
-        lower = scipy.linalg.cholesky(np.inner(stiffness.matvec(phi), phi), lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise LinAlgFailure(f"reduced stiffness is not SPD: {exc}") from exc
+    lower, _ = stiffness_factor(basis, r)
     # the rows of psi are an H1_0-orthonormal basis of the same span
-    psi = scipy.linalg.solve_triangular(lower, phi, lower=True)
-    return np.inner(v, stiffness.matvec(psi)) @ psi
+    psi = scipy.linalg.solve_triangular(lower, basis.modes[:r], lower=True)
+    return np.inner(v, basis.space.stiffness.matvec(psi)) @ psi
 
 
 _PROJECTORS = {PROJECTOR_L2: project_l2, PROJECTOR_RITZ: project_ritz}
@@ -183,26 +190,21 @@ def data_error_formula(basis: PodBasis, r: int,
 
 @dataclass(frozen=True)
 class BoundConstants:
-    """Constants of the pointwise and weighted-sum bound inequalities; all
-    are functions of the final time T alone (poincare is fixed by the unit
-    interval)."""
+    """Constants of the pointwise and weighted-sum snapshot bound
+    inequalities; all are functions of the final time T alone."""
 
     snapshot_max: float       # max over snapshots, dq1 data
     snapshot_max_ddq: float   # max over snapshots, ddq data
-    diff_max: float           # max over difference quotients
     weighted_sum_dq1: float   # dt-weighted snapshot sum, dq1 data
     weighted_sum_ddq: float   # dt-weighted snapshot sum, ddq data
-    poincare: float
 
     @classmethod
     def for_final_time(cls, T: float) -> "BoundConstants":
         return cls(
             snapshot_max=2.0 * max(T, 1.0),
             snapshot_max_ddq=3.0 * max(T**3, 1.0),
-            diff_max=2.0 * max(T, 1.0),
             weighted_sum_dq1=4.0 * max(T**2, T),
             weighted_sum_ddq=6.0 * max(T**4, T),
-            poincare=np.pi**2,
         )
 
 

@@ -1,12 +1,16 @@
 """Reference helpers for the tests: scalar inner products, dense matrices,
 time averages, one time step, a whole stepping loop, the energy at one
-level and the thin SVD on a copy, each written out on its own so that the
-vectorised program paths can be checked against it."""
+level, the thin SVD on a copy and the ROM error report over full-space
+states, each written out on its own so that the vectorised program paths
+can be checked against it."""
 
 import numpy as np
 import scipy.linalg
 
-from podwave.wave import initial_states, step_matrices
+from podwave.fem import h10_norms_sq, l2_norms_sq
+from podwave.pod import project_ritz
+from podwave.rom import _RATIO_FLOOR, RomErrorReport
+from podwave.wave import energy_series, initial_states, step_matrices
 
 
 def to_dense(a) -> np.ndarray:
@@ -84,3 +88,41 @@ def thin_svd_of_a_copy(b: np.ndarray):
     a = scipy.linalg.rq(b.T, mode="r")[:, k - n:] if k >= 2 * n else b.T
     u, s, _ = scipy.linalg.svd(a, full_matrices=False)
     return u.T, s
+
+
+def error_report(fe_traj, rom_states, basis, r, params) -> RomErrorReport:
+    """rom.error_report computed in the full space: the norms and energies
+    of the N x n_dof difference between the FE states and the ROM states
+    (N, n_dof), and the Ritz projections of pod.project_ritz."""
+    space, dt = fe_traj.space, fe_traj.grid.dt
+    err = fe_traj.states - rom_states
+    # phi at the first two levels only: that is all the denominators use
+    phi = rom_states[:2] - project_ritz(basis, r, fe_traj.states[:2])
+
+    l2_sq = l2_norms_sq(space, err)
+    e_energy = energy_series(space, err, dt, params.c)
+    final_l2 = float(np.sqrt(max(l2_sq[-1], 0.0)))
+
+    # discretization-error energy at the second time level
+    e_phi2 = float(energy_series(space, phi, dt, params.c)[0])
+    phi1_l2_sq = float(l2_norms_sq(space, phi[0]))
+
+    # the Ritz defects of the discarded modes (none at full rank)
+    tail, tail_modes = basis.eigenvalues[r:], basis.modes[r:]
+    defect = tail_modes - project_ritz(basis, r, tail_modes)
+    d_l2 = l2_norms_sq(space, defect)
+    tail_l2 = float(np.dot(tail, d_l2))
+    tail_both = float(np.dot(tail, d_l2 + h10_norms_sq(space, defect)))
+
+    energy_denom = e_phi2 + tail_both
+    pointwise_denom = phi1_l2_sq + e_phi2 + tail_l2
+    max_energy = float(np.max(e_energy))
+    max_l2_sq = float(np.max(l2_sq))
+    scale = max(basis.eigenvalues[0], 1.0)
+    ratio_energy = max_energy / energy_denom if energy_denom > _RATIO_FLOOR * scale else None
+    ratio_pointwise = max_l2_sq / pointwise_denom if pointwise_denom > _RATIO_FLOOR * scale else None
+
+    return RomErrorReport(
+        max_l2_sq=max_l2_sq, max_energy=max_energy, final_l2=final_l2,
+        ratio_energy=ratio_energy, ratio_pointwise=ratio_pointwise,
+    )

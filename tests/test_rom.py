@@ -1,12 +1,17 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fe_reference
 from podwave import pod
+from podwave.config import RunConfig
+from podwave.experiments import train_interval_rows, training_slice
 from podwave.fem import assemble, l2_norms_sq
-from podwave.rom import build_rom, error_report, solve_rom
+from podwave.rom import ErrorFrame, RomErrorReport, build_rom, error_report, solve_rom
 from podwave.wave import (
     TimeGrid,
     Trajectory,
@@ -73,17 +78,16 @@ def test_zero_initial_coefficients_stay_zero(small_run):
     basis = pod.pod_basis(traj, "standard")
     zero = Trajectory(space=space, grid=grid, states=np.zeros((grid.N, space.n_dof)))
     romsys = build_rom(basis, 5, zero, params)
-    rom_traj = solve_rom(romsys)
-    np.testing.assert_allclose(rom_traj.states, 0.0)
+    np.testing.assert_allclose(solve_rom(romsys), 0.0)
 
 
 def test_full_rank_rom_reproduces_fe(small_run):
     space, grid, params, traj = small_run
     basis = pod.pod_basis(traj, "standard")
     romsys = build_rom(basis, basis.rank, traj, params)
-    rom_traj = solve_rom(romsys)
+    rom_states = solve_rom(romsys) @ romsys.modes
     scale = np.max(np.sqrt(l2_norms_sq(space, traj.states)))
-    err = np.max(np.sqrt(l2_norms_sq(space, traj.states - rom_traj.states)))
+    err = np.max(np.sqrt(l2_norms_sq(space, traj.states - rom_states)))
     assert err <= 1e-8 * scale
 
 
@@ -91,7 +95,7 @@ def test_rom_energy_identity(small_run):
     space, grid, params, traj = small_run
     basis = pod.pod_basis(traj, "ddq")
     romsys = build_rom(basis, 8, traj, params)
-    rom_traj = solve_rom(romsys)
+    rom_traj = Trajectory(space=space, grid=grid, states=solve_rom(romsys) @ romsys.modes)
     e, rate, dissipation = energy_balance(rom_traj, params)
     assert np.max(np.abs(rate + dissipation)) <= 1e-10 * e[0]
 
@@ -103,7 +107,7 @@ def test_rom_energy_conserved_undamped():
     traj = solve(space, grid, params, default_u0, default_u00)
     basis = pod.pod_basis(traj, "standard")
     romsys = build_rom(basis, 7, traj, params)
-    e = energy_series(space, solve_rom(romsys).states, grid.dt, params.c)
+    e = energy_series(space, solve_rom(romsys) @ romsys.modes, grid.dt, params.c)
     assert np.max(np.abs(e - e[0])) <= 1e-10 * e[0]
 
 
@@ -112,13 +116,14 @@ def test_error_report_fields(small_run):
     basis = pod.pod_basis(traj, "ddq")
     r = 8
     romsys = build_rom(basis, r, traj, params)
-    rom_traj = solve_rom(romsys)
-    rep = error_report(traj, rom_traj, basis, r, params)
+    coeffs = solve_rom(romsys)
+    rep = error_report(ErrorFrame(traj, basis, params), coeffs)
 
-    err_sq = l2_norms_sq(space, traj.states - rom_traj.states)
+    err = traj.states - coeffs @ romsys.modes
+    err_sq = l2_norms_sq(space, err)
     assert rep.max_l2_sq == pytest.approx(float(np.max(err_sq)), rel=1e-12)
     assert rep.final_l2 == pytest.approx(float(np.sqrt(err_sq[-1])), rel=1e-12)
-    err_traj_energy = energy_series(space, traj.states - rom_traj.states, grid.dt, params.c)
+    err_traj_energy = energy_series(space, err, grid.dt, params.c)
     assert rep.max_energy == pytest.approx(float(np.max(err_traj_energy)), rel=1e-12)
     # bound quotients are finite, positive, and below one on a damped run
     assert 0 < rep.ratio_energy <= 1
@@ -130,7 +135,7 @@ def test_error_report_full_rank_ratios_flagged(small_run):
     basis = pod.pod_basis(traj, "standard")
     r = basis.rank
     romsys = build_rom(basis, r, traj, params)
-    rep = error_report(traj, solve_rom(romsys), basis, r, params)
+    rep = error_report(ErrorFrame(traj, basis, params), solve_rom(romsys))
     # denominators collapse to round-off; quotients are reported as missing
     assert rep.ratio_energy is None
     assert rep.ratio_pointwise is None
@@ -146,9 +151,9 @@ def test_rom_on_invariant_subspace_matches_fe():
     basis = pod.pod_basis(traj, "standard", rank_tol=1e-24)
     r = min(basis.rank, 4)
     romsys = build_rom(basis, r, traj, params)
-    rom_traj = solve_rom(romsys)
+    rom_states = solve_rom(romsys) @ romsys.modes
     scale = np.max(np.sqrt(l2_norms_sq(space, traj.states)))
-    err = np.max(np.sqrt(l2_norms_sq(space, traj.states - rom_traj.states)))
+    err = np.max(np.sqrt(l2_norms_sq(space, traj.states - rom_states)))
     assert err <= 1e-7 * scale
 
 
@@ -167,13 +172,13 @@ def test_modal_rom_matches_stepping(damping):
     for r in (1, basis.rank // 2, basis.rank):
         romsys = build_rom(basis, r, traj, params)
         ref = stepping_rom_states(romsys)
-        gap = np.max(np.abs(solve_rom(romsys).states - ref)) / np.max(np.abs(ref))
+        gap = np.max(np.abs(solve_rom(romsys) @ romsys.modes - ref)) / np.max(np.abs(ref))
         assert gap <= 1e-9, f"r={r}: relative gap {gap:.2e}"
 
 
-def written_out_modal_states(romsys):
+def written_out_modal_coeffs(romsys):
     """The modal scheme with its weights written out, c^2 as c * c like the
-    FE scheme: a bitwise reference for solve_rom."""
+    FE scheme, back in mode coordinates: a bitwise reference for solve_rom."""
     dt = romsys.grid.dt
     c2, d, g = romsys.params.c * romsys.params.c, romsys.params.D, romsys.params.G
     lam, q = np.linalg.eigh(romsys.reduced_stiffness)
@@ -184,7 +189,7 @@ def written_out_modal_states(romsys):
     z[0], z[1] = romsys.a1 @ q, romsys.a2 @ q
     for n in range(2, romsys.grid.N):
         z[n] = b_cur * z[n - 1] + b_prev * z[n - 2]
-    return z @ (q.T @ romsys.modes)
+    return z @ q.T
 
 
 def assert_rom_bitwise(c, damping):
@@ -195,7 +200,7 @@ def assert_rom_bitwise(c, damping):
     basis = pod.pod_basis(traj, "standard")
     for r in (1, basis.rank // 2, basis.rank):
         romsys = build_rom(basis, r, traj, params)
-        assert np.array_equal(solve_rom(romsys).states, written_out_modal_states(romsys)), r
+        assert np.array_equal(solve_rom(romsys), written_out_modal_coeffs(romsys)), r
 
 
 @ROM_DAMPINGS
@@ -209,3 +214,66 @@ def test_modal_rom_is_bitwise_the_written_out_scheme(damping, c):
 @given(c=st.floats(0.01, 100.0))
 def test_modal_rom_is_bitwise_the_written_out_scheme_at_any_c(damping, c):
     assert_rom_bitwise(c, damping)
+
+
+@ROM_DAMPINGS
+@pytest.mark.parametrize("n_elements,T,dt,rank_tol", [
+    (24, 4.0, 0.02, 0.0),   # 201 levels: every basis spans the FE space
+    (40, 0.5, 0.02, 0.0),   # 26 levels, 39 unknowns: s < n_dof
+    (24, 4.0, 0.02, 1e-4),  # a cut spectrum: the states leave span Phi
+], ids=["s-is-n_dof", "n-below-n_dof", "rank-tol"])
+@pytest.mark.parametrize("method", pod.METHODS)
+def test_modal_error_report_matches_the_full_space_report(method, n_elements, T, dt,
+                                                          rank_tol, damping):
+    """The report in POD coordinates agrees with the one computed from the
+    N x n_dof difference of FE and ROM states.
+
+    Reports at round-off level (max_l2_sq at most 1e-20 max_n ||u^n||^2)
+    only agree in which ratios are None.  Otherwise each field agrees within
+    1e-9 relative, or four times its round-off where that is larger: a field
+    made of differences of coefficients of size ||u|| carries a relative
+    round-off of about eps ||u|| / ||e||, with ||e|| its own square root
+    (or itself for final_l2), energies in the energy's units, and a ratio's
+    denominator holding ||bd phi^2||^2, whose differences are divided by dt.
+    """
+    space = assemble(n_elements)
+    params = WaveParams(c=1.0, **damping)
+    traj = solve(space, TimeGrid.from_dt(T, dt), params, default_u0, default_u00)
+    basis = pod.pod_basis(traj, method, rank_tol=rank_tol)
+    assert (basis.rank == space.n_dof) == (rank_tol == 0 and traj.grid.N > space.n_dof)
+    frame = ErrorFrame(traj, basis, params)
+    u_sq = float(np.max(l2_norms_sq(space, traj.states)))
+    u_energy = float(np.max(energy_series(space, traj.states, dt, params.c)))
+    for r in sorted({1, max(basis.rank // 2, 1), basis.rank}):
+        romsys = build_rom(basis, r, traj, params)
+        coeffs = solve_rom(romsys)
+        got = error_report(frame, coeffs)
+        want = fe_reference.error_report(traj, coeffs @ romsys.modes, basis, r, params)
+        for name in (f.name for f in fields(RomErrorReport)):
+            assert (getattr(got, name) is None) == (getattr(want, name) is None), (r, name)
+        if want.max_l2_sq <= 1e-20 * u_sq:
+            continue
+        roundoff = {"max_l2_sq": np.sqrt(u_sq / want.max_l2_sq),
+                    "final_l2": np.sqrt(u_sq) / want.final_l2,
+                    "max_energy": np.sqrt(u_energy / want.max_energy)}
+        for name, size in (("ratio_pointwise", want.max_l2_sq), ("ratio_energy", want.max_energy)):
+            if getattr(want, name) is not None:  # size / ratio is the denominator
+                roundoff[name] = np.sqrt(u_sq * getattr(want, name) / size) / dt
+        for name, scale in roundoff.items():
+            rel = max(1e-9, 4 * np.finfo(float).eps * scale)
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=rel, abs=0), (r, name)
+
+
+def test_train_interval_final_error_matches_the_full_space_report():
+    config = RunConfig(n_elements=24, dt=1.0 / 48.0, T=2.0, c=1.0, D=0.1).validated()
+    t_train, r = (2.0, 1.0, 0.5), 6
+    _, rows = train_interval_rows(config, list(t_train), r)
+    space, params = assemble(24), config.wave_params()
+    traj = solve(space, config.time_grid(), params, default_u0, default_u00)
+    assert [row[:2] for row in rows] == [[t, m] for t in t_train for m in ("standard", "ddq")]
+    for t, method, final_l2 in rows:
+        basis = pod.pod_basis(training_slice(traj, t), method)
+        romsys = build_rom(basis, r, traj, params)
+        want = fe_reference.error_report(traj, solve_rom(romsys) @ romsys.modes,
+                                         basis, r, params)
+        assert final_l2 == pytest.approx(want.final_l2, rel=1e-9, abs=0), (t, method)
