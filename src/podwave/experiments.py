@@ -165,18 +165,27 @@ def error_formula_rows(config: RunConfig):
     return header, rows
 
 
-def _rom_run(traj, basis, r, params):
-    """(the ROM system of size r on basis, its coefficients)."""
-    _check_rank(basis, r)
-    romsys = rom.build_rom(basis, r, traj, params)
-    return romsys, rom.solve_rom(romsys)
+def _rom_runs(traj, params, runs):
+    """The ROM systems of the (basis, r) pairs in runs on the grid of traj,
+    and their coefficients from one stacked solve; every r is checked first."""
+    for basis, r in runs:
+        _check_rank(basis, r)
+    members = [rom.build_rom(basis, r, traj, params) for basis, r in runs]
+    coeffs = rom.solve_rom(rom.stack_roms(members))
+    return members, np.split(coeffs, np.cumsum([m.r for m in members])[:-1], axis=1)
 
 
 def _rom_reports(traj, basis, params, r_list):
     """The error reports of the ROMs of each size in r_list on basis, from one
-    error frame, which is freed on return: before the next basis is made."""
-    frame = rom.ErrorFrame(traj, basis, params)
-    return [rom.error_report(frame, _rom_run(traj, basis, int(r), params)[1]) for r in r_list]
+    sized error frame and one stacked solve, freed on return: before the next
+    basis is made."""
+    sizes = [int(r) for r in r_list]
+    for r in sizes:
+        _check_rank(basis, r)
+    # the frame before the stack: making it is the peak, and it keeps few columns
+    frame = rom.ErrorFrame(traj, basis, params, sizes)
+    _, coeffs = _rom_runs(traj, params, [(basis, r) for r in sizes])
+    return [rom.error_report(frame, a) for a in coeffs]
 
 
 def rom_sweep_rows(config: RunConfig, param: str, values, methods=("standard", "ddq")):
@@ -213,7 +222,7 @@ def profile_rows(config: RunConfig, times, r: int):
     traj = fe_trajectory(config)
     space = traj.space
     basis = _basis(config, traj, config.pod_method)
-    romsys, coeffs = _rom_run(traj, basis, r, config.wave_params())
+    (romsys,), (coeffs,) = _rom_runs(traj, config.wave_params(), [(basis, r)])
     rom_states = coeffs[levels] @ romsys.modes
     header = ["x"]
     cols = [space.full_nodes]
@@ -232,16 +241,15 @@ def train_interval_rows(config: RunConfig, t_train_list, r: int,
     `final_time_l2` is the plain norm ||u_h(T) - u_r(T)||_L2, not its square;
     the ROM runs over the whole grid [0, T] in every row.
     """
-    traj, params = fe_trajectory(config), config.wave_params()
+    traj = fe_trajectory(config)
+    runs = [(float(t), method, _basis(config, training_slice(traj, float(t)), method))
+            for t in t_train_list for method in methods]
+    members, coeffs = _rom_runs(traj, config.wave_params(), [(basis, r) for *_, basis in runs])
     header = ["T_train", "method", "final_time_l2"]
     rows = []
-    for t_train in t_train_list:
-        sub = training_slice(traj, float(t_train))
-        for method in methods:
-            basis = _basis(config, sub, method)
-            romsys, coeffs = _rom_run(traj, basis, r, params)
-            final_sq = l2_norms_sq(traj.space, traj.states[-1] - coeffs[-1] @ romsys.modes)
-            rows.append([float(t_train), method, math.sqrt(max(final_sq, 0.0))])
+    for (t_train, method, _), romsys, a in zip(runs, members, coeffs):
+        final_sq = l2_norms_sq(traj.space, traj.states[-1] - a[-1] @ romsys.modes)
+        rows.append([t_train, method, math.sqrt(max(final_sq, 0.0))])
     return header, rows
 
 

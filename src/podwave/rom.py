@@ -15,6 +15,18 @@ With d = avg(U) A psi^T and off the part outside span Phi (0 if s = n_dof),
     ||e^n||_M^2     = off + sum_{k>r} (c_k^n)^2 + |c_{<=r}^n - a^n|^2,
     ||avg e^n||_A^2 = off + sum_{k>r} (d_k^n)^2 + |d_{<=r}^n - (avg a^n) L_rr|^2,
 ||bd e^n||_M^2 likewise with bd c, and phi_k - R_r phi_k = sum_{r<=j<=k} L_kj psi_j.
+
+A study reports many sizes r of one basis, so the ROMs are stepped and the
+frame is sized for all of them at once.  stack_roms makes one RomSystem of
+runs that share a grid and WaveParams; solve_rom advances the eigen-
+coordinates of every member as the columns of one (N, sum r) array, and the
+recurrence is elementwise, so each member's coefficients are bitwise those
+of its own run.  ErrorFrame(traj, basis, params, sizes) sums the discarded
+modes' squares of c, bd c and d per level once for every size, over the
+column ranges between the sizes from the last column down, and keeps the
+columns of c and d below the largest size only.  The ranges are views and
+bd c overwrites c, so the sums form no (N, s) temporary, and a report costs
+O(N r).
 """
 
 from dataclasses import dataclass
@@ -34,15 +46,19 @@ _RATIO_FLOOR = 1e-14
 
 @dataclass
 class RomSystem:
-    """Reduced operators and initial coefficients for one (basis, r) run."""
+    """Reduced operators and initial coefficients for one (basis, r) run, from
+    build_rom; or, from stack_roms, a stack of such runs (members) on one grid
+    and WaveParams, whose r is their total size and whose own modes,
+    reduced_stiffness, a1 and a2 are None."""
 
     r: int
-    modes: np.ndarray             # (r, n_dof)
-    reduced_stiffness: np.ndarray  # (r, r), SPD
+    modes: Optional[np.ndarray]              # (r, n_dof)
+    reduced_stiffness: Optional[np.ndarray]  # (r, r), SPD
     params: WaveParams
     grid: TimeGrid
-    a1: np.ndarray
-    a2: np.ndarray
+    a1: Optional[np.ndarray]
+    a2: Optional[np.ndarray]
+    members: tuple = ()
 
 
 def build_rom(basis: PodBasis, r: int, traj: Trajectory, params: WaveParams) -> RomSystem:
@@ -63,23 +79,44 @@ def build_rom(basis: PodBasis, r: int, traj: Trajectory, params: WaveParams) -> 
     )
 
 
+def stack_roms(members) -> RomSystem:
+    """The runs of build_rom in members as one system for solve_rom; they
+    must share the time grid and the wave parameters."""
+    first = members[0]
+    if any(m.grid != first.grid or m.params != first.params for m in members):
+        raise ValueError("stacked ROMs must share the time grid and the wave parameters")
+    return RomSystem(r=sum(m.r for m in members), modes=None, reduced_stiffness=None,
+                     params=first.params, grid=first.grid, a1=None, a2=None,
+                     members=tuple(members))
+
+
 def solve_rom(romsys: RomSystem) -> np.ndarray:
     """Integrate the reduced system; returns its coefficients a (N, r), the
-    ROM state at level n being a^n romsys.modes.
+    ROM state at level n being a^n romsys.modes.  A stack's coefficients are
+    its members' side by side, in member order.
 
     With S_r = Q diag(lam) Q^T the coordinates z = a Q decouple: each FE
     step matrix w_m M + w_a A becomes w_m + w_a lam, and mode k follows
-    z^n = b_cur[k] z^{n-1} + b_prev[k] z^{n-2}, with no linear solve.
+    z^n = b_cur[k] z^{n-1} + b_prev[k] z^{n-2}, with no linear solve.  One
+    loop advances the z of every member.
     """
-    lam, q = np.linalg.eigh(romsys.reduced_stiffness)
+    members = romsys.members or (romsys,)
+    eigs = [np.linalg.eigh(m.reduced_stiffness) for m in members]
+    lam = np.concatenate([lam for lam, _ in eigs])
     weights = step_weights(romsys.params, romsys.grid.dt)
     lhs, b_cur, b_prev = (wm + wa * lam for wm, wa in weights)
     b_cur, b_prev = b_cur / lhs, b_prev / lhs
     z = np.empty((romsys.grid.N, romsys.r))
-    z[0], z[1] = romsys.a1 @ q, romsys.a2 @ q
+    z[0] = np.concatenate([m.a1 @ q for m, (_, q) in zip(members, eigs)])
+    z[1] = np.concatenate([m.a2 @ q for m, (_, q) in zip(members, eigs)])
     for n in range(2, romsys.grid.N):
         z[n] = b_cur * z[n - 1] + b_prev * z[n - 2]
-    return z @ q.T
+    start = 0
+    for m, (_, q) in zip(members, eigs):
+        block = z[:, start:start + m.r]
+        block[...] = block @ q.T
+        start += m.r
+    return z
 
 
 def _energy(bd_l2_sq, avg_h10_sq, c: float):
@@ -88,35 +125,60 @@ def _energy(bd_l2_sq, avg_h10_sq, c: float):
 
 
 class ErrorFrame:
-    """An FE trajectory in the coordinates of all modes of a POD basis: the
-    products of the states with the vectors M phi_k and A psi_k."""
+    """An FE trajectory in the coordinates of all modes of a POD basis, the
+    products of the states with the vectors M phi_k and A psi_k, for the
+    reports of ROMs of the given sizes on that basis: per size, the tail
+    sums of squares; below the largest size, the coordinates themselves."""
 
-    def __init__(self, traj: Trajectory, basis: PodBasis, params: WaveParams):
-        space, dt, u, phi = traj.space, traj.grid.dt, traj.states, basis.modes
+    def __init__(self, traj: Trajectory, basis: PodBasis, params: WaveParams, sizes):
+        space, dt, u, phi, s = traj.space, traj.grid.dt, traj.states, basis.modes, basis.rank
+        sizes = sorted({int(r) for r in sizes})
+        if not sizes:
+            raise ValueError("an error frame needs at least one basis size")
+        for r in sizes:
+            check_rank(basis, r)
         self.basis, self.params, self.dt = basis, params, dt
-        self.lower, a_phi = stiffness_factor(basis, basis.rank)  # (s, s) L
+        self.lower, a_phi = stiffness_factor(basis, s)  # (s, s) L
         a_psi = scipy.linalg.solve_triangular(self.lower, a_phi, lower=True)
         # two products: c as a view of one (N, 2s) product would keep du alive
         c, du = u @ space.mass.matvec(phi).T, u @ a_psi.T
-        self.c, self.d = c, 0.5 * (du[1:] + du[:-1])  # (N, s), (N-1, s)
         # psi-coefficients of u^1 and bd u^2, the difference taken first
         self.start = np.stack((u[0], (u[1] - u[0]) / dt)) @ a_psi.T
         self.off_l2 = self.off_energy = 0.0
-        if basis.rank < space.n_dof:
+        if s < space.n_dof:
             psi = scipy.linalg.solve_triangular(self.lower, phi, lower=True)
             out_m, out_a = u - c @ phi, u - du @ psi
             self.off_l2 = l2_norms_sq(space, out_m)
             self.off_energy = _energy(l2_norms_sq(space, forward_diff(out_m, dt)),
                                       h10_norms_sq(space, 0.5 * (out_a[1:] + out_a[:-1])),
                                       params.c)
+        du[:-1] += du[1:]  # the level averages d, formed in place
+        du[:-1] *= 0.5
+        tails_d = _tail_sums(du[:-1], sizes)
+        self.d = np.ascontiguousarray(du[:-1, :sizes[-1]])
+        del du  # before c's kept columns are copied
+        self.c = c[:, :sizes[-1]].copy()
+        tails_c = _tail_sums(c, sizes)
+        c[:-1] -= c[1:]  # -bd c, formed in place: the same squares
+        c[:-1] /= dt
+        tails_bd = _tail_sums(c[:-1], sizes)
+        self.tails = {r: (tails_c[r], tails_bd[r], tails_d[r]) for r in sizes}
 
 
-def _error_sq(coords: np.ndarray, approx: np.ndarray) -> np.ndarray:
-    """Per row, |coords - (approx, 0)|^2: the discarded modes' sum of squares
-    plus the distance on the kept ones."""
-    r = approx.shape[1]
-    tail, head = coords[:, r:], coords[:, :r] - approx
-    return np.einsum("ij,ij->i", tail, tail) + np.einsum("ij,ij->i", head, head)
+def _tail_sums(x: np.ndarray, sizes) -> dict:
+    """{r: per row, the sum of x[:, k]^2 over k >= r} for the ascending sizes,
+    summed over the column ranges between them from the last column down."""
+    tails, total, hi = {}, 0.0, x.shape[1]
+    for r in reversed(sizes):
+        total = total + np.einsum("ij,ij->i", x[:, r:hi], x[:, r:hi])
+        tails[r], hi = total, r
+    return tails
+
+
+def _dist_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row, |a - b|^2."""
+    diff = a - b
+    return np.einsum("ij,ij->i", diff, diff)
 
 
 @dataclass
@@ -146,13 +208,15 @@ def error_report(frame: ErrorFrame, coeffs: np.ndarray) -> RomErrorReport:
     if coeffs.shape[0] != frame.c.shape[0]:
         raise ValueError("the ROM run and the frame live on different grids")
     r = coeffs.shape[1]
-    check_rank(basis, r)
-    l_rr = frame.lower[:r, :r]
-    l2_sq = frame.off_l2 + _error_sq(frame.c, coeffs)
+    if r not in frame.tails:
+        raise ValueError(f"the error frame is sized for r in {sorted(frame.tails)}, got {r}")
+    tail_c, tail_bd, tail_d = frame.tails[r]
+    c_head, l_rr = frame.c[:, :r], frame.lower[:r, :r]
+    l2_sq = frame.off_l2 + (tail_c + _dist_sq(c_head, coeffs))
     avg_psi = 0.5 * (coeffs[1:] + coeffs[:-1]) @ l_rr
-    # bd c is formed here, not kept: the frame holds two (N, s) arrays, not three
     e_energy = frame.off_energy + _energy(
-        _error_sq(forward_diff(frame.c, dt), forward_diff(coeffs, dt)), _error_sq(frame.d, avg_psi), c)
+        tail_bd + _dist_sq(forward_diff(c_head, dt), forward_diff(coeffs, dt)),
+        tail_d + _dist_sq(frame.d[:, :r], avg_psi), c)
     final_l2 = float(np.sqrt(max(l2_sq[-1], 0.0)))
 
     # R_r v = x Phi_r with x L_rr = the first r psi-coefficients of v: of u^1,

@@ -73,7 +73,7 @@ class ReferenceRun:
     def rom_report(self, method: str, r: int):
         basis = self.basis(method)
         coeffs = solve_rom(build_rom(basis, r, self.traj, self.params))
-        return error_report(ErrorFrame(self.traj, basis, self.params), coeffs)
+        return error_report(ErrorFrame(self.traj, basis, self.params, [r]), coeffs)
 
 
 @pytest.fixture(scope="module")

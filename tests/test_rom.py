@@ -1,4 +1,5 @@
-from dataclasses import fields
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,14 @@ from podwave import pod
 from podwave.config import RunConfig
 from podwave.experiments import train_interval_rows, training_slice
 from podwave.fem import assemble, l2_norms_sq
-from podwave.rom import ErrorFrame, RomErrorReport, build_rom, error_report, solve_rom
+from podwave.rom import (
+    ErrorFrame,
+    RomErrorReport,
+    build_rom,
+    error_report,
+    solve_rom,
+    stack_roms,
+)
 from podwave.wave import (
     TimeGrid,
     Trajectory,
@@ -117,7 +125,7 @@ def test_error_report_fields(small_run):
     r = 8
     romsys = build_rom(basis, r, traj, params)
     coeffs = solve_rom(romsys)
-    rep = error_report(ErrorFrame(traj, basis, params), coeffs)
+    rep = error_report(ErrorFrame(traj, basis, params, [r]), coeffs)
 
     err = traj.states - coeffs @ romsys.modes
     err_sq = l2_norms_sq(space, err)
@@ -135,7 +143,7 @@ def test_error_report_full_rank_ratios_flagged(small_run):
     basis = pod.pod_basis(traj, "standard")
     r = basis.rank
     romsys = build_rom(basis, r, traj, params)
-    rep = error_report(ErrorFrame(traj, basis, params), solve_rom(romsys))
+    rep = error_report(ErrorFrame(traj, basis, params, [r]), solve_rom(romsys))
     # denominators collapse to round-off; quotients are reported as missing
     assert rep.ratio_energy is None
     assert rep.ratio_pointwise is None
@@ -193,20 +201,70 @@ def written_out_modal_coeffs(romsys):
 
 
 def assert_rom_bitwise(c, damping):
+    """solve_rom, alone and stacked, is bitwise the written-out scheme: on the
+    sizes 1, s/2 and s of one basis, as rom-sweep and check stack them, and
+    on the standard and ddq bases of two training windows, as train-interval
+    stacks them."""
     space = assemble(16)
     grid = TimeGrid.from_dt(1.0, 0.02)  # 51 time levels
     params = WaveParams(c=c, **damping)
     traj = solve(space, grid, params, default_u0, default_u00)
     basis = pod.pod_basis(traj, "standard")
-    for r in (1, basis.rank // 2, basis.rank):
-        romsys = build_rom(basis, r, traj, params)
-        assert np.array_equal(solve_rom(romsys), written_out_modal_coeffs(romsys)), r
+    stacks = [
+        [build_rom(basis, r, traj, params) for r in (1, basis.rank // 2, basis.rank)],
+        [build_rom(pod.pod_basis(training_slice(traj, t), method), 6, traj, params)
+         for t in (1.0, 0.5) for method in ("standard", "ddq")],
+    ]
+    for members in stacks:
+        stack = stack_roms(members)
+        assert stack.r == sum(m.r for m in members)
+        runs = np.split(solve_rom(stack), np.cumsum([m.r for m in members])[:-1], axis=1)
+        for romsys, run in zip(members, runs):
+            want = written_out_modal_coeffs(romsys)
+            assert np.array_equal(solve_rom(romsys), want), romsys.r
+            assert np.array_equal(run, want), romsys.r
 
 
 @ROM_DAMPINGS
 @pytest.mark.parametrize("c", [1.0, 2.0 / np.pi], ids=["c-1", "c-2/pi"])
 def test_modal_rom_is_bitwise_the_written_out_scheme(damping, c):
     assert_rom_bitwise(c, damping)
+
+
+def test_stack_and_frame_reject_mismatched_runs(small_run):
+    space, grid, params, traj = small_run
+    basis = pod.pod_basis(traj, "standard")
+    other = replace(params, D=0.2)
+    with pytest.raises(ValueError, match="share"):
+        stack_roms([build_rom(basis, 2, traj, params), build_rom(basis, 3, traj, other)])
+    frame = ErrorFrame(traj, basis, params, [2, 4])
+    with pytest.raises(ValueError, match="sized"):
+        error_report(frame, solve_rom(build_rom(basis, 3, traj, params)))
+    with pytest.raises(ValueError):
+        ErrorFrame(traj, basis, params, [basis.rank + 1])
+
+
+def test_sweep_reports_allocate_less_than_one_frame_array():
+    """The reports of a 12-size sweep read the frame's tail sums and kept
+    columns only: beyond the frame and the stack they allocate less than one
+    (N-1, s) array, which differencing every column of c per report forms."""
+    space = assemble(200)
+    grid = TimeGrid.from_dt(2.0, 1.0 / 200.0)  # 401 time levels, s = 199
+    params = WaveParams(c=1.0, D=0.1)
+    traj = solve(space, grid, params, default_u0, default_u00)
+    basis = pod.pod_basis(traj, "standard")
+    sizes = list(range(2, 26, 2))
+    frame = ErrorFrame(traj, basis, params, sizes)
+    coeffs = solve_rom(stack_roms([build_rom(basis, r, traj, params) for r in sizes]))
+    runs = np.split(coeffs, np.cumsum(sizes)[:-1], axis=1)
+    tracemalloc.start()
+    try:
+        for run in runs:
+            error_report(frame, run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (grid.N - 1) * basis.rank * coeffs.itemsize
 
 
 @ROM_DAMPINGS
@@ -241,10 +299,11 @@ def test_modal_error_report_matches_the_full_space_report(method, n_elements, T,
     traj = solve(space, TimeGrid.from_dt(T, dt), params, default_u0, default_u00)
     basis = pod.pod_basis(traj, method, rank_tol=rank_tol)
     assert (basis.rank == space.n_dof) == (rank_tol == 0 and traj.grid.N > space.n_dof)
-    frame = ErrorFrame(traj, basis, params)
+    sizes = sorted({1, max(basis.rank // 2, 1), basis.rank})
+    frame = ErrorFrame(traj, basis, params, sizes)
     u_sq = float(np.max(l2_norms_sq(space, traj.states)))
     u_energy = float(np.max(energy_series(space, traj.states, dt, params.c)))
-    for r in sorted({1, max(basis.rank // 2, 1), basis.rank}):
+    for r in sizes:
         romsys = build_rom(basis, r, traj, params)
         coeffs = solve_rom(romsys)
         got = error_report(frame, coeffs)
