@@ -94,11 +94,12 @@ def _time_level(grid: TimeGrid, t: float, what: str) -> int:
     return round(steps)
 
 
-def _check_rank(basis: pod.PodBasis, r: int):
-    """ConfigError for a basis size the configured data cannot supply."""
-    if not 1 <= r <= basis.rank:
-        raise ConfigError(f"r must be in [1, {basis.rank}] for this {basis.method} "
-                          f"POD basis, got {r}")
+def _check_ranks(runs):
+    """ConfigError for a run (basis, r) whose size the configured data cannot supply."""
+    for basis, r in runs:
+        if not 1 <= r <= basis.rank:
+            raise ConfigError(f"r must be in [1, {basis.rank}] for this {basis.method} "
+                              f"POD basis, got {r}")
 
 
 def training_slice(traj: Trajectory, t_train: float) -> Trajectory:
@@ -151,12 +152,12 @@ def error_formula_rows(config: RunConfig):
                           f"got {config.rank_tol}")
     traj = fe_trajectory(config)
     basis = _basis(config, traj, config.pod_method)
+    _check_ranks([(basis, int(r)) for r in config.r_list])
     data = pod.build_dataset(traj, config.pod_method)
     header = ["r", "norm", "actual", "formula", "relative_gap"]
     rows = []
     lam1 = basis.eigenvalues[0]
     for r in config.r_list:
-        _check_rank(basis, int(r))
         for norm in (pod.NORM_L2, pod.NORM_H10):
             actual = pod.data_error_actual(data, basis, int(r), norm=norm)
             formula = pod.data_error_formula(basis, int(r), norm=norm)
@@ -165,27 +166,18 @@ def error_formula_rows(config: RunConfig):
     return header, rows
 
 
-def _rom_runs(traj, params, runs):
-    """The ROM systems of the (basis, r) pairs in runs on the grid of traj,
-    and their coefficients from one stacked solve; every r is checked first."""
-    for basis, r in runs:
-        _check_rank(basis, r)
-    members = [rom.build_rom(basis, r, traj, params) for basis, r in runs]
-    coeffs = rom.solve_rom(rom.stack_roms(members))
-    return members, np.split(coeffs, np.cumsum([m.r for m in members])[:-1], axis=1)
-
-
 def _rom_reports(traj, basis, params, r_list):
     """The error reports of the ROMs of each size in r_list on basis, from one
-    sized error frame and one stacked solve, freed on return: before the next
-    basis is made."""
+    sized error frame and one solve, freed on return: before the next basis
+    is made."""
     sizes = [int(r) for r in r_list]
-    for r in sizes:
-        _check_rank(basis, r)
-    # the frame before the stack: making it is the peak, and it keeps few columns
+    runs = [(basis, r) for r in sizes]
+    _check_ranks(runs)
+    # the frame before the ROMs: making it is the peak, and it keeps few columns
     frame = rom.ErrorFrame(traj, basis, params, sizes)
-    _, coeffs = _rom_runs(traj, params, [(basis, r) for r in sizes])
-    return [rom.error_report(frame, a) for a in coeffs]
+    # held to the end: freed before the reports, its heap layout raised peak RSS
+    romsys = rom.build_rom(runs, traj, params)
+    return [rom.error_report(frame, a) for a in rom.solve_rom(romsys)]
 
 
 def rom_sweep_rows(config: RunConfig, param: str, values, methods=("standard", "ddq")):
@@ -222,8 +214,9 @@ def profile_rows(config: RunConfig, times, r: int):
     traj = fe_trajectory(config)
     space = traj.space
     basis = _basis(config, traj, config.pod_method)
-    (romsys,), (coeffs,) = _rom_runs(traj, config.wave_params(), [(basis, r)])
-    rom_states = coeffs[levels] @ romsys.modes
+    _check_ranks([(basis, r)])
+    coeffs, = rom.solve_rom(rom.build_rom([(basis, r)], traj, config.wave_params()))
+    rom_states = coeffs[levels] @ basis.modes[:r]
     header = ["x"]
     cols = [space.full_nodes]
     for t, n, rom_state in zip(times, levels, rom_states):
@@ -244,11 +237,13 @@ def train_interval_rows(config: RunConfig, t_train_list, r: int,
     traj = fe_trajectory(config)
     runs = [(float(t), method, _basis(config, training_slice(traj, float(t)), method))
             for t in t_train_list for method in methods]
-    members, coeffs = _rom_runs(traj, config.wave_params(), [(basis, r) for *_, basis in runs])
+    rom_runs = [(basis, r) for *_, basis in runs]
+    _check_ranks(rom_runs)
+    coeffs = rom.solve_rom(rom.build_rom(rom_runs, traj, config.wave_params()))
     header = ["T_train", "method", "final_time_l2"]
     rows = []
-    for (t_train, method, _), romsys, a in zip(runs, members, coeffs):
-        final_sq = l2_norms_sq(traj.space, traj.states[-1] - a[-1] @ romsys.modes)
+    for (t_train, method, basis), a in zip(runs, coeffs):
+        final_sq = l2_norms_sq(traj.space, traj.states[-1] - a[-1] @ basis.modes[:r])
         rows.append([t_train, method, math.sqrt(max(final_sq, 0.0))])
     return header, rows
 

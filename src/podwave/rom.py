@@ -16,17 +16,16 @@ With d = avg(U) A psi^T and off the part outside span Phi (0 if s = n_dof),
     ||avg e^n||_A^2 = off + sum_{k>r} (d_k^n)^2 + |d_{<=r}^n - (avg a^n) L_rr|^2,
 ||bd e^n||_M^2 likewise with bd c, and phi_k - R_r phi_k = sum_{r<=j<=k} L_kj psi_j.
 
-A study reports many sizes r of one basis, so the ROMs are stepped and the
-frame is sized for all of them at once.  stack_roms makes one RomSystem of
-runs that share a grid and WaveParams; solve_rom advances the eigen-
-coordinates of every member as the columns of one (N, sum r) array, and the
-recurrence is elementwise, so each member's coefficients are bitwise those
-of its own run.  ErrorFrame(traj, basis, params, sizes) sums the discarded
-modes' squares of c, bd c and d per level once for every size, over the
-column ranges between the sizes from the last column down, and keeps the
-columns of c and d below the largest size only.  The ranges are views and
-bd c overwrites c, so the sums form no (N, s) temporary, and a report costs
-O(N r).
+A study reports many ROMs on one trajectory: every size r of a basis, or
+every training window x method.  build_rom makes one RomSystem of such runs,
+in the eigenbasis of each run's S_r; solve_rom advances the eigen-coordinates
+of every run as the columns of one (N, sum r) array, and the recurrence is
+elementwise, so each run's coefficients are bitwise those of a system of its
+own.  ErrorFrame(traj, basis, params, sizes) sums the discarded modes' squares
+of c, bd c and d per level once for every size, over the column ranges
+between the sizes from the last column down, and keeps the columns of c and d
+below the largest size only.  The ranges are views and bd c overwrites c, so
+the sums form no (N, s) temporary, and a report costs O(N r).
 """
 
 from dataclasses import dataclass
@@ -38,7 +37,7 @@ import scipy.linalg
 from .diffops import forward_diff
 from .fem import l2_norms_sq, h10_norms_sq
 from .pod import PodBasis, check_rank, stiffness_factor
-from .wave import TimeGrid, Trajectory, WaveParams, step_weights
+from .wave import TimeGrid, Trajectory, WaveParams, energy, step_weights
 
 _REDUCED_MASS_TOL = 1e-10
 _RATIO_FLOOR = 1e-14
@@ -46,82 +45,61 @@ _RATIO_FLOOR = 1e-14
 
 @dataclass
 class RomSystem:
-    """Reduced operators and initial coefficients for one (basis, r) run, from
-    build_rom; or, from stack_roms, a stack of such runs (members) on one grid
-    and WaveParams, whose r is their total size and whose own modes,
-    reduced_stiffness, a1 and a2 are None."""
+    """ROM runs on the grid of one trajectory and one WaveParams, from
+    build_rom, in the eigenbasis S_r = Q diag(lam) Q^T of each run's reduced
+    stiffness: r is their total size, lam and the starting eigen-coordinates
+    (a^1 Q, a^2 Q) are the runs' side by side, and q holds each run's Q."""
 
     r: int
-    modes: Optional[np.ndarray]              # (r, n_dof)
-    reduced_stiffness: Optional[np.ndarray]  # (r, r), SPD
     params: WaveParams
     grid: TimeGrid
-    a1: Optional[np.ndarray]
-    a2: Optional[np.ndarray]
-    members: tuple = ()
+    lam: np.ndarray    # (r,)
+    start: np.ndarray  # (2, r)
+    q: tuple           # per run, (r_i, r_i)
 
 
-def build_rom(basis: PodBasis, r: int, traj: Trajectory, params: WaveParams) -> RomSystem:
-    """Assemble the reduced system on the space and grid of traj; initial
-    coefficients are the L2 projections of its first two states."""
-    check_rank(basis, r)
+def build_rom(runs, traj: Trajectory, params: WaveParams) -> RomSystem:
+    """The reduced systems of the (basis, r) pairs in runs, on the space and
+    grid of traj; the initial coefficients of each are the L2 projections of
+    its first two states."""
     space = traj.space
-    phi = basis.modes[:r]
-    m_phi = space.mass.matvec(phi)
-    reduced_mass = np.inner(m_phi, phi)
-    if np.max(np.abs(reduced_mass - np.eye(r))) > _REDUCED_MASS_TOL:
-        raise ValueError("modes are not orthonormal in the L2 inner product")
-    s_r = np.inner(space.stiffness.matvec(phi), phi)
-    s_r = 0.5 * (s_r + s_r.T)
-    return RomSystem(
-        r=r, modes=phi, reduced_stiffness=s_r, params=params, grid=traj.grid,
-        a1=m_phi @ traj.states[0], a2=m_phi @ traj.states[1],
-    )
+    lam, start, q = [], [], []
+    for basis, r in runs:
+        check_rank(basis, r)
+        phi = basis.modes[:r]
+        m_phi = space.mass.matvec(phi)
+        if np.max(np.abs(np.inner(m_phi, phi) - np.eye(r))) > _REDUCED_MASS_TOL:
+            raise ValueError("modes are not orthonormal in the L2 inner product")
+        s_r = np.inner(space.stiffness.matvec(phi), phi)
+        lam_r, q_r = np.linalg.eigh(0.5 * (s_r + s_r.T))
+        lam.append(lam_r)
+        start.append(np.stack(((m_phi @ traj.states[0]) @ q_r, (m_phi @ traj.states[1]) @ q_r)))
+        q.append(q_r)
+    lam = np.concatenate(lam)
+    return RomSystem(r=lam.size, params=params, grid=traj.grid, lam=lam,
+                     start=np.hstack(start), q=tuple(q))
 
 
-def stack_roms(members) -> RomSystem:
-    """The runs of build_rom in members as one system for solve_rom; they
-    must share the time grid and the wave parameters."""
-    first = members[0]
-    if any(m.grid != first.grid or m.params != first.params for m in members):
-        raise ValueError("stacked ROMs must share the time grid and the wave parameters")
-    return RomSystem(r=sum(m.r for m in members), modes=None, reduced_stiffness=None,
-                     params=first.params, grid=first.grid, a1=None, a2=None,
-                     members=tuple(members))
+def solve_rom(romsys: RomSystem) -> list:
+    """Integrate the reduced systems; returns the coefficients a (N, r_i) of
+    each run, in run order, the ROM state at level n being a^n Phi_{r_i}.
 
-
-def solve_rom(romsys: RomSystem) -> np.ndarray:
-    """Integrate the reduced system; returns its coefficients a (N, r), the
-    ROM state at level n being a^n romsys.modes.  A stack's coefficients are
-    its members' side by side, in member order.
-
-    With S_r = Q diag(lam) Q^T the coordinates z = a Q decouple: each FE
-    step matrix w_m M + w_a A becomes w_m + w_a lam, and mode k follows
+    The coordinates z = a Q decouple: each FE step matrix w_m M + w_a A
+    becomes w_m + w_a lam, and mode k follows
     z^n = b_cur[k] z^{n-1} + b_prev[k] z^{n-2}, with no linear solve.  One
-    loop advances the z of every member.
+    loop advances the z of every run.
     """
-    members = romsys.members or (romsys,)
-    eigs = [np.linalg.eigh(m.reduced_stiffness) for m in members]
-    lam = np.concatenate([lam for lam, _ in eigs])
     weights = step_weights(romsys.params, romsys.grid.dt)
-    lhs, b_cur, b_prev = (wm + wa * lam for wm, wa in weights)
+    lhs, b_cur, b_prev = (wm + wa * romsys.lam for wm, wa in weights)
     b_cur, b_prev = b_cur / lhs, b_prev / lhs
     z = np.empty((romsys.grid.N, romsys.r))
-    z[0] = np.concatenate([m.a1 @ q for m, (_, q) in zip(members, eigs)])
-    z[1] = np.concatenate([m.a2 @ q for m, (_, q) in zip(members, eigs)])
+    z[:2] = romsys.start
     for n in range(2, romsys.grid.N):
         z[n] = b_cur * z[n - 1] + b_prev * z[n - 2]
-    start = 0
-    for m, (_, q) in zip(members, eigs):
-        block = z[:, start:start + m.r]
+    blocks = np.split(z, np.cumsum([len(q) for q in romsys.q])[:-1], axis=1)
+    for block, q in zip(blocks, romsys.q):
         block[...] = block @ q.T
-        start += m.r
-    return z
-
-
-def _energy(bd_l2_sq, avg_h10_sq, c: float):
-    """The discrete energy from its two squared norms, as wave.energy_series."""
-    return 0.5 * bd_l2_sq + 0.5 * c * c * avg_h10_sq
+    return blocks
 
 
 class ErrorFrame:
@@ -149,7 +127,7 @@ class ErrorFrame:
             psi = scipy.linalg.solve_triangular(self.lower, phi, lower=True)
             out_m, out_a = u - c @ phi, u - du @ psi
             self.off_l2 = l2_norms_sq(space, out_m)
-            self.off_energy = _energy(l2_norms_sq(space, forward_diff(out_m, dt)),
+            self.off_energy = energy(l2_norms_sq(space, forward_diff(out_m, dt)),
                                       h10_norms_sq(space, 0.5 * (out_a[1:] + out_a[:-1])),
                                       params.c)
         du[:-1] += du[1:]  # the level averages d, formed in place
@@ -214,7 +192,7 @@ def error_report(frame: ErrorFrame, coeffs: np.ndarray) -> RomErrorReport:
     c_head, l_rr = frame.c[:, :r], frame.lower[:r, :r]
     l2_sq = frame.off_l2 + (tail_c + _dist_sq(c_head, coeffs))
     avg_psi = 0.5 * (coeffs[1:] + coeffs[:-1]) @ l_rr
-    e_energy = frame.off_energy + _energy(
+    e_energy = frame.off_energy + energy(
         tail_bd + _dist_sq(forward_diff(c_head, dt), forward_diff(coeffs, dt)),
         tail_d + _dist_sq(frame.d[:, :r], avg_psi), c)
     final_l2 = float(np.sqrt(max(l2_sq[-1], 0.0)))
@@ -227,7 +205,7 @@ def error_report(frame: ErrorFrame, coeffs: np.ndarray) -> RomErrorReport:
     phi1, bd_phi = coeffs[0] - x[:, 0], (coeffs[1] - coeffs[0]) / dt - x[:, 1]
     phi1_l2_sq = float(phi1 @ phi1)
     avg_phi = (phi1 + 0.5 * dt * bd_phi) @ l_rr
-    e_phi2 = float(_energy(bd_phi @ bd_phi, avg_phi @ avg_phi, c))
+    e_phi2 = float(energy(bd_phi @ bd_phi, avg_phi @ avg_phi, c))
 
     # the Ritz defects phi_k - x_k Phi_r of the discarded modes (none at full
     # rank): squared M-norm 1 + |x_k|^2, squared A-norm sum_{j>=r} L_kj^2

@@ -158,6 +158,12 @@ def final_state(space: FemSpace, grid: TimeGrid, params: WaveParams,
     return buf[(grid.N - 1) % 2]
 
 
+def energy(bd_l2_sq, avg_h10_sq, c: float):
+    """The discrete energy 0.5 ||bd u||^2_L2 + 0.5 c^2 ||avg u||^2_H10 from its
+    two squared norms, of one level or of many."""
+    return 0.5 * bd_l2_sq + 0.5 * c * c * avg_h10_sq
+
+
 def energy_series(space: FemSpace, states: np.ndarray, dt: float, c: float) -> np.ndarray:
     """The discrete energy of a stack of two or more states (N, n_dof):
 
@@ -168,7 +174,7 @@ def energy_series(space: FemSpace, states: np.ndarray, dt: float, c: float) -> n
     """
     bd = diffops.forward_diff(states, dt)
     avg = 0.5 * (states[1:] + states[:-1])
-    return 0.5 * l2_norms_sq(space, bd) + 0.5 * c * c * h10_norms_sq(space, avg)
+    return energy(l2_norms_sq(space, bd), h10_norms_sq(space, avg), c)
 
 
 def energy_balance(traj: Trajectory, params: WaveParams):

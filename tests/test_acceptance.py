@@ -72,7 +72,7 @@ class ReferenceRun:
 
     def rom_report(self, method: str, r: int):
         basis = self.basis(method)
-        coeffs = solve_rom(build_rom(basis, r, self.traj, self.params))
+        coeffs, = solve_rom(build_rom([(basis, r)], self.traj, self.params))
         return error_report(ErrorFrame(self.traj, basis, self.params, [r]), coeffs)
 
 
@@ -281,8 +281,8 @@ def test_full_rank_rom_consistency():
     params = WaveParams(c=1.0, D=0.1)
     traj = solve(space, grid, params, default_u0, default_u00)
     basis = pod.pod_basis(traj, "standard")
-    romsys = build_rom(basis, basis.rank, traj, params)
-    rom_states = solve_rom(romsys) @ romsys.modes
+    coeffs, = solve_rom(build_rom([(basis, basis.rank)], traj, params))
+    rom_states = coeffs @ basis.modes
     scale = float(np.max(np.sqrt(l2_norms_sq(space, traj.states))))
     err = float(np.max(np.sqrt(l2_norms_sq(space, traj.states - rom_states))))
     ok = err <= 1e-8 * scale

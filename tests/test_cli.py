@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import podwave
-from podwave import pod
+from podwave import experiments, pod
 from podwave.cli import main, write_csv
 from podwave.config import OUTPUT_DIR_ENV, ConfigError, RunConfig, make_config
 from podwave.wave import INITIAL_CONDITIONS
@@ -134,6 +135,19 @@ def test_bad_values_exit_one(tmp_path, capsys, argv, message):
     assert err.startswith("configuration error:") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+def test_error_formulas_checks_every_r_before_the_data_set(monkeypatch):
+    """A size above the POD rank is refused before any data error is computed."""
+    config = make_config(None, {"n_elements": 8, "dt": "1/8", "T": "1"})
+    rank = experiments._basis(config, experiments.fe_trajectory(config), config.pod_method).rank
+
+    def no_data_set(*args, **kwargs):
+        raise AssertionError("the data set was built before every r was checked")
+
+    monkeypatch.setattr(pod, "build_dataset", no_data_set)
+    with pytest.raises(ConfigError, match=f"r must be in \\[1, {rank}\\]"):
+        experiments.error_formula_rows(replace(config, r_list=(1, rank + 1)))
 
 
 def test_unwritable_output_dir_exits_one(tmp_path, capsys):

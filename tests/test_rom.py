@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from podwave.rom import (
     build_rom,
     error_report,
     solve_rom,
-    stack_roms,
 )
 from podwave.wave import (
     TimeGrid,
@@ -32,21 +31,31 @@ from podwave.wave import (
 )
 
 
-def stepping_rom_states(romsys):
+def reduced_system(basis, r, traj):
+    """(Phi_r, S_r, a^1, a^2) of the first r modes, formed as build_rom forms
+    them: S_r symmetrised, a^1 and a^2 the L2 projections of u^1 and u^2."""
+    space, phi = traj.space, basis.modes[:r]
+    m_phi = space.mass.matvec(phi)
+    s_r = np.inner(space.stiffness.matvec(phi), phi)
+    return phi, 0.5 * (s_r + s_r.T), m_phi @ traj.states[0], m_phi @ traj.states[1]
+
+
+def stepping_rom_states(basis, r, traj, params):
     """Reference integrator: the three-level scheme in mode coordinates,
     one dense Cholesky solve per step."""
-    r, dt = romsys.r, romsys.grid.dt
-    c2, d, g = romsys.params.c**2, romsys.params.D, romsys.params.G
-    eye, s_r = np.eye(r), romsys.reduced_stiffness
+    dt, n_levels = traj.grid.dt, traj.grid.N
+    c2, d, g = params.c**2, params.D, params.G
+    phi, s_r, a1, a2 = reduced_system(basis, r, traj)
+    eye = np.eye(r)
     lhs = (1.0 / dt**2 + d / (2.0 * dt)) * eye + (c2 / 4.0 + g / (2.0 * dt)) * s_r
     b_cur = (2.0 / dt**2) * eye - (c2 / 2.0) * s_r
     b_prev = (-1.0 / dt**2 + d / (2.0 * dt)) * eye + (-c2 / 4.0 + g / (2.0 * dt)) * s_r
     factor = scipy.linalg.cho_factor(lhs)
-    coeffs = np.empty((romsys.grid.N, r))
-    coeffs[0], coeffs[1] = romsys.a1, romsys.a2
-    for n in range(2, romsys.grid.N):
+    coeffs = np.empty((n_levels, r))
+    coeffs[0], coeffs[1] = a1, a2
+    for n in range(2, n_levels):
         coeffs[n] = scipy.linalg.cho_solve(factor, b_cur @ coeffs[n - 1] + b_prev @ coeffs[n - 2])
-    return coeffs @ romsys.modes
+    return coeffs @ phi
 
 
 @pytest.fixture(scope="module")
@@ -61,15 +70,25 @@ def small_run():
 def test_reduced_system_shape_and_symmetry(small_run):
     space, grid, params, traj = small_run
     basis = pod.pod_basis(traj, "standard")
-    romsys = build_rom(basis, 6, traj, params)
-    s = romsys.reduced_stiffness
-    assert s.shape == (6, 6)
-    assert np.max(np.abs(s - s.T)) <= 1e-12 * np.max(np.abs(s))
-    assert np.all(np.linalg.eigvalsh(s) > 0)
-    # reduced initial coefficients reproduce the projected initial states
-    recon = romsys.a1 @ romsys.modes
-    np.testing.assert_allclose(recon, pod.project_l2(basis, 6, traj.states[0]),
-                               rtol=1e-12, atol=1e-14)
+    sizes = (3, 6)
+    romsys = build_rom([(basis, r) for r in sizes], traj, params)
+    assert romsys.r == sum(sizes) and romsys.grid == grid
+    assert romsys.lam.shape == (sum(sizes),) and romsys.start.shape == (2, sum(sizes))
+    assert np.all(romsys.lam > 0)
+    start = 0
+    for r, q in zip(sizes, romsys.q):
+        assert q.shape == (r, r)
+        np.testing.assert_allclose(q.T @ q, np.eye(r), rtol=0, atol=1e-14)
+        lam, z1 = romsys.lam[start:start + r], romsys.start[0, start:start + r]
+        # Q diag(lam) Q^T is the symmetric reduced stiffness
+        s_r = np.inner(space.stiffness.matvec(basis.modes[:r]), basis.modes[:r])
+        np.testing.assert_allclose((q * lam) @ q.T, s_r, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(s_r)))
+        # the starting coordinates rebuild the projected initial state
+        np.testing.assert_allclose(z1 @ q.T @ basis.modes[:r],
+                                   pod.project_l2(basis, r, traj.states[0]),
+                                   rtol=1e-12, atol=1e-14)
+        start += r
 
 
 def test_non_orthonormal_modes_rejected(small_run):
@@ -78,22 +97,22 @@ def test_non_orthonormal_modes_rejected(small_run):
     skewed = pod.PodBasis(modes=2.0 * basis.modes, eigenvalues=basis.eigenvalues,
                           method=basis.method, space=space, grid=basis.grid)
     with pytest.raises(ValueError):
-        build_rom(skewed, 4, traj, params)
+        build_rom([(skewed, 4)], traj, params)
 
 
 def test_zero_initial_coefficients_stay_zero(small_run):
     space, grid, params, traj = small_run
     basis = pod.pod_basis(traj, "standard")
     zero = Trajectory(space=space, grid=grid, states=np.zeros((grid.N, space.n_dof)))
-    romsys = build_rom(basis, 5, zero, params)
-    np.testing.assert_allclose(solve_rom(romsys), 0.0)
+    coeffs, = solve_rom(build_rom([(basis, 5)], zero, params))
+    np.testing.assert_allclose(coeffs, 0.0)
 
 
 def test_full_rank_rom_reproduces_fe(small_run):
     space, grid, params, traj = small_run
     basis = pod.pod_basis(traj, "standard")
-    romsys = build_rom(basis, basis.rank, traj, params)
-    rom_states = solve_rom(romsys) @ romsys.modes
+    coeffs, = solve_rom(build_rom([(basis, basis.rank)], traj, params))
+    rom_states = coeffs @ basis.modes
     scale = np.max(np.sqrt(l2_norms_sq(space, traj.states)))
     err = np.max(np.sqrt(l2_norms_sq(space, traj.states - rom_states)))
     assert err <= 1e-8 * scale
@@ -102,8 +121,8 @@ def test_full_rank_rom_reproduces_fe(small_run):
 def test_rom_energy_identity(small_run):
     space, grid, params, traj = small_run
     basis = pod.pod_basis(traj, "ddq")
-    romsys = build_rom(basis, 8, traj, params)
-    rom_traj = Trajectory(space=space, grid=grid, states=solve_rom(romsys) @ romsys.modes)
+    coeffs, = solve_rom(build_rom([(basis, 8)], traj, params))
+    rom_traj = Trajectory(space=space, grid=grid, states=coeffs @ basis.modes[:8])
     e, rate, dissipation = energy_balance(rom_traj, params)
     assert np.max(np.abs(rate + dissipation)) <= 1e-10 * e[0]
 
@@ -114,8 +133,8 @@ def test_rom_energy_conserved_undamped():
     params = WaveParams(c=1.0)
     traj = solve(space, grid, params, default_u0, default_u00)
     basis = pod.pod_basis(traj, "standard")
-    romsys = build_rom(basis, 7, traj, params)
-    e = energy_series(space, solve_rom(romsys) @ romsys.modes, grid.dt, params.c)
+    coeffs, = solve_rom(build_rom([(basis, 7)], traj, params))
+    e = energy_series(space, coeffs @ basis.modes[:7], grid.dt, params.c)
     assert np.max(np.abs(e - e[0])) <= 1e-10 * e[0]
 
 
@@ -123,11 +142,10 @@ def test_error_report_fields(small_run):
     space, grid, params, traj = small_run
     basis = pod.pod_basis(traj, "ddq")
     r = 8
-    romsys = build_rom(basis, r, traj, params)
-    coeffs = solve_rom(romsys)
+    coeffs, = solve_rom(build_rom([(basis, r)], traj, params))
     rep = error_report(ErrorFrame(traj, basis, params, [r]), coeffs)
 
-    err = traj.states - coeffs @ romsys.modes
+    err = traj.states - coeffs @ basis.modes[:r]
     err_sq = l2_norms_sq(space, err)
     assert rep.max_l2_sq == pytest.approx(float(np.max(err_sq)), rel=1e-12)
     assert rep.final_l2 == pytest.approx(float(np.sqrt(err_sq[-1])), rel=1e-12)
@@ -142,8 +160,8 @@ def test_error_report_full_rank_ratios_flagged(small_run):
     space, grid, params, traj = small_run
     basis = pod.pod_basis(traj, "standard")
     r = basis.rank
-    romsys = build_rom(basis, r, traj, params)
-    rep = error_report(ErrorFrame(traj, basis, params, [r]), solve_rom(romsys))
+    coeffs, = solve_rom(build_rom([(basis, r)], traj, params))
+    rep = error_report(ErrorFrame(traj, basis, params, [r]), coeffs)
     # denominators collapse to round-off; quotients are reported as missing
     assert rep.ratio_energy is None
     assert rep.ratio_pointwise is None
@@ -158,8 +176,8 @@ def test_rom_on_invariant_subspace_matches_fe():
     traj = solve(space, grid, params, lambda x: np.sin(np.pi * x), default_u00)
     basis = pod.pod_basis(traj, "standard", rank_tol=1e-24)
     r = min(basis.rank, 4)
-    romsys = build_rom(basis, r, traj, params)
-    rom_states = solve_rom(romsys) @ romsys.modes
+    coeffs, = solve_rom(build_rom([(basis, r)], traj, params))
+    rom_states = coeffs @ basis.modes[:r]
     scale = np.max(np.sqrt(l2_norms_sq(space, traj.states)))
     err = np.max(np.sqrt(l2_norms_sq(space, traj.states - rom_states)))
     assert err <= 1e-7 * scale
@@ -178,24 +196,25 @@ def test_modal_rom_matches_stepping(damping):
     traj = solve(space, grid, params, default_u0, default_u00)
     basis = pod.pod_basis(traj, "standard")
     for r in (1, basis.rank // 2, basis.rank):
-        romsys = build_rom(basis, r, traj, params)
-        ref = stepping_rom_states(romsys)
-        gap = np.max(np.abs(solve_rom(romsys) @ romsys.modes - ref)) / np.max(np.abs(ref))
+        ref = stepping_rom_states(basis, r, traj, params)
+        coeffs, = solve_rom(build_rom([(basis, r)], traj, params))
+        gap = np.max(np.abs(coeffs @ basis.modes[:r] - ref)) / np.max(np.abs(ref))
         assert gap <= 1e-9, f"r={r}: relative gap {gap:.2e}"
 
 
-def written_out_modal_coeffs(romsys):
+def written_out_modal_coeffs(basis, r, traj, params):
     """The modal scheme with its weights written out, c^2 as c * c like the
     FE scheme, back in mode coordinates: a bitwise reference for solve_rom."""
-    dt = romsys.grid.dt
-    c2, d, g = romsys.params.c * romsys.params.c, romsys.params.D, romsys.params.G
-    lam, q = np.linalg.eigh(romsys.reduced_stiffness)
+    dt, n_levels = traj.grid.dt, traj.grid.N
+    c2, d, g = params.c * params.c, params.D, params.G
+    _, s_r, a1, a2 = reduced_system(basis, r, traj)
+    lam, q = np.linalg.eigh(s_r)
     lhs = (1.0 / dt**2 + d / (2.0 * dt)) + (c2 / 4.0 + g / (2.0 * dt)) * lam
     b_cur = ((2.0 / dt**2) - (c2 / 2.0) * lam) / lhs
     b_prev = ((-1.0 / dt**2 + d / (2.0 * dt)) + (-c2 / 4.0 + g / (2.0 * dt)) * lam) / lhs
-    z = np.empty((romsys.grid.N, romsys.r))
-    z[0], z[1] = romsys.a1 @ q, romsys.a2 @ q
-    for n in range(2, romsys.grid.N):
+    z = np.empty((n_levels, r))
+    z[0], z[1] = a1 @ q, a2 @ q
+    for n in range(2, n_levels):
         z[n] = b_cur * z[n - 1] + b_prev * z[n - 2]
     return z @ q.T
 
@@ -211,18 +230,18 @@ def assert_rom_bitwise(c, damping):
     traj = solve(space, grid, params, default_u0, default_u00)
     basis = pod.pod_basis(traj, "standard")
     stacks = [
-        [build_rom(basis, r, traj, params) for r in (1, basis.rank // 2, basis.rank)],
-        [build_rom(pod.pod_basis(training_slice(traj, t), method), 6, traj, params)
+        [(basis, r) for r in (1, basis.rank // 2, basis.rank)],
+        [(pod.pod_basis(training_slice(traj, t), method), 6)
          for t in (1.0, 0.5) for method in ("standard", "ddq")],
     ]
-    for members in stacks:
-        stack = stack_roms(members)
-        assert stack.r == sum(m.r for m in members)
-        runs = np.split(solve_rom(stack), np.cumsum([m.r for m in members])[:-1], axis=1)
-        for romsys, run in zip(members, runs):
-            want = written_out_modal_coeffs(romsys)
-            assert np.array_equal(solve_rom(romsys), want), romsys.r
-            assert np.array_equal(run, want), romsys.r
+    for runs in stacks:
+        romsys = build_rom(runs, traj, params)
+        assert romsys.r == sum(r for _, r in runs)
+        for (run_basis, r), coeffs in zip(runs, solve_rom(romsys), strict=True):
+            want = written_out_modal_coeffs(run_basis, r, traj, params)
+            alone, = solve_rom(build_rom([(run_basis, r)], traj, params))
+            assert np.array_equal(alone, want), r
+            assert np.array_equal(coeffs, want), r
 
 
 @ROM_DAMPINGS
@@ -231,15 +250,13 @@ def test_modal_rom_is_bitwise_the_written_out_scheme(damping, c):
     assert_rom_bitwise(c, damping)
 
 
-def test_stack_and_frame_reject_mismatched_runs(small_run):
+def test_frame_rejects_sizes_it_was_not_made_for(small_run):
     space, grid, params, traj = small_run
     basis = pod.pod_basis(traj, "standard")
-    other = replace(params, D=0.2)
-    with pytest.raises(ValueError, match="share"):
-        stack_roms([build_rom(basis, 2, traj, params), build_rom(basis, 3, traj, other)])
     frame = ErrorFrame(traj, basis, params, [2, 4])
+    coeffs, = solve_rom(build_rom([(basis, 3)], traj, params))
     with pytest.raises(ValueError, match="sized"):
-        error_report(frame, solve_rom(build_rom(basis, 3, traj, params)))
+        error_report(frame, coeffs)
     with pytest.raises(ValueError):
         ErrorFrame(traj, basis, params, [basis.rank + 1])
 
@@ -255,8 +272,7 @@ def test_sweep_reports_allocate_less_than_one_frame_array():
     basis = pod.pod_basis(traj, "standard")
     sizes = list(range(2, 26, 2))
     frame = ErrorFrame(traj, basis, params, sizes)
-    coeffs = solve_rom(stack_roms([build_rom(basis, r, traj, params) for r in sizes]))
-    runs = np.split(coeffs, np.cumsum(sizes)[:-1], axis=1)
+    runs = solve_rom(build_rom([(basis, r) for r in sizes], traj, params))
     tracemalloc.start()
     try:
         for run in runs:
@@ -264,7 +280,7 @@ def test_sweep_reports_allocate_less_than_one_frame_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (grid.N - 1) * basis.rank * coeffs.itemsize
+    assert peak < (grid.N - 1) * basis.rank * runs[0].itemsize
 
 
 @ROM_DAMPINGS
@@ -304,10 +320,9 @@ def test_modal_error_report_matches_the_full_space_report(method, n_elements, T,
     u_sq = float(np.max(l2_norms_sq(space, traj.states)))
     u_energy = float(np.max(energy_series(space, traj.states, dt, params.c)))
     for r in sizes:
-        romsys = build_rom(basis, r, traj, params)
-        coeffs = solve_rom(romsys)
+        coeffs, = solve_rom(build_rom([(basis, r)], traj, params))
         got = error_report(frame, coeffs)
-        want = fe_reference.error_report(traj, coeffs @ romsys.modes, basis, r, params)
+        want = fe_reference.error_report(traj, coeffs @ basis.modes[:r], basis, r, params)
         for name in (f.name for f in fields(RomErrorReport)):
             assert (getattr(got, name) is None) == (getattr(want, name) is None), (r, name)
         if want.max_l2_sq <= 1e-20 * u_sq:
@@ -332,7 +347,6 @@ def test_train_interval_final_error_matches_the_full_space_report():
     assert [row[:2] for row in rows] == [[t, m] for t in t_train for m in ("standard", "ddq")]
     for t, method, final_l2 in rows:
         basis = pod.pod_basis(training_slice(traj, t), method)
-        romsys = build_rom(basis, r, traj, params)
-        want = fe_reference.error_report(traj, solve_rom(romsys) @ romsys.modes,
-                                         basis, r, params)
+        coeffs, = solve_rom(build_rom([(basis, r)], traj, params))
+        want = fe_reference.error_report(traj, coeffs @ basis.modes[:r], basis, r, params)
         assert final_l2 == pytest.approx(want.final_l2, rel=1e-9, abs=0), (t, method)

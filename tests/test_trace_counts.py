@@ -36,4 +36,5 @@ def test_traced_rom_sweep_counts_stacked_steps_and_reports(tmp_path):
     assert metrics["rc"] == 0
     assert metrics["rom.solve_rom.reduced_steps"] == methods * sum(sizes) * (levels - 2)
     assert metrics["rom.solve_rom.calls"] == methods  # one stack per basis
+    assert metrics["rom.build_rom.calls"] == methods  # one build per basis
     assert metrics["rom.error_report.calls"] == methods * len(sizes)
