@@ -1,5 +1,8 @@
 """Command-line front end: solve, POD diagnostics, ROM sweeps, CSV output.
 
+The flags are the RunConfig fields and the commands are one table, so every
+input of a run reaches its CSV header.
+
 Exit codes: 0 success, 1 configuration or output error, 2 numerical failure.
 """
 
@@ -8,9 +11,10 @@ import functools
 import os
 import sys
 from dataclasses import fields
+from typing import Tuple
 
 from . import experiments
-from .config import ConfigError, RunConfig, make_config, parse_number
+from .config import ConfigError, RunConfig, format_value, make_config
 from .linalg import LinAlgFailure
 
 _FLOAT_FMT = "%.16e"  # 17 significant digits
@@ -45,141 +49,74 @@ def write_csv(path: str, config: RunConfig, command: str, header, rows):
     return path
 
 
-def _out_path(config: RunConfig, name: str) -> str:
-    return os.path.join(config.resolve_output_dir(), name)
-
-
-def cmd_solve(config: RunConfig, args) -> int:
+def _solve(config: RunConfig):
     traj = experiments.fe_trajectory(config)
-    header, rows = experiments.trajectory_rows(traj, config.stride)
-    p1 = write_csv(_out_path(config, "trajectory.csv"), config, "solve", header, rows)
-    header, rows = experiments.energy_rows(traj, config.wave_params())
-    p2 = write_csv(_out_path(config, "energy.csv"), config, "solve", header, rows)
-    print(p1)
-    print(p2)
-    return 0
+    yield "trajectory.csv", experiments.trajectory_rows(traj, config.stride)
+    yield "energy.csv", experiments.energy_rows(traj, config.wave_params())
 
 
-def cmd_singvals(config: RunConfig, args) -> int:
-    header, rows = experiments.singular_value_rows(config)
-    name = f"singvals_{config.pod_method}.csv"
-    print(write_csv(_out_path(config, name), config, "singvals", header, rows))
-    return 0
-
-
-def cmd_error_formulas(config: RunConfig, args) -> int:
-    header, rows = experiments.error_formula_rows(config)
-    print(write_csv(_out_path(config, "error_formulas.csv"), config,
-                    "error-formulas", header, rows))
-    return 0
-
-
-def cmd_rom_sweep(config: RunConfig, args) -> int:
-    param = args.param
-    if param is None:
-        param = "G" if config.G > 0 and config.D == 0 else "D"
-    if args.values:
-        values = [parse_number("--values", v) for v in args.values]
-    else:
-        values = [getattr(config, param)]
-    header, rows = experiments.rom_sweep_rows(config, param, values)
-    print(write_csv(_out_path(config, "rom_sweep.csv"), config, "rom-sweep",
-                    header, rows))
-    return 0
-
-
-def cmd_profiles(config: RunConfig, args) -> int:
-    r = args.r if args.r is not None else int(config.r_list[0])
-    times = [parse_number("--times", t) for t in args.times]
-    header, rows = experiments.profile_rows(config, times, r)
-    print(write_csv(_out_path(config, "profiles.csv"), config, "profiles",
-                    header, rows))
-    return 0
-
-
-def cmd_train_interval(config: RunConfig, args) -> int:
-    r = args.r if args.r is not None else int(config.r_list[0])
-    t_train = [parse_number("--t-train", t) for t in args.t_train]
-    header, rows = experiments.train_interval_rows(config, t_train, r)
-    print(write_csv(_out_path(config, "train_interval.csv"), config,
-                    "train-interval", header, rows))
-    return 0
-
-
-def cmd_convergence(config: RunConfig, args) -> int:
-    dt_list = [parse_number("--dt-list", dt) for dt in args.dt_list]
-    header, rows = experiments.convergence_rows(config, dt_list)
-    print(write_csv(_out_path(config, "convergence.csv"), config,
-                    "convergence", header, rows))
-    return 0
-
-
-def cmd_check(config: RunConfig, args) -> int:
+def _check(config: RunConfig):
     results = experiments.invariant_checks(config)
-    ok = True
     for name, passed, detail in results:
         print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
-        ok = ok and passed
-    return 0 if ok else 2
+    if not all(passed for _, passed, _ in results):
+        raise ArithmeticError("a self-check failed")
+    return ()
+
+
+# command -> (help, config -> its (CSV name, (header, rows)) pairs).  The
+# drivers are looked up in `experiments` at call time, so that a function
+# rebound there (as a tracer does) is the one that runs.
+_COMMANDS = {
+    "solve": ("write trajectory.csv and energy.csv", _solve),
+    "singvals": ("write the POD singular values", lambda config: [
+        (f"singvals_{config.pod_method}.csv", experiments.singular_value_rows(config))]),
+    "error-formulas": ("actual vs formula data errors per r", lambda config: [
+        ("error_formulas.csv", experiments.error_formula_rows(config))]),
+    "rom-sweep": ("ROM errors and bound ratios over damping values", lambda config: [
+        ("rom_sweep.csv", experiments.rom_sweep_rows(config))]),
+    "profiles": ("FE vs ROM spatial profiles at chosen times", lambda config: [
+        ("profiles.csv", experiments.profile_rows(config))]),
+    "train-interval": ("final-time error vs training window", lambda config: [
+        ("train_interval.csv", experiments.train_interval_rows(config))]),
+    "convergence": ("final-time error vs dt against the series", lambda config: [
+        ("convergence.csv", experiments.convergence_rows(config))]),
+    "check": ("run the invariant self-checks, exit 2 if one fails", _check),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="podwave",
-        description="Damped-wave POD/ROM toolkit: solve, build bases, "
-                    "verify error formulas and bounds, emit CSV tables.",
+        description="Damped-wave POD/ROM toolkit: solve, build bases, verify error\n"
+                    "formulas and bounds, emit CSV tables.",
+        formatter_class=argparse.RawTextHelpFormatter,
         allow_abbrev=False,
     )
+    parser.add_argument("command", choices=_COMMANDS, metavar="COMMAND",
+                        help="\n".join(f"{name:15} {text}"
+                                       for name, (text, _) in _COMMANDS.items()))
     parser.add_argument("--config", help="flat key=value configuration file")
     cfg = parser.add_argument_group(
-        "configuration overrides",
-        "one flag per RunConfig field, parsed like the config file: floats "
-        "accept fractions such as 1/800, r_list is comma separated")
+        "configuration",
+        "one flag per RunConfig field, parsed like the config file: floats accept\n"
+        "fractions such as 1/800; r_list (also --r) is one comma-separated word,\n"
+        "the other lists take one or more words")
     for f in fields(RunConfig):
-        cfg.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=str,
-                         help=f"default: {f.default}")
-
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("solve", help="write trajectory.csv and energy.csv")
-    sub.add_parser("singvals", help="write the POD singular values")
-    sub.add_parser("error-formulas", help="actual vs formula data errors per r")
-
-    p = sub.add_parser("rom-sweep", help="ROM errors and bound ratios over damping values")
-    p.add_argument("--param", choices=("D", "G"))
-    p.add_argument("--values", nargs="+")
-
-    p = sub.add_parser("profiles", help="FE vs ROM spatial profiles at chosen times")
-    p.add_argument("--times", nargs="+", default=["0", "5", "10"])
-    p.add_argument("--r", type=int)
-
-    p = sub.add_parser("train-interval", help="final-time error vs training window")
-    p.add_argument("--t-train", dest="t_train", nargs="+", default=["10", "5", "1", "0.5"])
-    p.add_argument("--r", type=int)
-
-    p = sub.add_parser("convergence", help="final-time error vs dt against the series")
-    p.add_argument("--dt-list", dest="dt_list", nargs="+", default=["1/100", "1/200", "1/400"])
-
-    sub.add_parser("check", help="run the invariant self-checks")
+        flags = ["--" + f.name.replace("_", "-")] + (["--r"] if f.name == "r_list" else [])
+        cfg.add_argument(*flags, dest=f.name, nargs="+" if f.type == Tuple[float, ...] else None,
+                         help=f"default: {format_value(f.type, f.default) or '(empty)'}")
     return parser
-
-
-_COMMANDS = {
-    "solve": cmd_solve,
-    "singvals": cmd_singvals,
-    "error-formulas": cmd_error_formulas,
-    "rom-sweep": cmd_rom_sweep,
-    "profiles": cmd_profiles,
-    "train-interval": cmd_train_interval,
-    "convergence": cmd_convergence,
-    "check": cmd_check,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = make_config(args.config, {f.name: getattr(args, f.name) for f in fields(RunConfig)})
-        return _COMMANDS[args.command](config, args)
+        for name, (header, rows) in _COMMANDS[args.command][1](config):
+            path = os.path.join(config.resolve_output_dir(), name)
+            print(write_csv(path, config, args.command, header, rows))
+        return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -1,13 +1,15 @@
 """Run configuration: a flat key=value file with command-line overrides.
 
-Every experiment is fully determined by a RunConfig; emitted CSV files embed
-the configuration so runs can be reproduced byte for byte.
+Every experiment is fully determined by a RunConfig, the inputs of every
+subcommand included; emitted CSV files embed the configuration, and a file
+made of their `# key=value` lines (less `command`) reruns the same table.
+Tuples are written comma separated, an unset output_dir as the empty value.
 """
 
 import math
 import os
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Optional, Tuple, get_args, get_origin
 
 from .pod import METHODS
 from .wave import INITIAL_CONDITIONS, TimeGrid, WaveParams
@@ -28,7 +30,7 @@ class RunConfig:
     D: float = 0.0
     G: float = 0.0
     pod_method: str = "standard"
-    r_list: tuple = (10, 20, 40, 60)
+    r_list: Tuple[int, ...] = (10, 20, 40, 60)
     seed: int = 0
     output_dir: Optional[str] = None  # None: $PODWAVE_OUTPUT_DIR, else "."
     u0: str = "default"
@@ -36,6 +38,11 @@ class RunConfig:
     rank_tol: float = 0.0
     k_max: int = 200
     stride: int = 1
+    param: str = ""  # rom-sweep's swept coefficient; "": G if only G > 0, else D
+    values: Tuple[float, ...] = ()  # rom-sweep's values; (): the config's own
+    times: Tuple[float, ...] = (0.0, 5.0, 10.0)  # profiles
+    t_train: Tuple[float, ...] = (10.0, 5.0, 1.0, 0.5)  # train-interval's windows
+    dt_list: Tuple[float, ...] = (0.01, 0.005, 0.0025)  # convergence
 
     def validated(self) -> "RunConfig":
         for f in fields(self):
@@ -56,6 +63,9 @@ class RunConfig:
                 raise ConfigError(f"{name} must be one of {tuple(INITIAL_CONDITIONS)}")
         if not self.r_list or any(int(r) < 1 for r in self.r_list):
             raise ConfigError("r_list must be nonempty positive integers")
+        for name in ("times", "t_train", "dt_list"):  # values may be empty
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must be nonempty")
         if self.stride < 1:
             raise ConfigError("stride must be at least 1")
         if not 0 <= self.rank_tol < 1:  # a cutoff of sigma_1 or more keeps no mode
@@ -64,6 +74,8 @@ class RunConfig:
             raise ConfigError("k_max must be at least 1")
         if self.seed < 0:  # the random generator takes no negative seed
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if self.param not in ("", "D", "G"):
+            raise ConfigError(f"param must be D or G, got {self.param!r}")
         return self
 
     def time_grid(self) -> TimeGrid:
@@ -78,17 +90,21 @@ class RunConfig:
         return os.environ.get(OUTPUT_DIR_ENV, ".")
 
     def as_items(self):
-        """Sorted (key, value) pairs for reproducibility headers."""
-        out = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name == "r_list":
-                v = ",".join(str(int(r)) for r in v)
-            out.append((f.name, v))
-        return sorted(out)
+        """Sorted (key, text) pairs for reproducibility headers, each text
+        parsed back to the value by the config file's rules."""
+        return sorted((f.name, format_value(f.type, getattr(self, f.name)))
+                      for f in fields(self))
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+
+
+def format_value(kind, value) -> str:
+    """The config-file text of a value of a field of type kind."""
+    if get_origin(kind) is tuple:
+        item = get_args(kind)[0]
+        return ",".join(str(item(v)) for v in value)
+    return "" if value is None else str(value)
 
 
 def _parse_value(name: str, text: str):
@@ -96,30 +112,24 @@ def _parse_value(name: str, text: str):
     if name not in _FIELD_TYPES:
         raise ConfigError(f"unknown config key {name!r}")
     kind, text = _FIELD_TYPES[name], text.strip()
-    if kind is tuple:
-        try:
-            return tuple(int(p) for p in text.replace(" ", "").split(",") if p)
-        except ValueError as exc:
-            raise ConfigError(f"bad {name} value {text!r}") from exc
-    if kind is int:
-        try:
-            return int(text)
-        except ValueError as exc:
-            raise ConfigError(f"bad integer for {name}: {text!r}") from exc
-    if kind is float:
-        return parse_number(name, text)
-    return text  # str and Optional[str]
+    if get_origin(kind) is tuple:
+        item = get_args(kind)[0]
+        return tuple(_parse_scalar(name, item, p) for p in text.replace(" ", "").split(",") if p)
+    return _parse_scalar(name, kind, text)
 
 
-def parse_number(name: str, text: str) -> float:
-    """A float, or a fraction such as 1/800; ConfigError names `name`."""
+def _parse_scalar(name: str, kind, text: str):
+    """text as one value of type kind; a float may be a fraction such as 1/800."""
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return float(num) / float(den)
-        return float(text)
+        if kind is int:
+            return int(text)
+        if kind is float:
+            num, _, den = text.partition("/")
+            return float(num) / float(den) if den else float(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad number for {name}: {text!r}") from exc
+        what = "integer" if kind is int else "number"
+        raise ConfigError(f"bad {what} for {name}: {text!r}") from exc
+    return text if kind is str else text or None  # Optional[str]: empty is unset
 
 
 def load_config(path: str) -> dict:
@@ -149,7 +159,9 @@ def make_config(file_path: Optional[str] = None, overrides: Optional[dict] = Non
     for key, val in (overrides or {}).items():
         if val is None:
             continue
-        values[key] = _parse_value(key, str(val)) if isinstance(val, str) else val
+        if isinstance(val, list):  # the words of a list flag
+            val = ",".join(map(str, val))
+        values[key] = _parse_value(key, val) if isinstance(val, str) else val
     try:
         cfg = RunConfig(**values)
     except TypeError as exc:

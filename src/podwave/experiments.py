@@ -89,7 +89,7 @@ def _time_level(grid: TimeGrid, t: float, what: str) -> int:
     the grid's times in [0, T]."""
     steps = t / grid.dt
     if not (math.isfinite(steps) and 0 <= round(steps) < grid.N
-            and abs(steps - round(steps)) <= 1e-9 * max(steps, 1.0)):
+            and wave.whole_steps(steps)):
         raise ConfigError(f"{what} {t} is not a time of the grid (dt={grid.dt}, T={grid.T})")
     return round(steps)
 
@@ -180,21 +180,21 @@ def _rom_reports(traj, basis, params, r_list):
     return [rom.error_report(frame, a) for a in rom.solve_rom(romsys)]
 
 
-def rom_sweep_rows(config: RunConfig, param: str, values, methods=("standard", "ddq")):
+def rom_sweep_rows(config: RunConfig):
     """Max/energy errors and bound ratios over a damping sweep.
 
-    param is "D" or "G"; each value replaces that coefficient while the
-    other one is taken from the config.
+    config.param ("D" or "G"; empty: G if only G > 0, else D) is swept over
+    config.values (empty: the config's own value); the other coefficient
+    is the config's.
     """
-    if param not in ("D", "G"):
-        raise ConfigError("sweep parameter must be D or G")
+    param = config.param or ("G" if config.G > 0 and config.D == 0 else "D")
     header = [param, "r", "method", "max_l2_sq", "max_energy",
               "ratio_energy", "ratio_pointwise"]
     rows = []
-    for value in values:
+    for value in config.values or (getattr(config, param),):
         swept = replace(config, **{param: float(value)}).validated()
         traj, params = fe_trajectory(swept), swept.wave_params()
-        for method in methods:
+        for method in ("standard", "ddq"):
             basis = _basis(swept, traj, method)
             for r, rep in zip(config.r_list, _rom_reports(traj, basis, params, config.r_list)):
                 rows.append([
@@ -208,8 +208,10 @@ def _nan_if_none(x):
     return math.nan if x is None else x
 
 
-def profile_rows(config: RunConfig, times, r: int):
-    """FE and reconstructed ROM values on the full node set at chosen times."""
+def profile_rows(config: RunConfig):
+    """FE and reconstructed ROM values on the full node set at config.times,
+    from the ROM of size r_list[0]."""
+    times, r = config.times, int(config.r_list[0])
     levels = [_time_level(config.time_grid(), float(t), "profile time") for t in times]
     traj = fe_trajectory(config)
     space = traj.space
@@ -227,16 +229,16 @@ def profile_rows(config: RunConfig, times, r: int):
     return header, rows
 
 
-def train_interval_rows(config: RunConfig, t_train_list, r: int,
-                        methods=("standard", "ddq")):
-    """Final-time ROM errors when the basis sees only [0, T_train].
+def train_interval_rows(config: RunConfig, methods=("standard", "ddq")):
+    """Final-time errors of the ROMs of size r_list[0] whose basis sees only
+    [0, T_train], for each T_train of config.t_train.
 
     `final_time_l2` is the plain norm ||u_h(T) - u_r(T)||_L2, not its square;
     the ROM runs over the whole grid [0, T] in every row.
     """
-    traj = fe_trajectory(config)
+    traj, r = fe_trajectory(config), int(config.r_list[0])
     runs = [(float(t), method, _basis(config, training_slice(traj, float(t)), method))
-            for t in t_train_list for method in methods]
+            for t in config.t_train for method in methods]
     rom_runs = [(basis, r) for *_, basis in runs]
     _check_ranks(rom_runs)
     coeffs = rom.solve_rom(rom.build_rom(rom_runs, traj, config.wave_params()))
@@ -248,8 +250,9 @@ def train_interval_rows(config: RunConfig, t_train_list, r: int,
     return header, rows
 
 
-def convergence_rows(config: RunConfig, dt_list):
-    """Final-time error against the analytic series for a dt sweep.
+def convergence_rows(config: RunConfig):
+    """Final-time error against the analytic series for each step of
+    config.dt_list.
 
     Uses the configured mesh and damping; the initial data is the config's
     (the single-sine initial condition gives the cleanest orders).  Only the
@@ -264,7 +267,7 @@ def convergence_rows(config: RunConfig, dt_list):
     header = ["dt", "h", "final_l2_error", "observed_order"]
     rows = []
     prev = None
-    for dt in dt_list:
+    for dt in config.dt_list:
         if prev is not None and float(dt) == prev[0]:
             raise ConfigError(f"dt-list repeats the step {dt}: an order needs two sizes")
         run = replace(config, dt=float(dt)).validated()  # dt must divide T

@@ -42,6 +42,11 @@ class WaveParams:
             raise ValueError("damping coefficients must be nonnegative")
 
 
+def whole_steps(steps: float) -> bool:
+    """Whether a finite step count steps = t / dt is a whole number up to round-off."""
+    return abs(steps - round(steps)) <= 1e-9 * max(steps, 1.0)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_n = (n-1) dt for n = 1..N with (N-1) dt = T."""
@@ -62,7 +67,7 @@ class TimeGrid:
             raise ValueError("T and dt must be positive")
         steps = T / dt
         n_steps = round(steps)
-        if abs(steps - n_steps) > 1e-9 * max(steps, 1.0):
+        if not whole_steps(steps):
             raise ValueError(f"dt={dt} does not divide T={T} into an integer number of steps")
         if n_steps < 2:
             raise ValueError(f"dt={dt} leaves fewer than two time steps in T={T}")

@@ -220,9 +220,9 @@ def test_time_convergence_order():
     """Undamped scheme shows second-order final-time accuracy against the
     modal series on a fine fixed mesh."""
     t0 = time.perf_counter()
-    cfg = RunConfig(n_elements=2000, dt=1.0 / 100.0, T=1.25, c=1.0,
-                    u0="sine", u00="zero").validated()
-    _, rows = convergence_rows(cfg, [1.0 / 100.0, 1.0 / 200.0, 1.0 / 400.0])
+    cfg = RunConfig(n_elements=2000, dt=1.0 / 100.0, T=1.25, c=1.0, u0="sine", u00="zero",
+                    dt_list=(1.0 / 100.0, 1.0 / 200.0, 1.0 / 400.0)).validated()
+    _, rows = convergence_rows(cfg)
     elapsed = time.perf_counter() - t0
     orders = [row[3] for row in rows[1:]]
     ok = all(1.8 <= o <= 2.2 for o in orders) and elapsed <= 60.0
@@ -252,10 +252,10 @@ def test_training_interval_shape(label, D, G):
     would need an error larger than the solution itself.  The predicate must
     be false for the windows that keep their accuracy.
     """
-    cfg = RunConfig(n_elements=N_ELEMENTS, dt=DT, T=T_FINAL, c=1.0, D=D, G=G,
-                    r_list=(20,)).validated()
     windows = (10.0, 5.0, 1.0, 0.5)
-    _, rows = train_interval_rows(cfg, list(windows), 20, methods=("standard",))
+    cfg = RunConfig(n_elements=N_ELEMENTS, dt=DT, T=T_FINAL, c=1.0, D=D, G=G,
+                    r_list=(20,), t_train=windows).validated()
+    _, rows = train_interval_rows(cfg, methods=("standard",))
     errs = {row[0]: row[2] for row in rows}
     traj = fe_trajectory(cfg)
     u_norm = float(np.sqrt(l2_norms_sq(traj.space, traj.states[-1])))

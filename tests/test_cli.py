@@ -22,6 +22,8 @@ from podwave.config import OUTPUT_DIR_ENV, ConfigError, RunConfig, make_config
 from podwave.wave import INITIAL_CONDITIONS
 
 SMALL = ["--n-elements", "24", "--dt", "1/40", "--T", "2"]
+COMMANDS = ("solve", "singvals", "error-formulas", "rom-sweep", "profiles",
+            "train-interval", "convergence", "check")
 
 
 def read(path):
@@ -41,10 +43,12 @@ def test_config_defaults_validate():
 
 def test_config_file_and_overrides(tmp_path):
     f = tmp_path / "run.cfg"
-    f.write_text("n_elements = 32\ndt = 1/64\nT = 2\nG = 0.001  # damping\nr_list = 4,8\n")
-    cfg = make_config(str(f), {"pod_method": "ddq"})
+    f.write_text("n_elements = 32\ndt = 1/64\nT = 2\nG = 0.001  # damping\nr_list = 4,8\n"
+                 "dt_list = 1/64, 1/128\n")
+    cfg = make_config(str(f), {"pod_method": "ddq", "times": ["0", "1/2"]})
     assert cfg.n_elements == 32 and cfg.dt == pytest.approx(1.0 / 64.0)
     assert cfg.r_list == (4, 8) and cfg.pod_method == "ddq"
+    assert cfg.dt_list == (1.0 / 64.0, 1.0 / 128.0) and cfg.times == (0.0, 0.5)
 
 
 @pytest.mark.parametrize("overrides", [
@@ -53,6 +57,9 @@ def test_config_file_and_overrides(tmp_path):
     {"pod_method": "qr"},
     {"n_elements": 1},
     {"r_list": "0,4"},
+    {"times": ""},
+    {"t_train": " , "},
+    {"dt_list": []},
 ])
 def test_config_rejections(overrides):
     base = {"n_elements": 24, "dt": "1/40", "T": "2.0"}
@@ -118,6 +125,8 @@ COARSE = ["--n-elements", "8", "--dt", "1/8", "--T", "1"]  # POD rank 7
     (COARSE + ["--rank-tol", "0.5", "error-formulas"], "rank_tol must be 0, got 0.5"),
     (["convergence", "--dt-list", "0.1", "1/10"], "dt-list repeats the step 0.1"),
     (["--seed", "-1", "check"], "seed must be nonnegative, got -1"),
+    (["rom-sweep", "--param", "X"], "param must be D or G"),
+    (["profiles", "--r", "abc"], "bad integer for r_list"),
 ], ids=["pod-method-foo", "u0-wave", "n-elements-abc", "values-nan", "values-inf",
         "values-negative", "t-train-nan", "dt-list-inf", "dt-list-not-dividing",
         "dt-equals-T",
@@ -126,7 +135,7 @@ COARSE = ["--n-elements", "8", "--dt", "1/8", "--T", "1"]  # POD rank 7
         "train-interval-r-above-rank", "rom-sweep-r-above-rank",
         "error-formulas-r-above-rank", "rank-tol-two", "rank-tol-one",
         "rank-tol-negative", "error-formulas-rank-tol", "dt-list-repeated",
-        "seed-negative"])
+        "seed-negative", "param-X", "r-abc"])
 def test_bad_values_exit_one(tmp_path, capsys, argv, message):
     """Bad configuration and subcommand values exit 1 with one line."""
     rc = main(SMALL + ["--output-dir", str(tmp_path)] + argv)
@@ -345,11 +354,68 @@ def test_check_command_passes(capsys):
     assert out.count("PASS") == 5 and "FAIL" not in out
 
 
+def test_failed_check_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "invariant_checks",
+                        lambda config: [("one", True, "ok"), ("two", False, "off")])
+    assert main(SMALL + ["check"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "PASS one: ok\nFAIL two: off\n"
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+
 def test_output_dir_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
     rc = main(SMALL + ["--G", "0.001", "singvals"])
     assert rc == 0
     assert (tmp_path / "singvals_standard.csv").exists()
+
+
+def header_config(csv_path, config_path, drop=("command", "output_dir")):
+    """Write the `# key=value` preamble of a CSV, less the keys in drop, as
+    a config file."""
+    lines = [l[2:] for l in read(csv_path).splitlines() if l.startswith("# ")]
+    config_path.write_text("".join(l + "\n" for l in lines if l.split("=")[0] not in drop))
+    return str(config_path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--D", "0.1", "--stride", "4", "solve"],
+    ["--G", "0.001", "--pod-method", "ddq", "singvals"],
+    ["--G", "0.001", "--r-list", "2,5", "error-formulas"],
+    ["--r-list", "3,6", "rom-sweep", "--param", "G", "--values", "0.001", "1/100"],
+    ["--D", "0.05", "profiles", "--r", "6", "--times", "0", "1", "2"],
+    ["--D", "0.1", "train-interval", "--t-train", "2", "1", "--r", "6"],
+    ["--u0", "sine", "convergence", "--dt-list", "0.1", "1/20"],
+], ids=lambda argv: next(a for a in argv if a in COMMANDS))
+def test_csv_header_reproduces_the_run(tmp_path, argv):
+    """Every input of a command is in its CSV header: the header, replayed
+    as a config file, writes the same data rows."""
+    command = next(a for a in argv if a in COMMANDS)
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(SMALL + ["--output-dir", str(first)] + argv) == 0
+    names = sorted(os.listdir(first))
+    for name in names:
+        config = header_config(first / name, tmp_path / f"{name}.cfg")
+        assert main(["--config", config, "--output-dir", str(again), command]) == 0
+        assert data_lines(read(again / name)) == data_lines(read(first / name)), name
+    assert sorted(os.listdir(again)) == names
+
+
+def test_unset_output_dir_replays_to_the_fallback(tmp_path, monkeypatch):
+    """A run without --output-dir records output_dir as empty, and the
+    header replayed as a config file writes to $PODWAVE_OUTPUT_DIR again,
+    not into a directory named None."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(OUTPUT_DIR_ENV, "first")
+    assert main(SMALL + ["singvals"]) == 0
+    csv = tmp_path / "first" / "singvals_standard.csv"
+    assert "# output_dir=\n" in read(csv)
+    config = header_config(csv, tmp_path / "run.cfg", drop=("command",))
+    assert make_config(config).output_dir is None
+    monkeypatch.setenv(OUTPUT_DIR_ENV, "again")
+    assert main(["--config", config, "singvals"]) == 0
+    assert (tmp_path / "again" / "singvals_standard.csv").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["again", "first", "run.cfg"]
 
 
 # Columns whose cells may be nan: a bound quotient with a round-off-level
@@ -379,8 +445,7 @@ def tiny_runs(draw):
             "--rank-tol", repr(draw(st.one_of(st.just(0.0), st.floats(0.0, 0.99)))),
             "--k-max", str(draw(st.integers(1, 50))),
             "--stride", str(draw(st.integers(1, 5)))]
-    command = draw(st.sampled_from(["solve", "singvals", "error-formulas", "rom-sweep",
-                                    "profiles", "train-interval", "convergence", "check"]))
+    command = draw(st.sampled_from(COMMANDS))
     args = []
     r = st.one_of(st.just([]), small_r.map(lambda r: ["--r", str(r)]))
     if command == "rom-sweep":

@@ -1,18 +1,39 @@
-"""The README's Python examples import only names that exist."""
+"""The README's examples are current: its Python examples import only names
+that exist, and its `podwave` command lines parse to a valid configuration."""
 
 import ast
 import os
 import re
+import shlex
+from dataclasses import fields
+
+from podwave import cli
+from podwave.config import RunConfig, make_config
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
-def test_readme_imports_resolve():
+def blocks(language):
     with open(README, encoding="utf-8") as fh:
-        blocks = re.findall(r"^```python\n(.*?)^```", fh.read(), flags=re.M | re.S)
-    imports = [node for block in blocks for node in ast.parse(block).body
+        return re.findall(rf"^```{language}\n(.*?)^```", fh.read(), flags=re.M | re.S)
+
+
+def test_readme_imports_resolve():
+    imports = [node for block in blocks("python") for node in ast.parse(block).body
                if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert any(isinstance(node, ast.ImportFrom) and node.module.startswith("podwave")
                for node in imports)
     for node in imports:
         exec(compile(ast.Module(body=[node], type_ignores=[]), "<README python block>", "exec"), {})
+
+
+def test_readme_command_lines_parse():
+    """Every `podwave ...` line of the README's sh blocks, continuation
+    lines joined, parses and makes a valid RunConfig; nothing is run."""
+    lines = [line for block in blocks("sh") for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line, comments=True)[1:] for line in lines
+                if line.startswith("podwave ")]
+    assert len(commands) >= 3
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv)
+        make_config(args.config, {f.name: getattr(args, f.name) for f in fields(RunConfig)})

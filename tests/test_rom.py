@@ -339,9 +339,10 @@ def test_modal_error_report_matches_the_full_space_report(method, n_elements, T,
 
 
 def test_train_interval_final_error_matches_the_full_space_report():
-    config = RunConfig(n_elements=24, dt=1.0 / 48.0, T=2.0, c=1.0, D=0.1).validated()
     t_train, r = (2.0, 1.0, 0.5), 6
-    _, rows = train_interval_rows(config, list(t_train), r)
+    config = RunConfig(n_elements=24, dt=1.0 / 48.0, T=2.0, c=1.0, D=0.1,
+                       r_list=(r,), t_train=t_train).validated()
+    _, rows = train_interval_rows(config)
     space, params = assemble(24), config.wave_params()
     traj = solve(space, config.time_grid(), params, default_u0, default_u00)
     assert [row[:2] for row in rows] == [[t, m] for t in t_train for m in ("standard", "ddq")]

@@ -186,8 +186,9 @@ def test_convergence_never_stores_a_trajectory(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(wave, "solve", counted)
-    config = RunConfig(n_elements=40, dt=0.01, T=1.25, u0="sine", k_max=20).validated()
-    _, rows = experiments.convergence_rows(config, [0.01, 0.005])
+    config = RunConfig(n_elements=40, dt=0.01, T=1.25, u0="sine", k_max=20,
+                       dt_list=(0.01, 0.005)).validated()
+    _, rows = experiments.convergence_rows(config)
     assert len(rows) == 2 and calls == []
 
 
@@ -195,10 +196,10 @@ def test_convergence_memory_is_two_time_levels():
     """At 2000 elements and dt = 1/3200, all N x n_dof states would take
     4001 * 1999 * 8 bytes = 64 MB; the run keeps two levels."""
     config = RunConfig(n_elements=2000, dt=1.0 / 3200.0, T=1.25, u0="sine",
-                       k_max=20).validated()
+                       k_max=20, dt_list=(1.0 / 3200.0,)).validated()
     tracemalloc.start()
     try:
-        _, rows = experiments.convergence_rows(config, [1.0 / 3200.0])
+        _, rows = experiments.convergence_rows(config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
