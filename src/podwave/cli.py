@@ -93,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawTextHelpFormatter,
         allow_abbrev=False,
     )
-    parser.add_argument("command", choices=_COMMANDS, metavar="COMMAND",
+    # optional, so that a command swallowed by a list flag fails as its value
+    parser.add_argument("command", nargs="?", choices=_COMMANDS, metavar="COMMAND",
                         help="\n".join(f"{name:15} {text}"
                                        for name, (text, _) in _COMMANDS.items()))
     parser.add_argument("--config", help="flat key=value configuration file")
@@ -110,9 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         config = make_config(args.config, {f.name: getattr(args, f.name) for f in fields(RunConfig)})
+        if args.command is None:
+            parser.error("the following arguments are required: COMMAND")
         for name, (header, rows) in _COMMANDS[args.command][1](config):
             path = os.path.join(config.resolve_output_dir(), name)
             print(write_csv(path, config, args.command, header, rows))

@@ -97,9 +97,10 @@ def _time_level(grid: TimeGrid, t: float, what: str) -> int:
 def _check_ranks(runs):
     """ConfigError for a run (basis, r) whose size the configured data cannot supply."""
     for basis, r in runs:
-        if not 1 <= r <= basis.rank:
-            raise ConfigError(f"r must be in [1, {basis.rank}] for this {basis.method} "
-                              f"POD basis, got {r}")
+        try:
+            pod.check_rank(basis, r)
+        except ValueError as exc:
+            raise ConfigError(f"{exc} ({basis.method} POD basis)") from exc
 
 
 def training_slice(traj: Trajectory, t_train: float) -> Trajectory:
@@ -158,9 +159,8 @@ def error_formula_rows(config: RunConfig):
     rows = []
     lam1 = basis.eigenvalues[0]
     for r in config.r_list:
-        for norm in (pod.NORM_L2, pod.NORM_H10):
-            actual = pod.data_error_actual(data, basis, int(r), norm=norm)
-            formula = pod.data_error_formula(basis, int(r), norm=norm)
+        for norm, actual, formula in zip(pod.NORMS, pod.data_error_actual(data, basis, int(r)),
+                                         pod.data_error_formula(basis, int(r))):
             gap = abs(actual - formula) / max(formula, lam1 * 1e-6)
             rows.append([int(r), norm, actual, formula, gap])
     return header, rows
@@ -305,10 +305,9 @@ def invariant_checks(config: RunConfig):
         data = pod.build_dataset(traj, method)
         lam1 = basis.eigenvalues[0]
         for r in (1, min(5, basis.rank), min(12, basis.rank)):
-            for norm in (pod.NORM_L2, pod.NORM_H10):
-                for projector in (pod.PROJECTOR_L2, pod.PROJECTOR_RITZ):
-                    act = pod.data_error_actual(data, basis, r, norm, projector)
-                    form = pod.data_error_formula(basis, r, norm, projector)
+            for projector in (pod.PROJECTOR_L2, pod.PROJECTOR_RITZ):
+                for act, form in zip(pod.data_error_actual(data, basis, r, projector),
+                                     pod.data_error_formula(basis, r, projector)):
                     worst = max(worst, abs(act - form) / max(form, lam1 * 1e-6))
     record("error_formula_identity", worst <= 1e-8, f"worst gap {worst:.2e}")
 
@@ -316,8 +315,8 @@ def invariant_checks(config: RunConfig):
     for method in ("dq1", "ddq"):
         basis = _basis(small, traj, method)
         for statistic in ("max", "sum"):
-            chk = pod.pointwise_bound_check(traj, basis, 4, statistic=statistic)
-            ok = ok and (chk.lhs <= chk.rhs * (1 + 1e-12))
+            l2_check, _ = pod.pointwise_bound_check(traj, basis, 4, statistic=statistic)
+            ok = ok and (l2_check.lhs <= l2_check.rhs * (1 + 1e-12))
     record("pointwise_bounds", ok, "snapshot bounds hold at r=4")
 
     z = rng.standard_normal((12, 5))

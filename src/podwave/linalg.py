@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgerqf, dpbtrs
+from scipy.linalg.lapack import dgerqf, dpbtrs, dtbtrs
 
 
 class LinAlgFailure(RuntimeError):
@@ -81,6 +81,23 @@ class BandedCholesky:
         except scipy.linalg.LinAlgError as exc:
             raise LinAlgFailure(f"matrix is not SPD: {exc}") from exc
 
+    def _lapack_solve(self, routine, b: np.ndarray) -> np.ndarray:
+        """A LAPACK banded solve on the factor, in the upper band storage that
+        is its default, of b (..., n) on its last axis; ValueError unless b
+        has length n and is finite."""
+        b = np.asarray(b, dtype=float)
+        if b.shape[-1] != self._cb.shape[1]:
+            raise ValueError(f"dimension mismatch: matrix is {self._cb.shape[1]}, "
+                             f"right-hand side is {b.shape[-1]}")
+        if not np.isfinite(b).all():
+            raise ValueError("right-hand side must be finite")
+        if b.size == 0:  # scipy's dtbtrs wrapper corrupts the heap on no columns
+            return np.empty(b.shape)
+        x, info = routine(self._cb, b.reshape(-1, b.shape[-1]).T)
+        if info != 0:
+            raise LinAlgFailure(f"{routine.__name__} failed with info={info}")
+        return x.T.reshape(b.shape)
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve A x = b on the last axis of b (..., n).
 
@@ -88,16 +105,7 @@ class BandedCholesky:
         once per step, and the scipy wrapper's per-call dispatch costs more
         than the two banded sweeps of a small system.
         """
-        b = np.asarray(b, dtype=float)
-        if b.shape[-1] != self._cb.shape[1]:
-            raise ValueError(f"dimension mismatch: matrix is {self._cb.shape[1]}, "
-                             f"right-hand side is {b.shape[-1]}")
-        if not np.isfinite(b).all():
-            raise ValueError("right-hand side must be finite")
-        x, info = dpbtrs(self._cb, b.reshape(-1, b.shape[-1]).T, lower=0)
-        if info != 0:
-            raise LinAlgFailure(f"dpbtrs failed with info={info}")
-        return x.T.reshape(b.shape)
+        return self._lapack_solve(dpbtrs, b)
 
     def r_matvec(self, x: np.ndarray) -> np.ndarray:
         """R @ x on the last axis of x (..., n), in place: x, a float array,
@@ -109,10 +117,8 @@ class BandedCholesky:
         return x
 
     def r_solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve R x = b on the last axis of b (..., n), by back substitution."""
-        b = np.asarray(b, dtype=float)
-        x = scipy.linalg.solve_banded((0, 1), self._cb, b.reshape(-1, b.shape[-1]).T)
-        return x.T.reshape(b.shape)
+        """Solve R x = b on the last axis of b (..., n) by back substitution."""
+        return self._lapack_solve(dtbtrs, b)
 
 
 def thin_svd(b: np.ndarray):

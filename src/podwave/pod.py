@@ -18,6 +18,10 @@ backward-stable SVD moves each sigma_k by about eps * sigma_1, so
 lambda_k = sigma_k^2 is accurate to about eps * sigma_1 * sigma_k, where
 B B^T would give eps * sigma_1^2; the deep H1_0 tails of the error formulas
 need the smaller error.
+
+The paper states each data-error identity and snapshot bound in L2 and in
+H1_0; every one here returns the pair, in the order of NORMS, from one
+residual v - P_r v per (basis, r).
 """
 
 from dataclasses import dataclass, field
@@ -32,8 +36,7 @@ from .wave import TimeGrid, Trajectory
 
 METHODS = ("standard", "dq1", "ddq")
 
-NORM_L2 = "l2"
-NORM_H10 = "h10"
+NORMS = ("l2", "h10")  # the order of every (L2, H1_0) pair returned here
 PROJECTOR_L2 = "l2"
 PROJECTOR_RITZ = "ritz"
 
@@ -154,7 +157,6 @@ def project_ritz(basis: PodBasis, r: int, v: np.ndarray) -> np.ndarray:
 
 
 _PROJECTORS = {PROJECTOR_L2: project_l2, PROJECTOR_RITZ: project_ritz}
-_NORMS = {NORM_L2: l2_norms_sq, NORM_H10: h10_norms_sq}
 
 
 def check_rank(basis: PodBasis, r: int):
@@ -163,49 +165,40 @@ def check_rank(basis: PodBasis, r: int):
         raise ValueError(f"r must be in [1, {basis.rank}], got {r}")
 
 
+def _residual_norms_sq(basis: PodBasis, r: int, v: np.ndarray, projector: str):
+    """The squared L2 and H1_0 norms of the residuals v - P_r v of a stack v."""
+    residual = v - _PROJECTORS[projector](basis, r, v)
+    return l2_norms_sq(basis.space, residual), h10_norms_sq(basis.space, residual)
+
+
 def data_error_actual(data: PodDataSet, basis: PodBasis, r: int,
-                      norm: str = NORM_L2, projector: str = PROJECTOR_L2) -> float:
-    """Weighted sum of squared projection errors over a data set; over the
-    basis's own data set it equals data_error_formula."""
-    residual = data.vectors - _PROJECTORS[projector](basis, r, data.vectors)
-    return float(np.dot(data.weights, _NORMS[norm](basis.space, residual)))
+                      projector: str = PROJECTOR_L2):
+    """The weighted sums of squared projection errors over a data set, in
+    the norms of NORMS; over the basis's own data set they equal
+    data_error_formula."""
+    return tuple(float(np.dot(data.weights, errs))
+                 for errs in _residual_norms_sq(basis, r, data.vectors, projector))
 
 
-def data_error_formula(basis: PodBasis, r: int,
-                       norm: str = NORM_L2, projector: str = PROJECTOR_L2) -> float:
-    """Eigenvalue-tail expression equal to data_error_actual.
-
-    sum_{k>r} lambda_k * m_k with m_k = 1 for the native L2 projection,
-    ||phi_k||^2 in the requested norm for the L2-orthogonal projector, and
-    ||phi_k - P phi_k||^2 for a general projector such as Ritz.
-    """
+def data_error_formula(basis: PodBasis, r: int, projector: str = PROJECTOR_L2):
+    """The eigenvalue tails equal to data_error_actual, in the norms of NORMS:
+    sum_{k>r} lambda_k ||phi_k - P phi_k||^2, where the L2-orthogonal
+    projector leaves each tail mode whole, of L2 norm 1."""
     check_rank(basis, r)
     tail, tail_modes = basis.eigenvalues[r:], basis.modes[r:]
-    if projector == PROJECTOR_L2 and norm == NORM_L2:
-        return float(np.sum(tail))
-    if projector != PROJECTOR_L2:
-        tail_modes = tail_modes - _PROJECTORS[projector](basis, r, tail_modes)
-    return float(np.dot(tail, _NORMS[norm](basis.space, tail_modes)))
+    if projector == PROJECTOR_L2:
+        return float(np.sum(tail)), float(np.dot(tail, h10_norms_sq(basis.space, tail_modes)))
+    return tuple(float(np.dot(tail, m))
+                 for m in _residual_norms_sq(basis, r, tail_modes, projector))
 
 
-@dataclass(frozen=True)
-class BoundConstants:
-    """Constants of the pointwise and weighted-sum snapshot bound
-    inequalities; all are functions of the final time T alone."""
-
-    snapshot_max: float       # max over snapshots, dq1 data
-    snapshot_max_ddq: float   # max over snapshots, ddq data
-    weighted_sum_dq1: float   # dt-weighted snapshot sum, dq1 data
-    weighted_sum_ddq: float   # dt-weighted snapshot sum, ddq data
-
-    @classmethod
-    def for_final_time(cls, T: float) -> "BoundConstants":
-        return cls(
-            snapshot_max=2.0 * max(T, 1.0),
-            snapshot_max_ddq=3.0 * max(T**3, 1.0),
-            weighted_sum_dq1=4.0 * max(T**2, T),
-            weighted_sum_ddq=6.0 * max(T**4, T),
-        )
+# the constant of each snapshot bound, by (POD method, statistic), of the final time T
+_BOUND_CONSTANTS = {
+    ("dq1", "max"): lambda T: 2.0 * max(T, 1.0),
+    ("ddq", "max"): lambda T: 3.0 * max(T**3, 1.0),
+    ("dq1", "sum"): lambda T: 4.0 * max(T**2, T),
+    ("ddq", "sum"): lambda T: 6.0 * max(T**4, T),
+}
 
 
 @dataclass(frozen=True)
@@ -215,26 +208,19 @@ class BoundCheck:
 
 
 def pointwise_bound_check(traj: Trajectory, basis: PodBasis, r: int,
-                          norm: str = NORM_L2, projector: str = PROJECTOR_L2,
-                          statistic: str = "max") -> BoundCheck:
-    """Evaluate one side of a snapshot error bound against the other.
+                          projector: str = PROJECTOR_L2, statistic: str = "max"):
+    """Both sides of a snapshot error bound, in each norm of NORMS.
 
     lhs is max_n (statistic="max") or sum_n dt (statistic="sum") of the
     squared projection errors of the snapshots u^n; rhs is the matching
     constant times the eigenvalue-tail formula for the basis's data set.
     Holds with ratio <= 1 for dq1 and ddq bases.
     """
-    if basis.method == "standard":
-        raise ValueError("snapshot bounds hold for dq1/ddq bases only")
-    const = BoundConstants.for_final_time(basis.grid.T)
-    if statistic == "max":
-        c = const.snapshot_max if basis.method == "dq1" else const.snapshot_max_ddq
-    elif statistic == "sum":
-        c = const.weighted_sum_dq1 if basis.method == "dq1" else const.weighted_sum_ddq
-    else:
-        raise ValueError(f"unknown statistic {statistic!r}")
-    residual = traj.states - _PROJECTORS[projector](basis, r, traj.states)
-    errs = _NORMS[norm](basis.space, residual)
-    lhs = float(np.max(errs)) if statistic == "max" else float(traj.grid.dt * np.sum(errs))
-    rhs = c * data_error_formula(basis, r, norm=norm, projector=projector)
-    return BoundCheck(lhs=lhs, rhs=rhs)
+    if (basis.method, statistic) not in _BOUND_CONSTANTS:
+        raise ValueError(f"no snapshot bound for {basis.method} data and statistic "
+                         f"{statistic!r}: dq1/ddq data, max or sum")
+    c = _BOUND_CONSTANTS[basis.method, statistic](basis.grid.T)
+    lhs = [float(np.max(e)) if statistic == "max" else float(traj.grid.dt * np.sum(e))
+           for e in _residual_norms_sq(basis, r, traj.states, projector)]
+    return tuple(BoundCheck(lhs=side, rhs=c * formula)
+                 for side, formula in zip(lhs, data_error_formula(basis, r, projector)))

@@ -127,6 +127,8 @@ COARSE = ["--n-elements", "8", "--dt", "1/8", "--T", "1"]  # POD rank 7
     (["--seed", "-1", "check"], "seed must be nonnegative, got -1"),
     (["rom-sweep", "--param", "X"], "param must be D or G"),
     (["profiles", "--r", "abc"], "bad integer for r_list"),
+    (["--times", "0", "1", "profiles"], "bad number for times: 'profiles'"),
+    (["--values", "0.1", "rom-sweep"], "bad number for values: 'rom-sweep'"),
 ], ids=["pod-method-foo", "u0-wave", "n-elements-abc", "values-nan", "values-inf",
         "values-negative", "t-train-nan", "dt-list-inf", "dt-list-not-dividing",
         "dt-equals-T",
@@ -135,7 +137,8 @@ COARSE = ["--n-elements", "8", "--dt", "1/8", "--T", "1"]  # POD rank 7
         "train-interval-r-above-rank", "rom-sweep-r-above-rank",
         "error-formulas-r-above-rank", "rank-tol-two", "rank-tol-one",
         "rank-tol-negative", "error-formulas-rank-tol", "dt-list-repeated",
-        "seed-negative", "param-X", "r-abc"])
+        "seed-negative", "param-X", "r-abc", "times-swallow-command",
+        "values-swallow-command"])
 def test_bad_values_exit_one(tmp_path, capsys, argv, message):
     """Bad configuration and subcommand values exit 1 with one line."""
     rc = main(SMALL + ["--output-dir", str(tmp_path)] + argv)
@@ -143,6 +146,17 @@ def test_bad_values_exit_one(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [[], ["--times", "0", "1"], ["bogus"]],
+                         ids=["none", "after-list-flag", "unknown"])
+def test_missing_or_unknown_command_exits_two(tmp_path, capsys, argv):
+    """Without a valid command the parser's usage error exits 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(SMALL + ["--output-dir", str(tmp_path)] + argv)
+    assert exc.value.code == 2
+    assert "COMMAND" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -287,6 +301,21 @@ def test_error_formulas_output(tmp_path):
     assert len(lines) == 1 + 4  # two r values times two norms
     gaps = [float(l.split(",")[4]) for l in lines[1:]]
     assert max(gaps) <= 1e-8
+
+
+def test_error_formulas_projects_once_per_r(tmp_path, monkeypatch):
+    """One L2 projection per r yields the data errors in both norms."""
+    calls = []
+
+    def counting(basis, r, v):
+        calls.append(r)
+        return pod.project_l2(basis, r, v)
+
+    monkeypatch.setitem(pod._PROJECTORS, pod.PROJECTOR_L2, counting)
+    rc = main(SMALL + ["--G", "0.001", "--r-list", "2,5,9",
+                       "--output-dir", str(tmp_path), "error-formulas"])
+    assert rc == 0
+    assert calls == [2, 5, 9]
 
 
 def test_rom_sweep_deterministic_bytes(tmp_path):

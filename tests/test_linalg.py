@@ -50,6 +50,8 @@ def test_solve_rejects_non_finite_rhs(bad):
         a.cholesky().solve(b)
     with pytest.raises(ValueError, match="finite"):
         a.cholesky().solve(np.stack([np.ones(3), b]))
+    with pytest.raises(ValueError, match="finite"):
+        a.cholesky().r_solve(b)
 
 
 def test_solve_one_unknown():
@@ -69,6 +71,19 @@ def test_solve_is_bitwise_cho_solve_banded(n, k, seed):
     cb = scipy.linalg.cholesky_banded(banded_upper(a), lower=False)
     expected = scipy.linalg.cho_solve_banded((cb, False), b.T).T
     assert np.array_equal(a.cholesky().solve(b), expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 50), st.integers(0, 5), st.integers(0, 2**32 - 1))
+def test_r_solve_is_bitwise_solve_banded(n, k, seed):
+    """A stack of k right-hand sides gives bit for bit the columns of
+    scipy's solve_banded on the same upper bidiagonal factor R."""
+    rng = np.random.default_rng(seed)
+    a = random_spd_tridiag(rng, n)
+    b = rng.standard_normal((k, n))
+    cb = scipy.linalg.cholesky_banded(banded_upper(a), lower=False)
+    expected = scipy.linalg.solve_banded((0, 1), cb, b.T).T
+    assert np.array_equal(a.cholesky().r_solve(b), expected)
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fe_reference import backward_avg, h10_inner, l2_inner, thin_svd_of_a_copy
 from podwave import pod
-from podwave.fem import assemble
+from podwave.fem import assemble, h10_norms_sq, l2_norms_sq
 from podwave.wave import TimeGrid, Trajectory, WaveParams, default_u0, default_u00, solve
 
 
@@ -239,35 +239,69 @@ def test_error_formula_identity_random_data(seed):
         lam1 = basis.eigenvalues[0]
         for r in (1, 4, basis.rank // 2, basis.rank):
             r = max(1, r)
-            for norm in (pod.NORM_L2, pod.NORM_H10):
-                for projector in (pod.PROJECTOR_L2, pod.PROJECTOR_RITZ):
-                    actual = pod.data_error_actual(data, basis, r, norm, projector)
-                    formula = pod.data_error_formula(basis, r, norm, projector)
+            for projector in (pod.PROJECTOR_L2, pod.PROJECTOR_RITZ):
+                for actual, formula in zip(pod.data_error_actual(data, basis, r, projector),
+                                           pod.data_error_formula(basis, r, projector)):
                     assert abs(actual - formula) <= 1e-8 * max(formula, lam1)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_error_pairs_are_the_two_norms_of_one_residual(seed):
+    """Each (L2, H1_0) pair is the two norms of one explicitly formed
+    residual v - P_r v, bit for bit, for both projectors."""
+    traj = random_traj(seed)
+    space, dt = traj.space, traj.grid.dt
+    assert pod.NORMS == ("l2", "h10")
+    for method in ("dq1", "ddq"):
+        basis = pod.pod_basis(traj, method)
+        data = pod.build_dataset(traj, method)
+        tail = basis.eigenvalues[3:]
+        for projector in (pod.PROJECTOR_L2, pod.PROJECTOR_RITZ):
+            project = pod._PROJECTORS[projector]
+            res = data.vectors - project(basis, 3, data.vectors)
+            assert pod.data_error_actual(data, basis, 3, projector) == (
+                float(np.dot(data.weights, l2_norms_sq(space, res))),
+                float(np.dot(data.weights, h10_norms_sq(space, res))))
+            res = traj.states - project(basis, 3, traj.states)
+            l2_check, h10_check = pod.pointwise_bound_check(traj, basis, 3, projector, "sum")
+            assert l2_check.lhs == float(dt * np.sum(l2_norms_sq(space, res)))
+            assert h10_check.lhs == float(dt * np.sum(h10_norms_sq(space, res)))
+            # the formula's residuals are those of the tail modes; the L2
+            # projector leaves a tail mode whole, of L2 norm 1
+            modes = basis.modes[3:]
+            if projector == pod.PROJECTOR_RITZ:
+                modes = modes - project(basis, 3, modes)
+            l2_tail, h10_tail = pod.data_error_formula(basis, 3, projector)
+            assert h10_tail == float(np.dot(tail, h10_norms_sq(space, modes)))
+            l2_of_modes = float(np.dot(tail, l2_norms_sq(space, modes)))
+            if projector == pod.PROJECTOR_RITZ:
+                assert l2_tail == l2_of_modes
+            else:
+                assert l2_tail == float(np.sum(tail))
+                assert abs(l2_tail - l2_of_modes) <= 1e-12 * l2_tail
 
 
 def test_error_formula_zero_at_full_rank():
     traj, _ = solved_traj(n_elements=16, T=1.0, dt=0.125)
     basis = pod.pod_basis(traj, "ddq")
-    for norm in (pod.NORM_L2, pod.NORM_H10):
-        for projector in (pod.PROJECTOR_L2, pod.PROJECTOR_RITZ):
-            assert pod.data_error_formula(basis, basis.rank, norm, projector) == 0.0
+    for projector in (pod.PROJECTOR_L2, pod.PROJECTOR_RITZ):
+        assert pod.data_error_formula(basis, basis.rank, projector) == (0.0, 0.0)
 
 
 # --- bound checks ------------------------------------------------------------
 
 
 def test_bound_constants_scaling():
-    c_long = pod.BoundConstants.for_final_time(10.0)
-    assert c_long.snapshot_max == 20.0
-    assert c_long.snapshot_max_ddq == 3000.0
-    assert c_long.weighted_sum_dq1 == 400.0
-    assert c_long.weighted_sum_ddq == 60000.0
-    c_short = pod.BoundConstants.for_final_time(0.5)
-    assert c_short.snapshot_max == 2.0
-    assert c_short.snapshot_max_ddq == 3.0
-    assert c_short.weighted_sum_dq1 == 2.0
-    assert c_short.weighted_sum_ddq == 3.0
+    const = pod._BOUND_CONSTANTS
+    assert const["dq1", "max"](10.0) == 20.0
+    assert const["ddq", "max"](10.0) == 3000.0
+    assert const["dq1", "sum"](10.0) == 400.0
+    assert const["ddq", "sum"](10.0) == 60000.0
+    assert const["dq1", "max"](0.5) == 2.0
+    assert const["ddq", "max"](0.5) == 3.0
+    assert const["dq1", "sum"](0.5) == 2.0
+    assert const["ddq", "sum"](0.5) == 3.0
 
 
 @settings(max_examples=10, deadline=None)
@@ -278,9 +312,7 @@ def test_pointwise_bounds_random_data(seed):
         basis = pod.pod_basis(traj, method)
         for r in (1, 3, 6):
             for statistic in ("max", "sum"):
-                for norm in (pod.NORM_L2, pod.NORM_H10):
-                    chk = pod.pointwise_bound_check(traj, basis, r,
-                                                    norm=norm, statistic=statistic)
+                for chk in pod.pointwise_bound_check(traj, basis, r, statistic=statistic):
                     assert chk.lhs <= chk.rhs * (1 + 1e-10)
 
 
@@ -289,14 +321,14 @@ def test_pointwise_bounds_on_solved_trajectory():
     for method in ("dq1", "ddq"):
         basis = pod.pod_basis(traj, method)
         for projector in (pod.PROJECTOR_L2, pod.PROJECTOR_RITZ):
-            chk = pod.pointwise_bound_check(traj, basis, 8, projector=projector)
+            chk, _ = pod.pointwise_bound_check(traj, basis, 8, projector=projector)
             assert chk.rhs > 0 and 0 <= chk.lhs <= chk.rhs
 
 
 def test_pointwise_bound_full_rank_degenerates():
     traj, _ = solved_traj(n_elements=16, T=1.0, dt=0.125)
     basis = pod.pod_basis(traj, "ddq")
-    chk = pod.pointwise_bound_check(traj, basis, basis.rank)
+    chk, _ = pod.pointwise_bound_check(traj, basis, basis.rank)
     scale = basis.eigenvalues[0]
     assert chk.rhs == 0.0
     assert chk.lhs <= 1e-9 * scale
@@ -317,8 +349,10 @@ def _sequence_bound_gaps(space, z, dt):
     from podwave import diffops
 
     n = z.shape[0]
-    const = pod.BoundConstants.for_final_time((n - 1) * dt)
-    diff_max = 2.0 * max((n - 1) * dt, 1.0)  # the constant of the difference-quotient bounds
+    T = (n - 1) * dt
+    snapshot_max = pod._BOUND_CONSTANTS["dq1", "max"](T)
+    snapshot_max_ddq = pod._BOUND_CONSTANTS["ddq", "max"](T)
+    diff_max = 2.0 * max(T, 1.0)  # the constant of the difference-quotient bounds
 
     def norms_sq(seq):
         return np.einsum("ij,ij->i", seq, space.mass.matvec(seq))
@@ -335,11 +369,11 @@ def _sequence_bound_gaps(space, z, dt):
     dq_base = z_sq[0] + dt * np.sum(dz_sq)
 
     return [
-        (np.max(z_sq), const.snapshot_max_ddq * ddq_base),
-        (np.max(avg_sq), const.snapshot_max_ddq * ddq_base),
+        (np.max(z_sq), snapshot_max_ddq * ddq_base),
+        (np.max(avg_sq), snapshot_max_ddq * ddq_base),
         (np.max(dz_sq), diff_max * diff_base),      # forward and backward
         (np.max(cd_sq), diff_max * diff_base),      # centered difference
-        (np.max(z_sq), const.snapshot_max * dq_base),
+        (np.max(z_sq), snapshot_max * dq_base),
     ]
 
 
