@@ -146,6 +146,11 @@ def singular_value_rows(config: RunConfig):
     return header, [[k + 1, sigma[k]] for k in range(basis.rank)]
 
 
+def _formula_gap(actual: float, formula: float, basis: pod.PodBasis) -> float:
+    """|actual - formula| relative to the formula, floored at 1e-6 of lambda_1."""
+    return abs(actual - formula) / max(formula, basis.eigenvalues[0] * 1e-6)
+
+
 def error_formula_rows(config: RunConfig):
     """Actual-vs-formula data errors for each r and both norms."""
     if config.rank_tol > 0:  # the formula sums the tail that a cutoff drops
@@ -157,12 +162,10 @@ def error_formula_rows(config: RunConfig):
     data = pod.build_dataset(traj, config.pod_method)
     header = ["r", "norm", "actual", "formula", "relative_gap"]
     rows = []
-    lam1 = basis.eigenvalues[0]
     for r in config.r_list:
         for norm, actual, formula in zip(pod.NORMS, pod.data_error_actual(data, basis, int(r)),
                                          pod.data_error_formula(basis, int(r))):
-            gap = abs(actual - formula) / max(formula, lam1 * 1e-6)
-            rows.append([int(r), norm, actual, formula, gap])
+            rows.append([int(r), norm, actual, formula, _formula_gap(actual, formula, basis)])
     return header, rows
 
 
@@ -303,12 +306,11 @@ def invariant_checks(config: RunConfig):
     for method in pod.METHODS:
         basis = _basis(small, traj, method)
         data = pod.build_dataset(traj, method)
-        lam1 = basis.eigenvalues[0]
         for r in (1, min(5, basis.rank), min(12, basis.rank)):
             for projector in (pod.PROJECTOR_L2, pod.PROJECTOR_RITZ):
                 for act, form in zip(pod.data_error_actual(data, basis, r, projector),
                                      pod.data_error_formula(basis, r, projector)):
-                    worst = max(worst, abs(act - form) / max(form, lam1 * 1e-6))
+                    worst = max(worst, _formula_gap(act, form, basis))
     record("error_formula_identity", worst <= 1e-8, f"worst gap {worst:.2e}")
 
     ok = True

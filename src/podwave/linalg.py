@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgerqf, dpbtrs, dtbtrs
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dpbtrs, dtbtrs
 
 
 class LinAlgFailure(RuntimeError):
@@ -126,26 +126,21 @@ def thin_svd(b: np.ndarray):
     b^T = U diag(s) V^T with singular values descending.
 
     Returns (U^T, s): the left singular vectors as a stack (min(k, n), n)
-    and the spectrum; the right factor is not returned.  b is scratch:
-    LAPACK may overwrite it, so a caller that reads b afterwards passes a
-    copy.
+    and the spectrum; the right factor is not returned.  b is scratch: a
+    column-major b is overwritten, any other layout is copied first.
 
-    For k >= 2n the wide b^T is first factored as R Q (LAPACK dgerqf, in
-    place), Q with orthonormal rows; the SVD of the n x n triangle R then
-    has the U and s of b^T and never forms the n x k right factor (Chan's
-    R-SVD).  Below k = 2n the direct SVD is as fast or faster.
+    b = Q R by LAPACK dgeqrf, R the leading min(k, n) rows; as b^T = R^T Q^T,
+    the SVD of R^T (a column-major view, overwritten) has the U and s of
+    b^T and never forms the k-long right factor (Chan's R-SVD).
     """
     k, n = b.shape
-    a = b.T
     try:
-        if k >= 2 * n:
-            _, _, work, _ = dgerqf(a, lwork=-1, overwrite_a=True)  # workspace query
-            rq, _, _, info = dgerqf(a, lwork=int(work[0]), overwrite_a=True)
-            if info != 0:
-                raise LinAlgFailure(f"dgerqf failed with info={info}")
-            a = np.triu(rq[:, k - n:])
-        u, s, _ = scipy.linalg.svd(a, full_matrices=False, overwrite_a=True,
-                                   check_finite=False)
+        work, _ = dgeqrf_lwork(k, n)  # workspace query
+        qr, _, _, info = dgeqrf(b, lwork=int(work), overwrite_a=True)
+        if info != 0:
+            raise LinAlgFailure(f"dgeqrf failed with info={info}")
+        u, s, _ = scipy.linalg.svd(np.triu(qr[:min(k, n)]).T, full_matrices=False,
+                                   overwrite_a=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise LinAlgFailure(f"SVD did not converge: {exc}") from exc
     return u.T, s

@@ -12,8 +12,8 @@ Three data-set conventions are supported for a trajectory u^1..u^N:
 The POD space is L2: modes are M-orthonormal and solve the weighted
 eigenproblem of the data Gram operator.  With M = R^T R this is the SVD of
 B = R W sqrt(Gamma): eigenvalues are squared singular values and modes are
-R^{-1} times the left singular vectors.  thin_svd reduces a wide B to a
-triangle by an RQ factorisation first.  The SVD is of B, not of B B^T: a
+R^{-1} times the left singular vectors.  thin_svd reduces B to a triangle
+by a QR factorisation of B^T first.  The SVD is of B, not of B B^T: a
 backward-stable SVD moves each sigma_k by about eps * sigma_1, so
 lambda_k = sigma_k^2 is accurate to about eps * sigma_1 * sigma_k, where
 B B^T would give eps * sigma_1^2; the deep H1_0 tails of the error formulas
@@ -101,8 +101,8 @@ def compute_basis(data: PodDataSet, rank_tol: float = 0.0) -> PodBasis:
     """
     space = data.space
     chol = space.mass.cholesky()
-    b = chol.r_matvec(data.vectors * np.sqrt(data.weights)[:, None])
-    u, sing = thin_svd(b)  # overwrites b
+    b = chol.r_matvec(np.multiply(data.vectors, np.sqrt(data.weights)[:, None], order="F"))
+    u, sing = thin_svd(b)  # factors the column-major b in place
     if sing[0] <= 0.0:
         raise ValueError("POD data is identically zero")
     cutoff = max(np.sqrt(rank_tol) * sing[0], 0.0)

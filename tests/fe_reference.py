@@ -82,11 +82,11 @@ def energy(traj, n: int, c: float) -> float:
 
 def thin_svd_of_a_copy(b: np.ndarray):
     """(U^T, s) of the (n, k) matrix b^T for a stack b (k, n), left intact:
-    for k >= 2n the SVD of the triangle of scipy's RQ factorisation of b^T,
-    otherwise the SVD of b^T itself."""
+    the SVD of R^T, R the leading min(k, n) rows of the triangle of scipy's
+    QR factorisation of b, since b^T = R^T Q^T."""
     k, n = b.shape
-    a = scipy.linalg.rq(b.T, mode="r")[:, k - n:] if k >= 2 * n else b.T
-    u, s, _ = scipy.linalg.svd(a, full_matrices=False)
+    r = scipy.linalg.qr(b, mode="r")[0][:min(k, n)]
+    u, s, _ = scipy.linalg.svd(r.T, full_matrices=False)
     return u.T, s
 
 

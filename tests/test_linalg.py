@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -170,15 +172,29 @@ def test_r_matvec_in_place_is_bitwise_the_product(shape):
     assert np.array_equal(x, expected)
 
 
-@pytest.mark.parametrize("shape", [(12, 40), (40, 12), (24, 12), (23, 12)])
+@pytest.mark.parametrize("shape", [(12, 40), (40, 12), (24, 12), (23, 12), (12, 12)])
 def test_thin_svd_of_scratch_is_bitwise_that_of_a_copy(shape):
     """thin_svd lets LAPACK overwrite its argument; the factors are those of
-    the same algorithm on a copy: RQ first from k = 2n rows on, (24, 12),
-    and the direct SVD below, (23, 12)."""
+    the same algorithm on a copy, for k < n, k > n and k = n stacks laid out
+    row- or column-major."""
     b = np.random.default_rng(7).standard_normal(shape)
     u, s = thin_svd_of_a_copy(b)
-    u_scratch, s_scratch = thin_svd(b.copy())
-    assert np.array_equal(u_scratch, u) and np.array_equal(s_scratch, s)
+    for order in ("C", "F"):
+        u_scratch, s_scratch = thin_svd(np.array(b, order=order))
+        assert np.array_equal(u_scratch, u) and np.array_equal(s_scratch, s)
+
+
+def test_thin_svd_factors_a_column_major_stack_in_place():
+    """A column-major stack is the QR's own buffer: the call allocates far
+    less than a copy of it."""
+    b = np.asfortranarray(np.random.default_rng(8).standard_normal((4000, 100)))
+    tracemalloc.start()
+    try:
+        thin_svd(b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < b.nbytes / 2
 
 
 @pytest.mark.parametrize("shape", [(400, 60), (120, 60), (90, 60)])

@@ -406,7 +406,7 @@ def test_sequence_bounds_on_pod_error_sequences():
 @pytest.mark.parametrize("method", pod.METHODS)
 def test_basis_is_bitwise_that_of_an_svd_on_a_copy(method):
     """compute_basis lets the SVD overwrite R W^(1/2) data; the basis is that
-    of the same SVD on a copy (RQ first: the data are 81 x 23)."""
+    of the same SVD on a copy."""
     traj, _ = solved_traj(n_elements=24, dt=1.0 / 40.0)
     data = pod.build_dataset(traj, method)
     chol = traj.space.mass.cholesky()
