@@ -13,6 +13,8 @@ import sys
 from dataclasses import fields
 from typing import Tuple
 
+import numpy as np
+
 from . import experiments
 from .config import ConfigError, RunConfig, format_value, make_config
 from .linalg import LinAlgFailure
@@ -27,21 +29,116 @@ def _row_format(types: tuple) -> str:
     return ",".join(_FLOAT_FMT if issubclass(t, float) else "%s" for t in types) + "\n"
 
 
+# The block formatter.  A cell is one 25-byte record "-d.dddddddddddddddde+HEE,"
+# whose NUL bytes (the sign of x >= 0, the hundreds digit of |E| < 100, the
+# padding of a %-formatted cell) are dropped.  It writes the digits of
+# D = round(|x| 10**(16 - E)) for E = floor(log10 |x|) wherever |x| 10**(16 - E)
+# is known exactly enough to round: 1e-250 <= |x| < 1e250, and the product,
+# taken as a double-double, at least 1e-9 from a rounding tie.
+_E_MAX = 251  # the exponents E of the power table, -_E_MAX..._E_MAX
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's splitter
+_BLOCK_CELLS = 1 << 13  # cells per formatted block: its temporaries stay in cache
+
+
+def _split(a):
+    """(hi, lo) with hi + lo = a and 26-bit halves, so that their products are exact."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _pow10(p: int):
+    """10**p as (hi, lo): hi correctly rounded, lo the rounded rest, from exact ints."""
+    num, den = (10 ** p, 1) if p >= 0 else (1, 10 ** -p)
+    hi = num / den
+    n, d = hi.as_integer_ratio()
+    return hi, (num * d - n * den) / (den * d)
+
+
+_P10_HI, _P10_LO = np.array([_pow10(16 - e) for e in range(-_E_MAX, _E_MAX + 1)]).T
+_P10 = (*_split(_P10_HI), _P10_LO)  # at E + _E_MAX: 10**(16 - E) as two halves and a rest
+_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
+_EXPONENTS = np.frombuffer(b"".join((b"-" if e < 0 else b"+") + (b"%02d" % abs(e)).rjust(3, b"\0")
+                                    for e in range(-_E_MAX, _E_MAX + 1)), np.uint32)
+_RECORD = np.dtype({"names": ["sign", "lead", "pairs", "exponent"],
+                    "formats": ["u1", "u1", ("u2", 8), "u4"],
+                    "offsets": [0, 1, 3, 20], "itemsize": 25})
+
+
+def _format_block(block: np.ndarray) -> bytes:
+    """The CSV lines of a (rows, cols) float64 block, byte for byte those of
+    _FLOAT_FMT % x per cell.  A block with a nan, an inf or an |x| outside
+    [1e-250, 1e250) is %-formatted whole, as rows are; cells whose digits
+    cannot be certified are %-formatted on their own."""
+    rows, cols = block.shape
+    x = block.ravel()
+    a = np.abs(x)
+    zero = a == 0
+    if not np.all((a >= 1e-250) & (a < 1e250) | zero):  # nan, inf or out of range
+        return (_row_format((float,) * cols) * rows % tuple(x.tolist())).encode()
+    np.copyto(a, 1.0, where=zero)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    p_hi, p_mid, p_lo = (t.take(e + _E_MAX) for t in _P10)
+    y = a * (p_hi + p_mid)  # |x| 10**(16 - E) = y + err, exactly up to a * p_lo's rounding
+    a_hi, a_lo = _split(a)
+    err = (((a_hi * p_hi - y) + a_hi * p_mid + a_lo * p_hi) + a_lo * p_mid) + a * p_lo
+    r = np.rint(err)
+    d = y.astype(np.int64) + r.astype(np.int64)  # y >= 2**53 is a whole number
+    v = err - r  # |x| 10**(16 - E) - d, to about 1e-15, and exactly where p_lo == 0
+    # d must be a rounding of |x| 10**(16 - E) in [10**16, 10**17]: log10 can
+    # round E up for an |x| just below a power of ten
+    floor_ok = (d > 10 ** 16) | (d == 10 ** 16) & ((v > 1e-9) | (v == 0) & (p_lo == 0))
+    fast = (np.abs(v) < 0.5 - 1e-9) & floor_ok & (d <= 10 ** 17) | zero
+    carry = d == 10 ** 17  # 9.99...95eE is written 1.00...0e(E+1)
+    d[carry] = 10 ** 16
+    e += carry
+    d[zero] = 0
+    e[zero] = 0
+    text = np.empty((rows, cols * 25), np.uint8)
+    text[...] = np.frombuffer((b"-0.0000000000000000e+000," * cols)[:-1] + b"\n", np.uint8)
+    rec = text.view(_RECORD).reshape(-1)
+    rec["sign"] = np.signbit(x) * np.uint8(ord("-"))
+    head = d // 10 ** 8
+    lead = head // 10 ** 8
+    rec["lead"] = lead + ord("0")
+    for first, part in ((0, head - lead * 10 ** 8), (4, d - head * 10 ** 8)):
+        part = part.astype(np.uint32)
+        for k in range(first + 3, first - 1, -1):
+            quot = part // 100
+            rec["pairs"][:, k] = _PAIRS[part - quot * 100]
+            part = quot
+    rec["exponent"] = _EXPONENTS[e + _E_MAX]
+    slow = np.flatnonzero(~fast)
+    if slow.size:  # one %-format for them all, split into NUL-padded fields
+        cells = ((_FLOAT_FMT + ",") * slow.size % tuple(x[slow].tolist())).encode().split(b",")
+        text.reshape(-1, 25)[slow, :24] = np.array(cells[:-1], "S24").view(np.uint8).reshape(-1, 24)
+    return text[text != 0].tobytes()
+
+
+def _is_block(rows) -> bool:
+    return (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.shape[1] > 0
+            and rows.dtype == np.float64)
+
+
 def write_csv(path: str, config: RunConfig, command: str, header, rows):
     """Write the CSV atomically: a temporary file next to `path`, renamed
-    over it only once every row is written.  `rows` may be any iterable of
-    sequences, a generator included."""
+    over it only once every row is written.  `rows` is a 2-D float64 array
+    or an iterable, a generator included, of rows (sequences) and of such
+    arrays, which are formatted as row blocks."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# command={command}\n")
-            for key, value in config.as_items():
-                fh.write(f"# {key}={value}\n")
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                row = tuple(row)
-                fh.write(_row_format(tuple(map(type, row))) % row)
+        with open(tmp, "wb") as fh:
+            lines = [f"# command={command}"] + [f"# {key}={value}" for key, value in config.as_items()]
+            fh.write("".join(line + "\n" for line in lines + [",".join(header)]).encode())
+            for item in [rows] if _is_block(rows) else rows:
+                if _is_block(item):
+                    step = max(1, _BLOCK_CELLS // item.shape[1])
+                    for i in range(0, len(item), step):
+                        fh.write(_format_block(item[i:i + step]))
+                else:
+                    row = tuple(item)
+                    fh.write((_row_format(tuple(map(type, row))) % row).encode())
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

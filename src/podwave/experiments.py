@@ -115,25 +115,26 @@ def training_slice(traj: Trajectory, t_train: float) -> Trajectory:
     return Trajectory(space=traj.space, grid=sub_grid, states=traj.states[:m])
 
 
+_BLOCK_ROWS = 64  # trajectory rows per float block
+
+
 def trajectory_rows(traj: Trajectory, stride: int):
-    """The header and a generator of rows (t_n, u^n) for every stride-th
-    level, so that the table is formatted row by row and never held whole."""
+    """The header and a generator of float blocks of rows (t_n, u^n) for
+    every stride-th level, so that the table is never held whole."""
     header = ["t"] + [f"u_{i}" for i in range(1, traj.space.n_dof + 1)]
-    times = traj.grid.times
-    rows = ((times[n], *traj.states[n].tolist()) for n in range(0, traj.grid.N, stride))
+    times, step = traj.grid.times, _BLOCK_ROWS * stride
+    rows = (np.column_stack((times[i:i + step:stride], traj.states[i:i + step:stride]))
+            for i in range(0, traj.grid.N, step))
     return header, rows
 
 
 def energy_rows(traj: Trajectory, params: WaveParams):
-    """Rows (t_n, E, dE, -dissipation) for the interior levels n = 2..N-1."""
+    """Rows (t_n, E, dE, -dissipation) for the interior levels n = 2..N-1,
+    as one float block."""
     e, rate, dissipation = wave.energy_balance(traj, params)
     times = traj.grid.times
     header = ["t", "energy", "energy_rate", "neg_dissipation"]
-    rows = [
-        [times[n - 1], e[n - 2], rate[n - 2], -dissipation[n - 2]]
-        for n in range(2, traj.grid.N)
-    ]
-    return header, rows
+    return header, np.column_stack((times[1:-1], e[:-1], rate, -dissipation))
 
 
 def singular_value_rows(config: RunConfig):
@@ -215,6 +216,9 @@ def profile_rows(config: RunConfig):
     """FE and reconstructed ROM values on the full node set at config.times,
     from the ROM of size r_list[0]."""
     times, r = config.times, int(config.r_list[0])
+    for i, t in enumerate(times):
+        if float(t) in map(float, times[:i]):
+            raise ConfigError(f"times repeats the time {t}: its columns would share a name")
     levels = [_time_level(config.time_grid(), float(t), "profile time") for t in times]
     traj = fe_trajectory(config)
     space = traj.space
@@ -225,11 +229,15 @@ def profile_rows(config: RunConfig):
     header = ["x"]
     cols = [space.full_nodes]
     for t, n, rom_state in zip(times, levels, rom_states):
-        header += [f"fe_t{t:g}", f"rom_t{t:g}"]
+        header += [f"fe_t{_time_name(t)}", f"rom_t{_time_name(t)}"]
         cols.append(space.pad_boundary(traj.states[n]))
         cols.append(space.pad_boundary(rom_state))
-    rows = [list(row) for row in zip(*cols)]
-    return header, rows
+    return header, np.column_stack(cols)
+
+
+def _time_name(t: float) -> str:
+    """t with 6 significant digits where they give t back, else repr(t)."""
+    return f"{t:g}" if float(f"{t:g}") == t else repr(t)
 
 
 def train_interval_rows(config: RunConfig, methods=("standard", "ddq")):

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -129,6 +130,7 @@ COARSE = ["--n-elements", "8", "--dt", "1/8", "--T", "1"]  # POD rank 7
     (["profiles", "--r", "abc"], "bad integer for r_list"),
     (["--times", "0", "1", "profiles"], "bad number for times: 'profiles'"),
     (["--values", "0.1", "rom-sweep"], "bad number for values: 'rom-sweep'"),
+    (["profiles", "--times", "0.5", "1/2"], "times repeats the time 0.5"),
 ], ids=["pod-method-foo", "u0-wave", "n-elements-abc", "values-nan", "values-inf",
         "values-negative", "t-train-nan", "dt-list-inf", "dt-list-not-dividing",
         "dt-equals-T",
@@ -138,7 +140,7 @@ COARSE = ["--n-elements", "8", "--dt", "1/8", "--T", "1"]  # POD rank 7
         "error-formulas-r-above-rank", "rank-tol-two", "rank-tol-one",
         "rank-tol-negative", "error-formulas-rank-tol", "dt-list-repeated",
         "seed-negative", "param-X", "r-abc", "times-swallow-command",
-        "values-swallow-command"])
+        "values-swallow-command", "times-repeated"])
 def test_bad_values_exit_one(tmp_path, capsys, argv, message):
     """Bad configuration and subcommand values exit 1 with one line."""
     rc = main(SMALL + ["--output-dir", str(tmp_path)] + argv)
@@ -236,15 +238,114 @@ def test_write_csv_cells_follow_the_reference_rule(tmp_path, rows):
     assert path.read_bytes() == head + body.encode("utf-8")
 
 
+def csv_body(path, rows) -> bytes:
+    """The data lines write_csv writes for rows under a one-column header."""
+    config = RunConfig().validated()
+    write_csv(str(path), config, "solve", ["a"], [])
+    head = path.read_bytes()
+    write_csv(str(path), config, "solve", ["a"], rows)
+    return path.read_bytes()[len(head):]
+
+
+def reference_lines(block) -> bytes:
+    return "".join(",".join(map(reference_cell, row)) + "\n" for row in block.tolist()).encode()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.one_of(st.floats(), st.floats(-1e250, 1e250), st.floats(-1e-200, 1e-200)),
+                min_size=1, max_size=12))
+def test_float_blocks_are_the_cell_rule_byte_for_byte(tmp_path, values):
+    """A float64 block is written as %.16e per cell, whichever of its cells
+    the digit path certifies; a block with nan, inf or a value outside
+    [1e-250, 1e250) takes the %-format path whole, so each cell is also
+    written as a block of its own."""
+    x = np.array(values)
+    for rows in (x[:, None], x[None, :], [x[i:i + 1, None] for i in range(x.size)]):
+        expected = b"".join(map(reference_lines, rows if isinstance(rows, list) else [rows]))
+        assert csv_body(tmp_path / "block.csv", rows) == expected
+
+
+def hard_cells():
+    """Values near the certification limits of the digit path, all in its
+    range [1e-250, 1e250), so that no block of them takes the %-format path."""
+    rng = np.random.default_rng(17)
+    exps = rng.integers(-250, 250, 4000).tolist()
+    digits = rng.integers(10 ** 16, 10 ** 17, 4000).tolist()
+    # the doubles nearest the ties (D + 1/2) 10**(E - 16), from exact integers
+    ties = np.array([(2 * d + 1) * 10 ** (e - 16) / 2 if e >= 16 else
+                     (2 * d + 1) / (2 * 10 ** (16 - e)) for d, e in zip(digits, exps)])
+    powers = np.array([float(10 ** k) if k >= 0 else 1 / 10 ** -k for k in range(-250, 250)])
+    dyadic = rng.integers(1, 2 ** 53, 4000) / 2.0 ** rng.integers(0, 120, 4000)
+    short = rng.integers(1, 10 ** 6, 4000) * 10.0 ** rng.integers(-20, 20, 4000)
+    cells = np.concatenate([ties, powers, dyadic, short])
+    cells = np.concatenate([cells, np.nextafter(cells, 0), np.nextafter(cells, np.inf)])
+    cells = cells[(cells >= 1e-250) & (cells < 1e250)]
+    return np.concatenate([cells, -cells])
+
+
+def test_hard_float_blocks_are_the_cell_rule_byte_for_byte(tmp_path):
+    """Near-ties and their neighbours, powers of ten and their neighbours,
+    k/2^m values and short decimals; then the edges of the digit path's
+    range and every special value."""
+    cells = hard_cells()
+    for block in (cells[:, None], cells[:cells.size // 8 * 8].reshape(-1, 8)):
+        assert csv_body(tmp_path / "hard.csv", block) == reference_lines(block)
+    edges = np.array([1e250, 1e-250, math.inf, math.nan, 0.0, 5e-324, 1.7976931348623157e308])
+    with np.errstate(over="ignore"):
+        edges = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+    edges = np.concatenate([edges, -edges])
+    cells = [edges[i:i + 1, None] for i in range(edges.size)]  # one block each
+    assert csv_body(tmp_path / "edges.csv", cells) == b"".join(map(reference_lines, cells))
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_trajectory_csv_is_the_cell_rule_byte_for_byte(tmp_path, stride):
+    config = make_config(None, {"n_elements": "40", "dt": "1/80", "T": "2", "D": "0.1"})
+    traj = experiments.fe_trajectory(config)
+    header, blocks = experiments.trajectory_rows(traj, stride)
+    assert header[:2] == ["t", "u_1"] and len(header) == 40
+    table = np.column_stack((traj.grid.times, traj.states))[::stride]
+    assert csv_body(tmp_path / "trajectory.csv", blocks) == reference_lines(table)
+
+
+def test_trajectory_csv_streams_in_blocks(tmp_path):
+    """Writing a stride-1 trajectory.csv allocates neither the table's text
+    nor a float copy of it: at 400 elements, dt = 1/800 and T = 2.5 the
+    trajectory is 6.4 MB and the text 18.8 MB.  The peak, 1.7 MiB, is one
+    64-row float block and the temporaries of formatting 8192 cells."""
+    config = make_config(None, {"n_elements": "400", "dt": "1/800", "T": "2.5", "D": "0.1"})
+    traj = experiments.fe_trajectory(config)
+    tracemalloc.start()
+    try:
+        write_csv(str(tmp_path / "trajectory.csv"), config, "solve",
+                  *experiments.trajectory_rows(traj, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert os.path.getsize(tmp_path / "trajectory.csv") > 18e6
+    assert peak < 3 << 20, peak
+
+
+def loaded_by_cli_import(*modules) -> str:
+    """Which of modules `import podwave.cli` loads in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(podwave.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = f"import sys, podwave.cli; print(sorted({set(modules)!r} & set(sys.modules)))"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
 def test_cli_import_skips_scipy_signal():
     """scipy.signal costs about a second and 46 MiB to import; the CLI
     must not pull it in."""
-    src = os.path.dirname(os.path.dirname(podwave.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, podwave.cli; print('scipy.signal' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert loaded_by_cli_import("scipy.signal") == "[]"
+
+
+def test_cli_import_skips_fractions_and_decimal():
+    """The block formatter's power-of-ten table is built from exact ints:
+    `fractions` took 130 ms to build it, which every run would pay."""
+    assert loaded_by_cli_import("fractions", "decimal") == "[]"
 
 
 def test_zero_data_exits_two(tmp_path, capsys):
@@ -341,6 +442,15 @@ def test_profiles_output(tmp_path):
     last = lines[-1].split(",")
     assert float(first[0]) == 0.0 and float(last[0]) == 1.0
     assert all(float(v) == 0.0 for v in first[1:])  # Dirichlet boundary
+
+
+def test_profile_columns_name_close_times_apart(tmp_path):
+    """%g keeps 6 significant digits: a time it would round is named by repr."""
+    rc = main(["--n-elements", "8", "--dt", "0.1", "--T", "1", "--r-list", "3",
+               "--output-dir", str(tmp_path), "profiles", "--times", "0.3", "0.30000000000000004"])
+    assert rc == 0
+    lines = data_lines(read(tmp_path / "profiles.csv"))
+    assert lines[0] == "x,fe_t0.3,rom_t0.3,fe_t0.30000000000000004,rom_t0.30000000000000004"
 
 
 def test_train_interval_output(tmp_path):
