@@ -21,6 +21,8 @@ from . import diffops
 from .fem import FemSpace, l2_norms_sq, h10_norms_sq, l2_project
 
 _TIME_GRID_TOL = 1e-12
+_BLOCK_CELLS = 1 << 17  # cells per row block of a reduction: 1 MiB of float64
+_BLOCK_ROWS_ALIGN = 16  # block row counts are multiples of this: see _row_blocks
 
 
 @dataclass(frozen=True)
@@ -163,6 +165,25 @@ def final_state(space: FemSpace, grid: TimeGrid, params: WaveParams,
     return buf[(grid.N - 1) % 2]
 
 
+def _row_blocks(n_rows: int, n_cols: int):
+    """The (lo, hi) row ranges that split a row-wise evaluation of an
+    (n_rows, n_cols) array into blocks of about _BLOCK_CELLS cells, so that
+    no temporary of the whole array is formed.
+
+    Each row comes out bitwise as in one whole-array call.  Elementwise
+    arithmetic and the einsum norms reduce each row on its own.  OpenBLAS's
+    real gemv forms the rows of a product four at a time and sums the rows
+    left over in another order, so every block starts at a multiple of its
+    row count, itself a multiple of _BLOCK_ROWS_ALIGN: each row keeps its
+    place in its group of four, also when up to four BLAS threads split a
+    block's rows evenly.  A one-row product goes to BLAS dot, which sums in
+    yet another order, so a last lone row joins the block before it.
+    """
+    step = _BLOCK_ROWS_ALIGN * max(_BLOCK_CELLS // (_BLOCK_ROWS_ALIGN * n_cols), 1)
+    starts = range(0, max(n_rows - 1, 1), step)
+    return zip(starts, [*starts[1:], n_rows])
+
+
 def energy(bd_l2_sq, avg_h10_sq, c: float):
     """The discrete energy 0.5 ||bd u||^2_L2 + 0.5 c^2 ||avg u||^2_H10 from its
     two squared norms, of one level or of many."""
@@ -175,11 +196,15 @@ def energy_series(space: FemSpace, states: np.ndarray, dt: float, c: float) -> n
         E(u^n) = 0.5 ||(u^n - u^{n-1}) / dt||^2_L2 + 0.5 c^2 ||(u^n + u^{n-1}) / 2||^2_H10
 
     for n = 2..N.  Returns an array of length N-1; entry i corresponds to
-    n = i + 2.
+    n = i + 2.  It is evaluated over the _row_blocks of its levels, each
+    block reading one state past its end.
     """
-    bd = diffops.forward_diff(states, dt)
-    avg = 0.5 * (states[1:] + states[:-1])
-    return energy(l2_norms_sq(space, bd), h10_norms_sq(space, avg), c)
+    e = np.empty(len(states) - 1)
+    for lo, hi in _row_blocks(len(e), states.shape[-1]):
+        u = states[lo:hi + 1]
+        bd_sq = l2_norms_sq(space, diffops.forward_diff(u, dt))
+        e[lo:hi] = energy(bd_sq, h10_norms_sq(space, 0.5 * (u[1:] + u[:-1])), c)
+    return e
 
 
 def energy_balance(traj: Trajectory, params: WaveParams):
@@ -190,11 +215,17 @@ def energy_balance(traj: Trajectory, params: WaveParams):
     with rate[i] = (E(u^{n+1}) - E(u^n)) / dt and
     dissipation[i] = D ||cd(u^n)||^2_L2 + G ||cd(u^n)||^2_H10 at n = i + 2.
     The scheme satisfies rate + dissipation = 0 exactly (up to round-off).
+    The centred differences are formed over the _row_blocks of their levels,
+    each block reading two states past its end.
     """
-    e = energy_series(traj.space, traj.states, traj.grid.dt, params.c)
-    rate = (e[1:] - e[:-1]) / traj.grid.dt
-    cd = diffops.centered_diff(traj.states, traj.grid.dt)
-    dissipation = params.D * l2_norms_sq(traj.space, cd) + params.G * h10_norms_sq(traj.space, cd)
+    states, dt = traj.states, traj.grid.dt
+    e = energy_series(traj.space, states, dt, params.c)
+    rate = (e[1:] - e[:-1]) / dt
+    dissipation = np.empty(len(states) - 2)
+    for lo, hi in _row_blocks(len(dissipation), states.shape[-1]):
+        cd = diffops.centered_diff(states[lo:hi + 2], dt)
+        dissipation[lo:hi] = (params.D * l2_norms_sq(traj.space, cd)
+                              + params.G * h10_norms_sq(traj.space, cd))
     return e, rate, dissipation
 
 
@@ -203,7 +234,6 @@ def energy_balance(traj: Trajectory, params: WaveParams):
 # ---------------------------------------------------------------------------
 
 _SERIES_PANELS = 2000  # composite Gauss panels for sine coefficients
-_SINE_BLOCK = 16  # modes per block of sine values: 1.3 MB at 2000 panels
 _GAUSS_X5, _GAUSS_W5 = np.polynomial.legendre.leggauss(5)
 _DEGENERATE_TOL = 1e-12
 
@@ -238,11 +268,7 @@ def _sine_coefficients(f: Callable, k_max: int, panels: int = _SERIES_PANELS) ->
         fvals = np.broadcast_to(fvals, xq.shape)
     weighted = wq * fvals
     coef = np.empty(k_max)
-    # Blocks start at multiples of _SINE_BLOCK, so BLAS sums each row as in
-    # one product of all k_max rows; a last lone row joins the block before
-    # it, since BLAS sums a single-row product in another order.
-    starts = range(0, max(k_max - 1, 1), _SINE_BLOCK)
-    for lo, hi in zip(starts, [*starts[1:], k_max]):
+    for lo, hi in _row_blocks(k_max, len(xq)):
         k = np.arange(lo + 1, hi + 1)
         coef[lo:hi] = 2.0 * np.sin(np.pi * np.outer(k, xq)) @ weighted
     return coef
@@ -290,15 +316,18 @@ def analytic_series(params: WaveParams, u0: Callable, u00: Callable,
 
 
 def analytic_eval(sol: AnalyticSeriesSolution, x: np.ndarray, t: float) -> np.ndarray:
-    """Evaluate the truncated series at positions x and time t."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    """Evaluate the truncated series at positions x (flattened) and time t,
+    over the _row_blocks of the (nodes, k_max) sine matrix."""
+    x = np.ravel(np.asarray(x, dtype=float))
     amp = sol.coef_a * np.exp(sol.mu_plus * t) + sol.coef_b * np.exp(sol.mu_minus * t)
     if np.any(sol.degenerate):
         d = sol.degenerate
         sigma = -sol.mu_plus[d].real
         amp[d] = (sol.coef_a[d] + sol.coef_b[d] * t) * np.exp(-sigma * t)
     lam = np.pi * np.arange(1, sol.k_max + 1)
-    values = np.sin(np.outer(x, lam)) @ amp
+    values = np.empty(len(x), dtype=complex)
+    for lo, hi in _row_blocks(len(x), sol.k_max):
+        values[lo:hi] = np.sin(np.outer(x[lo:hi], lam)) @ amp
     imag_scale = float(np.max(np.abs(values.imag), initial=0.0))
     real_scale = float(np.max(np.abs(values.real), initial=0.0))
     if imag_scale > 1e-12 * max(real_scale, 1.0):

@@ -1,16 +1,18 @@
 """Reference helpers for the tests: scalar inner products, dense matrices,
 time averages, one time step, a whole stepping loop, the energy at one
-level, the thin SVD on a copy and the ROM error report over full-space
-states, each written out on its own so that the vectorised program paths
-can be checked against it."""
+level, the energy series and balance over whole arrays, the thin SVD on a
+copy and the ROM error report over full-space states, each written out on
+its own so that the vectorised and blocked program paths can be checked
+against it."""
 
 import numpy as np
 import scipy.linalg
 
+from podwave import diffops
 from podwave.fem import h10_norms_sq, l2_norms_sq
 from podwave.pod import project_ritz
 from podwave.rom import _RATIO_FLOOR, RomErrorReport
-from podwave.wave import energy_series, initial_states, step_matrices
+from podwave.wave import initial_states, step_matrices
 
 
 def to_dense(a) -> np.ndarray:
@@ -78,6 +80,24 @@ def energy(traj, n: int, c: float) -> float:
     bd = (u - u_prev) / traj.grid.dt
     avg = 0.5 * (u + u_prev)
     return 0.5 * l2_inner(traj.space, bd, bd) + 0.5 * c * c * h10_inner(traj.space, avg, avg)
+
+
+def energy_series(space, states, dt: float, c: float) -> np.ndarray:
+    """wave.energy_series over whole arrays: the (N-1, n_dof) forward
+    differences and level averages of the stack, then their norms."""
+    bd = diffops.forward_diff(states, dt)
+    avg = 0.5 * (states[1:] + states[:-1])
+    return 0.5 * l2_norms_sq(space, bd) + 0.5 * c * c * h10_norms_sq(space, avg)
+
+
+def energy_balance(traj, params):
+    """wave.energy_balance over whole arrays: the energy series above and
+    the (N-2, n_dof) centred differences of the trajectory."""
+    e = energy_series(traj.space, traj.states, traj.grid.dt, params.c)
+    rate = (e[1:] - e[:-1]) / traj.grid.dt
+    cd = diffops.centered_diff(traj.states, traj.grid.dt)
+    dissipation = params.D * l2_norms_sq(traj.space, cd) + params.G * h10_norms_sq(traj.space, cd)
+    return e, rate, dissipation
 
 
 def thin_svd_of_a_copy(b: np.ndarray):

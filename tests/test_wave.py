@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fe_reference
 from fe_reference import energy, h10_inner, solve_states, step, to_dense
 from podwave import experiments, wave
 from podwave.config import RunConfig
@@ -279,6 +280,49 @@ def test_energy_series_matches_pointwise():
         assert series[n - 2] == pytest.approx(energy(traj, n, params.c), rel=1e-13)
 
 
+def block_rows(n_cols):
+    """The row count of a full block of wave._row_blocks at n_cols columns."""
+    return next(iter(wave._row_blocks(1 << 30, n_cols)))[1]
+
+
+def traced_peak(fn, *args):
+    """The tracemalloc peak, in bytes, of one call fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_B = block_rows(39)
+
+
+@pytest.mark.parametrize("damping", [dict(D=0.3), dict(G=0.004), dict(D=0.1, G=0.002)])
+@pytest.mark.parametrize("n_levels", [3, _B - 1, _B, _B + 1, _B + 2, _B + 3, 2 * _B + 1, 2 * _B + 2])
+def test_blocked_energy_balance_is_bitwise_whole_arrays(n_levels, damping):
+    """Around one and two blocks of levels, in energy_series (N - 1 rows)
+    and in the centred differences (N - 2 rows), lone last rows included,
+    every entry is bitwise that of the whole-array evaluation."""
+    space = assemble(40)
+    grid = TimeGrid(T=(n_levels - 1) * 0.01, dt=0.01, N=n_levels)
+    states = np.random.default_rng(n_levels).standard_normal((n_levels, space.n_dof))
+    traj = wave.Trajectory(space=space, grid=grid, states=states)
+    params = WaveParams(c=1.3, **damping)
+    for got, want in zip(energy_balance(traj, params), fe_reference.energy_balance(traj, params)):
+        assert np.array_equal(got, want)
+
+
+def test_energy_rows_hold_no_whole_difference_stack():
+    """At 400 elements, dt = 1/800 and T = 2.5 the trajectory is 6.4 MB, and
+    one whole (N, n_dof) difference or average stack as large; the energy
+    table itself is 64 KB."""
+    config = RunConfig(n_elements=400, dt=1.0 / 800.0, T=2.5, D=0.1).validated()
+    traj = experiments.fe_trajectory(config)
+    peak = traced_peak(experiments.energy_rows, traj, config.wave_params())
+    assert peak < 4 << 20, peak
+
+
 # --- analytic series ---------------------------------------------------------
 
 
@@ -360,6 +404,36 @@ def one_product_sine_coefficients(f, k_max, panels=wave._SERIES_PANELS):
     fvals = np.broadcast_to(np.asarray(f(xq), dtype=float), xq.shape)
     k = np.arange(1, k_max + 1)
     return 2.0 * np.sin(np.pi * np.outer(k, xq)) @ (wq * fvals)
+
+
+def one_product_eval(sol, x, t):
+    """analytic_eval as one (nodes, k_max) product, as computed before the
+    nodes were blocked."""
+    amp = sol.coef_a * np.exp(sol.mu_plus * t) + sol.coef_b * np.exp(sol.mu_minus * t)
+    d = sol.degenerate
+    amp[d] = (sol.coef_a[d] + sol.coef_b[d] * t) * np.exp(sol.mu_plus[d].real * t)
+    return (np.sin(np.outer(x, np.pi * np.arange(1, sol.k_max + 1))) @ amp).real
+
+
+@pytest.mark.parametrize("extra", [0, 1, 2])
+@pytest.mark.parametrize("k_max", [1, 5, 200])
+@pytest.mark.parametrize("G", [0.001, 2.0 / (3.0 * np.pi)])
+def test_blocked_analytic_eval_is_bitwise_one_product(G, k_max, extra):
+    """Node counts of two blocks plus 0, 1 and 2 rows; G = 2 / (3 pi) makes
+    mode 3 critically damped."""
+    sol = analytic_series(WaveParams(c=1.0, G=G), default_u0, default_u00, k_max=k_max)
+    assert np.any(sol.degenerate) == (G > 0.01 and k_max >= 3)
+    x = np.random.default_rng(k_max + extra).random(2 * block_rows(k_max) + extra)
+    for t in (0.0, 0.7):
+        assert np.array_equal(analytic_eval(sol, x, t), one_product_eval(sol, x, t))
+
+
+def test_analytic_eval_holds_one_block_of_the_sine_matrix():
+    """On the 7999 nodes of 8000 elements with k_max = 200 the whole sine
+    matrix is 12.8 MB, and its complex copy 25.6 MB."""
+    sol = analytic_series(WaveParams(c=1.0), wave.sine_mode, default_u00, k_max=200)
+    peak = traced_peak(analytic_eval, sol, assemble(8000).nodes, 1.25)
+    assert peak < 8 << 20, peak
 
 
 @pytest.mark.parametrize("k_max", [1, 2, 16, 17, 20, 33, 200])
