@@ -146,12 +146,6 @@ def write_csv(path: str, config: RunConfig, command: str, header, rows):
     return path
 
 
-def _solve(config: RunConfig):
-    traj = experiments.fe_trajectory(config)
-    yield "trajectory.csv", experiments.trajectory_rows(traj, config.stride)
-    yield "energy.csv", experiments.energy_rows(traj, config.wave_params())
-
-
 def _check(config: RunConfig):
     results = experiments.invariant_checks(config)
     for name, passed, detail in results:
@@ -165,7 +159,8 @@ def _check(config: RunConfig):
 # drivers are looked up in `experiments` at call time, so that a function
 # rebound there (as a tracer does) is the one that runs.
 _COMMANDS = {
-    "solve": ("write trajectory.csv and energy.csv", _solve),
+    "solve": ("write trajectory.csv and energy.csv",
+              lambda config: experiments.solve_tables(config)),
     "singvals": ("write the POD singular values", lambda config: [
         (f"singvals_{config.pod_method}.csv", experiments.singular_value_rows(config))]),
     "error-formulas": ("actual vs formula data errors per r", lambda config: [

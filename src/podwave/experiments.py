@@ -14,7 +14,9 @@ every entry has been hit the least recently used one, so that a run of
 single-use entries (the trajectories of one rom-sweep) does not flush those
 that other ops share.  It never stores an entry larger than the budget, so a
 reference-scale trajectory does not stay resident.  Cached arrays are
-read-only, so no caller can change a later call's input.
+read-only, so no caller can change a later call's input.  `solve` does not
+use the cache: it streams its trajectory in bounded blocks of levels, so it
+neither holds one nor evicts entries that other ops share.
 """
 
 import math
@@ -25,8 +27,8 @@ import numpy as np
 
 from . import diffops, pod, rom, wave
 from .config import ConfigError, RunConfig
-from .fem import assemble, l2_norms_sq
-from .wave import TimeGrid, Trajectory, WaveParams
+from .fem import FemSpace, assemble, l2_norms_sq
+from .wave import TimeGrid, Trajectory
 
 # A larger budget saves a few more solves and SVDs in a reproduction run,
 # but the resident bytes then raise its peak memory.
@@ -118,23 +120,53 @@ def training_slice(traj: Trajectory, t_train: float) -> Trajectory:
 _BLOCK_ROWS = 64  # trajectory rows per float block
 
 
-def trajectory_rows(traj: Trajectory, stride: int):
+def trajectory_rows(space: FemSpace, grid: TimeGrid, blocks, stride: int):
     """The header and a generator of float blocks of rows (t_n, u^n) for
-    every stride-th level, so that the table is never held whole."""
-    header = ["t"] + [f"u_{i}" for i in range(1, traj.space.n_dof + 1)]
-    times, step = traj.grid.times, _BLOCK_ROWS * stride
-    rows = (np.column_stack((times[i:i + step:stride], traj.states[i:i + step:stride]))
-            for i in range(0, traj.grid.N, step))
-    return header, rows
+    every stride-th level n of a trajectory on grid, from its consecutive
+    level blocks (n, levels) as wave.level_blocks yields them; so neither
+    the table nor the trajectory is held whole."""
+    header = ["t"] + [f"u_{i}" for i in range(1, space.n_dof + 1)]
+
+    def rows():
+        times, step = grid.times, _BLOCK_ROWS * stride
+        start = 0  # the next level to write
+        for n, levels in blocks:
+            end = n + len(levels)
+            for i in range(start, end, step):
+                j = min(i + step, end)
+                yield np.column_stack((times[i:j:stride], levels[i - n:j - n:stride]))
+            start = max(start, -(-end // stride) * stride)
+
+    return header, rows()
 
 
-def energy_rows(traj: Trajectory, params: WaveParams):
-    """Rows (t_n, E, dE, -dissipation) for the interior levels n = 2..N-1,
-    as one float block."""
-    e, rate, dissipation = wave.energy_balance(traj, params)
-    times = traj.grid.times
+def energy_rows(grid: TimeGrid, balance):
+    """Rows (t_n, E, dE, -dissipation) for the interior levels n = 2..N-1 of
+    a trajectory on grid, from its energy balance (energy, rate,
+    dissipation), as one float block."""
+    e, rate, dissipation = balance
     header = ["t", "energy", "energy_rate", "neg_dissipation"]
-    return header, np.column_stack((times[1:-1], e[:-1], rate, -dissipation))
+    return header, np.column_stack((grid.times[1:-1], e[:-1], rate, -dissipation))
+
+
+def solve_tables(config: RunConfig):
+    """The (CSV name, (header, rows)) pairs of trajectory.csv and energy.csv.
+
+    The scheme is stepped in bounded level blocks: each block is reduced
+    into the energy balance and its stride-th levels are formatted as it
+    comes, so the trajectory is neither held nor cached.  energy.csv's rows
+    are made once trajectory.csv's are consumed.
+    """
+    space, grid, params, u0, u00 = setup(config)
+    balance = wave.EnergyBalance(space, grid, params)
+
+    def blocks():
+        for n, levels in wave.level_blocks(space, grid, params, u0, u00):
+            balance.add(n, levels)
+            yield n, levels
+
+    yield "trajectory.csv", trajectory_rows(space, grid, blocks(), config.stride)
+    yield "energy.csv", energy_rows(grid, balance.result())
 
 
 def singular_value_rows(config: RunConfig):
@@ -267,7 +299,8 @@ def convergence_rows(config: RunConfig):
 
     Uses the configured mesh and damping; the initial data is the config's
     (the single-sine initial condition gives the cleanest orders).  Only the
-    final state is read, so each run steps with two time levels in memory.
+    final state is read, so each run steps with one bounded block of levels
+    in memory.
     """
     if config.D > 0 and config.G > 0:
         raise ConfigError("convergence needs D = 0 or G = 0: the modal series "

@@ -127,7 +127,8 @@ def thin_svd(b: np.ndarray):
 
     Returns (U^T, s): the left singular vectors as a stack (min(k, n), n)
     and the spectrum; the right factor is not returned.  b is scratch: a
-    column-major b is overwritten, any other layout is copied first.
+    column-major b is overwritten, any other layout is copied first, and
+    once the triangle is copied out it is freed unless the caller holds it.
 
     b = Q R by LAPACK dgeqrf, R the leading min(k, n) rows; as b^T = R^T Q^T,
     the SVD of R^T (a column-major view, overwritten) has the U and s of
@@ -139,8 +140,10 @@ def thin_svd(b: np.ndarray):
         qr, _, _, info = dgeqrf(b, lwork=int(work), overwrite_a=True)
         if info != 0:
             raise LinAlgFailure(f"dgeqrf failed with info={info}")
-        u, s, _ = scipy.linalg.svd(np.triu(qr[:min(k, n)]).T, full_matrices=False,
-                                   overwrite_a=True, check_finite=False)
+        r = np.triu(qr[:min(k, n)])
+        del b, qr  # the (k, n) buffer is free before the SVD's workspace is taken
+        u, s, _ = scipy.linalg.svd(r.T, full_matrices=False, overwrite_a=True,
+                                   check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise LinAlgFailure(f"SVD did not converge: {exc}") from exc
     return u.T, s

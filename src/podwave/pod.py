@@ -101,8 +101,9 @@ def compute_basis(data: PodDataSet, rank_tol: float = 0.0) -> PodBasis:
     """
     space = data.space
     chol = space.mass.cholesky()
-    b = chol.r_matvec(np.multiply(data.vectors, np.sqrt(data.weights)[:, None], order="F"))
-    u, sing = thin_svd(b)  # factors the column-major b in place
+    # unnamed, so that thin_svd, which factors it in place, can free it
+    u, sing = thin_svd(chol.r_matvec(np.multiply(data.vectors, np.sqrt(data.weights)[:, None],
+                                                 order="F")))
     if sing[0] <= 0.0:
         raise ValueError("POD data is identically zero")
     cutoff = max(np.sqrt(rank_tol) * sing[0], 0.0)

@@ -133,36 +133,55 @@ def initial_states(space: FemSpace, grid: TimeGrid, params: WaveParams,
     return u1, u2
 
 
-def _integrate(space: FemSpace, grid: TimeGrid, params: WaveParams,
-               u0: Callable, u00: Callable, buf: np.ndarray) -> np.ndarray:
-    """Step u^1..u^N, writing level n (0-based) into row n % len(buf).
+def level_blocks(space: FemSpace, grid: TimeGrid, params: WaveParams,
+                 u0: Callable, u00: Callable, rows: int = 0):
+    """Step u^1..u^N and yield them in blocks (n, levels): levels is a stack
+    of consecutive states whose first is level n (0-based).
 
-    A buffer of N rows keeps every level; one of two rows keeps the last
-    two, which is all the three-level scheme reads.  Returns buf.
+    The states are stepped into one buffer of rows + 2 rows (by default,
+    rows fills _BLOCK_CELLS cells).  Once it is full it is yielded, and its
+    last two levels, all the three-level scheme reads, move to its front:
+    consecutive blocks share two levels.  A block is overwritten once the
+    next one is asked for.  rows >= N - 2 makes one block of every level.
+    A step reads only the two levels before it, so every state is bitwise
+    the same for any rows.
     """
     lhs, b_cur, b_prev = step_matrices(space, params, grid.dt)
     solver = lhs.cholesky()
-    k = len(buf)
+    rows = min(rows or _block_rows(space.n_dof), grid.N - 2)
+    buf = np.empty((rows + 2, space.n_dof))
     buf[0], buf[1] = initial_states(space, grid, params, u0, u00)
-    for n in range(2, grid.N):
-        rhs = b_cur.matvec(buf[(n - 1) % k]) + b_prev.matvec(buf[(n - 2) % k])
-        buf[n % k] = solver.solve(rhs)
-    return buf
+    n, k = 0, 2  # the level of buf[0] and the rows filled
+    for level in range(2, grid.N):
+        if k == len(buf):
+            yield n, buf
+            buf[:2] = buf[-2:]
+            n, k = level - 2, 2
+        buf[k] = solver.solve(b_cur.matvec(buf[k - 1]) + b_prev.matvec(buf[k - 2]))
+        k += 1
+    yield n, buf[:k]
 
 
 def solve(space: FemSpace, grid: TimeGrid, params: WaveParams,
           u0: Callable, u00: Callable) -> Trajectory:
-    """Integrate the full trajectory u^1..u^N."""
-    states = _integrate(space, grid, params, u0, u00, np.empty((grid.N, space.n_dof)))
+    """Integrate the full trajectory u^1..u^N, as one block of levels."""
+    (_, states), = level_blocks(space, grid, params, u0, u00, grid.N - 2)
     return Trajectory(space=space, grid=grid, states=states)
 
 
 def final_state(space: FemSpace, grid: TimeGrid, params: WaveParams,
                 u0: Callable, u00: Callable) -> np.ndarray:
     """The final state u^N alone, bitwise that of solve(...).states[-1],
-    with two time levels in memory instead of N."""
-    buf = _integrate(space, grid, params, u0, u00, np.empty((2, space.n_dof)))
-    return buf[(grid.N - 1) % 2]
+    with one bounded block of levels in memory instead of N."""
+    for _, levels in level_blocks(space, grid, params, u0, u00):
+        pass
+    return levels[-1].copy()
+
+
+def _block_rows(n_cols: int) -> int:
+    """The row count of a block of about _BLOCK_CELLS cells, a multiple of
+    _BLOCK_ROWS_ALIGN."""
+    return _BLOCK_ROWS_ALIGN * max(_BLOCK_CELLS // (_BLOCK_ROWS_ALIGN * n_cols), 1)
 
 
 def _row_blocks(n_rows: int, n_cols: int):
@@ -179,8 +198,7 @@ def _row_blocks(n_rows: int, n_cols: int):
     block's rows evenly.  A one-row product goes to BLAS dot, which sums in
     yet another order, so a last lone row joins the block before it.
     """
-    step = _BLOCK_ROWS_ALIGN * max(_BLOCK_CELLS // (_BLOCK_ROWS_ALIGN * n_cols), 1)
-    starts = range(0, max(n_rows - 1, 1), step)
+    starts = range(0, max(n_rows - 1, 1), _block_rows(n_cols))
     return zip(starts, [*starts[1:], n_rows])
 
 
@@ -207,26 +225,52 @@ def energy_series(space: FemSpace, states: np.ndarray, dt: float, c: float) -> n
     return e
 
 
-def energy_balance(traj: Trajectory, params: WaveParams):
-    """The energy and its per-step balance.
+class EnergyBalance:
+    """The energy and its per-step balance of a trajectory on grid, reduced
+    from consecutive blocks of its levels as they come, so that the
+    trajectory need not be held.
 
-    Returns (energy, rate, dissipation): energy is energy_series of the
-    trajectory (length N-1, n = 2..N); rate and dissipation have length N-2
-    with rate[i] = (E(u^{n+1}) - E(u^n)) / dt and
+    result() is (energy, rate, dissipation): energy is the energy_series
+    of the trajectory (length N-1, n = 2..N); rate and dissipation have
+    length N-2 with rate[i] = (E(u^{n+1}) - E(u^n)) / dt and
     dissipation[i] = D ||cd(u^n)||^2_L2 + G ||cd(u^n)||^2_H10 at n = i + 2.
     The scheme satisfies rate + dissipation = 0 exactly (up to round-off).
-    The centred differences are formed over the _row_blocks of their levels,
-    each block reading two states past its end.
+    Every entry is a reduction of its own levels, so it is bitwise the same
+    for any blocks, a whole trajectory included.
     """
-    states, dt = traj.states, traj.grid.dt
-    e = energy_series(traj.space, states, dt, params.c)
-    rate = (e[1:] - e[:-1]) / dt
-    dissipation = np.empty(len(states) - 2)
-    for lo, hi in _row_blocks(len(dissipation), states.shape[-1]):
-        cd = diffops.centered_diff(states[lo:hi + 2], dt)
-        dissipation[lo:hi] = (params.D * l2_norms_sq(traj.space, cd)
-                              + params.G * h10_norms_sq(traj.space, cd))
-    return e, rate, dissipation
+
+    def __init__(self, space: FemSpace, grid: TimeGrid, params: WaveParams):
+        self.space, self.dt, self.params = space, grid.dt, params
+        self.energy = np.empty(grid.N - 1)
+        self.dissipation = np.empty(grid.N - 2)
+        self.levels = 0  # the levels reduced so far
+
+    def add(self, n: int, levels: np.ndarray):
+        """Reduce a stack of three or more consecutive levels, the first of
+        them level n (0-based); a block that overlaps the one before it
+        evaluates the energy of their last two levels again, bitwise alike."""
+        params, m = self.params, len(levels)
+        self.energy[n:n + m - 1] = energy_series(self.space, levels, self.dt, params.c)
+        cd = diffops.centered_diff(levels, self.dt)
+        self.dissipation[n:n + m - 2] = (params.D * l2_norms_sq(self.space, cd)
+                                         + params.G * h10_norms_sq(self.space, cd))
+        self.levels = n + m
+
+    def result(self):
+        if self.levels != len(self.energy) + 1:
+            raise RuntimeError(f"energy balance read after {self.levels} of "
+                               f"{len(self.energy) + 1} levels")
+        e = self.energy
+        return e, (e[1:] - e[:-1]) / self.dt, self.dissipation
+
+
+def energy_balance(traj: Trajectory, params: WaveParams):
+    """The EnergyBalance result of a held trajectory, reduced over the
+    _row_blocks of its levels, each block reading two states past its end."""
+    balance = EnergyBalance(traj.space, traj.grid, params)
+    for lo, hi in _row_blocks(traj.grid.N - 2, traj.space.n_dof):
+        balance.add(lo, traj.states[lo:hi + 2])
+    return balance.result()
 
 
 # ---------------------------------------------------------------------------
@@ -257,20 +301,26 @@ class AnalyticSeriesSolution:
     degenerate: np.ndarray = field(repr=False)
 
 
-def _sine_coefficients(f: Callable, k_max: int, panels: int = _SERIES_PANELS) -> np.ndarray:
-    """f_k = 2 * integral_0^1 f(x) sin(pi k x) dx for k = 1..k_max."""
+def _sine_coefficients(fs, k_max: int, panels: int = _SERIES_PANELS) -> np.ndarray:
+    """f_k = 2 * integral_0^1 f(x) sin(pi k x) dx for k = 1..k_max, one row
+    per function f of fs.  Each block of the sine matrix is evaluated once
+    and multiplied by each function's weights on its own, so each row is
+    bitwise that of fs holding its function alone."""
     width = 1.0 / panels
     lefts = width * np.arange(panels)
     xq = (lefts[:, None] + 0.5 * width * (_GAUSS_X5[None, :] + 1.0)).ravel()
     wq = np.tile(0.5 * width * _GAUSS_W5, panels)
-    fvals = np.asarray(f(xq), dtype=float)
-    if fvals.shape != xq.shape:
-        fvals = np.broadcast_to(fvals, xq.shape)
-    weighted = wq * fvals
-    coef = np.empty(k_max)
+    weighted = []
+    for f in fs:
+        fvals = np.asarray(f(xq), dtype=float)
+        if fvals.shape != xq.shape:
+            fvals = np.broadcast_to(fvals, xq.shape)
+        weighted.append(wq * fvals)
+    coef = np.empty((len(fs), k_max))
     for lo, hi in _row_blocks(k_max, len(xq)):
-        k = np.arange(lo + 1, hi + 1)
-        coef[lo:hi] = 2.0 * np.sin(np.pi * np.outer(k, xq)) @ weighted
+        sines = 2.0 * np.sin(np.pi * np.outer(np.arange(lo + 1, hi + 1), xq))
+        for row, w in zip(coef, weighted):
+            row[lo:hi] = sines @ w
     return coef
 
 
@@ -294,8 +344,7 @@ def analytic_series(params: WaveParams, u0: Callable, u00: Callable,
     mu_plus = -sigma + root
     mu_minus = -sigma - root
 
-    f0 = _sine_coefficients(u0, k_max)
-    f00 = _sine_coefficients(u00, k_max)
+    f0, f00 = _sine_coefficients((u0, u00), k_max)
 
     degenerate = np.abs(root) < _DEGENERATE_TOL
     coef_a = np.zeros(k_max, dtype=complex)

@@ -1,18 +1,22 @@
 """Reference helpers for the tests: scalar inner products, dense matrices,
 time averages, one time step, a whole stepping loop, the energy at one
-level, the energy series and balance over whole arrays, the thin SVD on a
-copy and the ROM error report over full-space states, each written out on
-its own so that the vectorised and blocked program paths can be checked
-against it."""
+level, the energy series and balance over whole arrays, `solve`'s two CSVs
+from whole arrays, the thin SVD on a copy and the ROM error report over
+full-space states, each written out on its own so that the vectorised,
+blocked and streamed program paths can be checked against it."""
+
+import os
 
 import numpy as np
 import scipy.linalg
 
 from podwave import diffops
+from podwave.cli import write_csv
+from podwave.experiments import setup
 from podwave.fem import h10_norms_sq, l2_norms_sq
 from podwave.pod import project_ritz
 from podwave.rom import _RATIO_FLOOR, RomErrorReport
-from podwave.wave import initial_states, step_matrices
+from podwave.wave import initial_states, solve, step_matrices
 
 
 def to_dense(a) -> np.ndarray:
@@ -98,6 +102,21 @@ def energy_balance(traj, params):
     cd = diffops.centered_diff(traj.states, traj.grid.dt)
     dissipation = params.D * l2_norms_sq(traj.space, cd) + params.G * h10_norms_sq(traj.space, cd)
     return e, rate, dissipation
+
+
+def solve_csvs(config, out_dir):
+    """`podwave solve`'s trajectory.csv and energy.csv for a validated config,
+    written into out_dir from whole arrays: every level of wave.solve, the
+    whole-array energy balance above and one float block per table."""
+    space, grid, params, u0, u00 = setup(config)
+    traj = solve(space, grid, params, u0, u00)
+    header = ["t"] + [f"u_{i}" for i in range(1, space.n_dof + 1)]
+    write_csv(os.path.join(out_dir, "trajectory.csv"), config, "solve", header,
+              np.column_stack((grid.times, traj.states))[::config.stride])
+    e, rate, dissipation = energy_balance(traj, params)
+    write_csv(os.path.join(out_dir, "energy.csv"), config, "solve",
+              ["t", "energy", "energy_rate", "neg_dissipation"],
+              np.column_stack((grid.times[1:-1], e[:-1], rate, -dissipation)))
 
 
 def thin_svd_of_a_copy(b: np.ndarray):

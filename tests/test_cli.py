@@ -16,8 +16,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import fe_reference
 import podwave
-from podwave import experiments, pod
+from podwave import experiments, pod, wave
 from podwave.cli import main, write_csv
 from podwave.config import OUTPUT_DIR_ENV, ConfigError, RunConfig, make_config
 from podwave.wave import INITIAL_CONDITIONS
@@ -303,7 +304,7 @@ def test_hard_float_blocks_are_the_cell_rule_byte_for_byte(tmp_path):
 def test_trajectory_csv_is_the_cell_rule_byte_for_byte(tmp_path, stride):
     config = make_config(None, {"n_elements": "40", "dt": "1/80", "T": "2", "D": "0.1"})
     traj = experiments.fe_trajectory(config)
-    header, blocks = experiments.trajectory_rows(traj, stride)
+    header, blocks = experiments.trajectory_rows(traj.space, traj.grid, [(0, traj.states)], stride)
     assert header[:2] == ["t", "u_1"] and len(header) == 40
     table = np.column_stack((traj.grid.times, traj.states))[::stride]
     assert csv_body(tmp_path / "trajectory.csv", blocks) == reference_lines(table)
@@ -319,12 +320,54 @@ def test_trajectory_csv_streams_in_blocks(tmp_path):
     tracemalloc.start()
     try:
         write_csv(str(tmp_path / "trajectory.csv"), config, "solve",
-                  *experiments.trajectory_rows(traj, 1))
+                  *experiments.trajectory_rows(traj.space, traj.grid, [(0, traj.states)], 1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert os.path.getsize(tmp_path / "trajectory.csv") > 18e6
     assert peak < 3 << 20, peak
+
+
+# 4199 unknowns make level blocks of 16 new levels, the least there are
+_B = wave._block_rows(4199)
+
+
+@pytest.mark.parametrize("n_levels", [3, _B - 1, _B, _B + 1, _B + 2, _B + 3, 2 * _B + 2])
+@pytest.mark.parametrize("stride, damping", [
+    (1, {"D": "0.1"}), (3, {"G": "0.002"}), (7, {"D": "0.1", "G": "0.002"}),
+    (1000, {"D": "0.1", "G": "0.002"})], ids=["1-D", "3-G", "7-DG", "above-N-DG"])
+def test_streamed_solve_csvs_are_the_whole_array_bytes(tmp_path, n_levels, stride, damping):
+    """solve steps in blocks of levels that share two levels with the next
+    and writes trajectory.csv and reduces energy.csv as they come: around
+    one and two blocks, both CSVs are byte for byte those written from the
+    whole trajectory."""
+    values = {"n_elements": "4200", "dt": "0.01", "T": repr((n_levels - 1) * 0.01),
+              "stride": str(stride), **damping, "output_dir": str(tmp_path / "stream")}
+    argv = [word for key, value in values.items() for word in ("--" + key.replace("_", "-"), value)]
+    assert main([*argv, "solve"]) == 0
+    config = make_config(None, values)
+    assert config.time_grid().N == n_levels
+    os.mkdir(tmp_path / "whole")
+    fe_reference.solve_csvs(config, str(tmp_path / "whole"))
+    for name in ("trajectory.csv", "energy.csv"):
+        assert (tmp_path / "stream" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
+
+def test_solve_holds_one_block_of_levels(tmp_path):
+    """At 400 elements, dt = 1/800 and T = 10 the trajectory is 25.5 MB and
+    the text of its stride-1 table 75 MB; solve holds one block of 322
+    levels (1 MiB), its energy arrays (128 KB) and the temporaries of one
+    block (26.7 MiB when it held the trajectory)."""
+    tracemalloc.start()
+    try:
+        rc = main(["--n-elements", "400", "--dt", "1/800", "--T", "10", "--D", "0.1",
+                   "--stride", "1", "--output-dir", str(tmp_path), "solve"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert os.path.getsize(tmp_path / "trajectory.csv") > 75e6
+    assert peak < 4 << 20, peak
 
 
 def loaded_by_cli_import(*modules) -> str:

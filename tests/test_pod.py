@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -417,6 +419,23 @@ def test_basis_is_bitwise_that_of_an_svd_on_a_copy(method):
     basis = pod.compute_basis(data)
     assert np.array_equal(basis.eigenvalues, sing ** 2)
     assert np.array_equal(basis.modes, modes)
+
+
+def test_compute_basis_frees_the_data_stack_before_the_svd():
+    """At 400 elements and 1001 levels the scaled data stack is 3.2 MB and
+    the SVD of its 399 x 399 triangle needs 4.6 MB more.  compute_basis
+    holds the stack until dgeqrf has factored it and the triangle is
+    copied out, not through the SVD (11.0 MB when it did; 7.8 MB now)."""
+    traj, _ = solved_traj(n_elements=400, dt=1.0 / 400.0, T=2.5)
+    data = pod.build_dataset(traj, "standard")
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        pod.compute_basis(data)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * data.vectors.nbytes, peak
 
 
 def test_mode_signs_follow_the_first_nonzero_coefficient():

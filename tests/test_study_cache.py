@@ -72,14 +72,13 @@ class CallCounter:
 
 
 @pytest.mark.parametrize("argv", [
-    ["solve"],
     ["singvals"],
     ["--r-list", "2,4", "error-formulas"],
     ["--r-list", "2,4", "rom-sweep", "--param", "D", "--values", "0.05", "0.1"],
     ["profiles", "--r", "4", "--times", "0", "1"],
     ["train-interval", "--t-train", "2", "1", "--r", "4"],
     ["check"],
-], ids=["solve", "singvals", "error-formulas", "rom-sweep", "profiles", "train-interval",
+], ids=["singvals", "error-formulas", "rom-sweep", "profiles", "train-interval",
         "check"])
 def test_a_repeated_op_solves_nothing(argv, tmp_path, monkeypatch, capsys):
     counter = CallCounter(monkeypatch)
@@ -88,6 +87,28 @@ def test_a_repeated_op_solves_nothing(argv, tmp_path, monkeypatch, capsys):
     counter.solves = counter.bases = 0
     assert main(["--output-dir", str(tmp_path), *SMALL, *argv]) == 0
     assert (counter.solves, counter.bases) == (0, 0)
+
+
+def cache_state():
+    return [(key, id(value), size, hits) for key, (value, size, hits) in experiments._cache.items()]
+
+
+def test_solve_leaves_the_study_cache_alone(tmp_path, monkeypatch, capsys):
+    """solve streams its trajectory in bounded blocks of levels: it neither
+    looks up nor stores nor evicts a cache entry, so the entries of other
+    ops stay as they were, and a repeated solve writes the same bytes."""
+    counter = CallCounter(monkeypatch)
+    assert main(["--output-dir", str(tmp_path), *SMALL, "singvals"]) == 0
+    before = cache_state()
+    assert len(before) == 2 and counter.solves == 1  # the trajectory and its basis
+    written = []
+    for _ in range(2):
+        assert main(["--output-dir", str(tmp_path), *SMALL, "solve"]) == 0
+        assert cache_state() == before
+        written.append([(tmp_path / name).read_bytes()
+                        for name in ("trajectory.csv", "energy.csv")])
+    assert written[0] == written[1]
+    assert counter.solves == 1
 
 
 def test_a_full_training_window_shares_the_full_basis(monkeypatch):

@@ -265,7 +265,7 @@ def test_energy_rows_evaluate_the_energy_once(monkeypatch):
         return energy_series(*args, **kwargs)
 
     monkeypatch.setattr(wave, "energy_series", counted)
-    _, rows = experiments.energy_rows(traj, params)
+    _, rows = experiments.energy_rows(grid, energy_balance(traj, params))
     assert len(rows) == grid.N - 2
     assert len(calls) == 1
 
@@ -319,7 +319,8 @@ def test_energy_rows_hold_no_whole_difference_stack():
     table itself is 64 KB."""
     config = RunConfig(n_elements=400, dt=1.0 / 800.0, T=2.5, D=0.1).validated()
     traj = experiments.fe_trajectory(config)
-    peak = traced_peak(experiments.energy_rows, traj, config.wave_params())
+    peak = traced_peak(lambda: experiments.energy_rows(
+        traj.grid, energy_balance(traj, config.wave_params())))
     assert peak < 4 << 20, peak
 
 
@@ -439,6 +440,8 @@ def test_analytic_eval_holds_one_block_of_the_sine_matrix():
 @pytest.mark.parametrize("k_max", [1, 2, 16, 17, 20, 33, 200])
 @pytest.mark.parametrize("name", sorted(wave.INITIAL_CONDITIONS))
 def test_blocked_sine_coefficients_are_bitwise_one_product(name, k_max):
-    f = wave.INITIAL_CONDITIONS[name]
-    assert np.array_equal(wave._sine_coefficients(f, k_max),
-                          one_product_sine_coefficients(f, k_max))
+    """Each function's row, also beside another function's, whose sine
+    blocks it shares."""
+    fs = (wave.INITIAL_CONDITIONS[name], default_u0)
+    for got, f in zip(wave._sine_coefficients(fs, k_max), fs):
+        assert np.array_equal(got, one_product_sine_coefficients(f, k_max))
