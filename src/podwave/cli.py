@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 configuration or output error, 2 numerical failure.
 """
 
 import argparse
-import functools
 import os
 import sys
 from dataclasses import fields
@@ -20,13 +19,6 @@ from .config import ConfigError, RunConfig, format_value, make_config
 from .linalg import LinAlgFailure
 
 _FLOAT_FMT = "%.16e"  # 17 significant digits
-
-
-@functools.lru_cache(maxsize=64)
-def _row_format(types: tuple) -> str:
-    """The %-format line for a row whose cells have these types: floats
-    (numpy's included) as %.16e, every other cell, bool included, as str()."""
-    return ",".join(_FLOAT_FMT if issubclass(t, float) else "%s" for t in types) + "\n"
 
 
 # The block formatter.  A cell is one 25-byte record "-d.dddddddddddddddde+HEE,"
@@ -67,16 +59,15 @@ _RECORD = np.dtype({"names": ["sign", "lead", "pairs", "exponent"],
 
 def _format_block(block: np.ndarray) -> bytes:
     """The CSV lines of a (rows, cols) float64 block, byte for byte those of
-    _FLOAT_FMT % x per cell.  A block with a nan, an inf or an |x| outside
-    [1e-250, 1e250) is %-formatted whole, as rows are; cells whose digits
-    cannot be certified are %-formatted on their own."""
+    _FLOAT_FMT % x per cell.  Cells whose digits cannot be certified, nan,
+    inf and |x| outside [1e-250, 1e250) among them, are %-formatted on their
+    own."""
     rows, cols = block.shape
     x = block.ravel()
     a = np.abs(x)
     zero = a == 0
-    if not np.all((a >= 1e-250) & (a < 1e250) | zero):  # nan, inf or out of range
-        return (_row_format((float,) * cols) * rows % tuple(x.tolist())).encode()
-    np.copyto(a, 1.0, where=zero)
+    in_range = (a >= 1e-250) & (a < 1e250)
+    np.copyto(a, 1.0, where=~in_range)  # zero included: its cell is written below
     e = np.floor(np.log10(a)).astype(np.int64)
     p_hi, p_mid, p_lo = (t.take(e + _E_MAX) for t in _P10)
     y = a * (p_hi + p_mid)  # |x| 10**(16 - E) = y + err, exactly up to a * p_lo's rounding
@@ -88,7 +79,7 @@ def _format_block(block: np.ndarray) -> bytes:
     # d must be a rounding of |x| 10**(16 - E) in [10**16, 10**17]: log10 can
     # round E up for an |x| just below a power of ten
     floor_ok = (d > 10 ** 16) | (d == 10 ** 16) & ((v > 1e-9) | (v == 0) & (p_lo == 0))
-    fast = (np.abs(v) < 0.5 - 1e-9) & floor_ok & (d <= 10 ** 17) | zero
+    fast = (np.abs(v) < 0.5 - 1e-9) & floor_ok & (d <= 10 ** 17) & in_range | zero
     carry = d == 10 ** 17  # 9.99...95eE is written 1.00...0e(E+1)
     d[carry] = 10 ** 16
     e += carry
@@ -137,8 +128,8 @@ def write_csv(path: str, config: RunConfig, command: str, header, rows):
                     for i in range(0, len(item), step):
                         fh.write(_format_block(item[i:i + step]))
                 else:
-                    row = tuple(item)
-                    fh.write((_row_format(tuple(map(type, row))) % row).encode())
+                    fh.write((",".join(_FLOAT_FMT % v if isinstance(v, float) else str(v)
+                                       for v in item) + "\n").encode())
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

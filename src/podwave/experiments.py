@@ -235,13 +235,9 @@ def rom_sweep_rows(config: RunConfig):
             for r, rep in zip(config.r_list, _rom_reports(traj, basis, params, config.r_list)):
                 rows.append([
                     float(value), int(r), method, rep.max_l2_sq, rep.max_energy,
-                    _nan_if_none(rep.ratio_energy), _nan_if_none(rep.ratio_pointwise),
+                    rep.ratio_energy, rep.ratio_pointwise,
                 ])
     return header, rows
-
-
-def _nan_if_none(x):
-    return math.nan if x is None else x
 
 
 def profile_rows(config: RunConfig):

@@ -76,16 +76,18 @@ def _quadratic_form(a: SymTridiagonal, x: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i,i->...", x, x, s) - np.einsum("...i,...i,i->...", dx, dx, a.off)
 
 
+def gauss_rule(f: Callable[[np.ndarray], np.ndarray], cells: int):
+    """The composite 5-point Gauss rule on `cells` equal cells of (0, 1):
+    the points xq (cells, 5), the weights wq (5,) of every cell, and f(xq)
+    broadcast to xq.shape, so that (wq * f(xq)).sum() integrates f."""
+    h = 1.0 / cells
+    xq = (h * np.arange(cells))[:, None] + 0.5 * h * (_GAUSS_X[None, :] + 1.0)
+    return xq, 0.5 * h * _GAUSS_W, np.broadcast_to(np.asarray(f(xq), dtype=float), xq.shape)
+
+
 def load_vector(f: Callable[[np.ndarray], np.ndarray], space: FemSpace) -> np.ndarray:
     """b_i = integral of f * phi_i, by per-element Gauss quadrature."""
-    h = space.h
-    lefts = h * np.arange(space.n_elements)
-    # quadrature points per element, shape (n_elements, n_quad)
-    xq = lefts[:, None] + 0.5 * h * (_GAUSS_X[None, :] + 1.0)
-    wq = 0.5 * h * _GAUSS_W
-    fvals = np.asarray(f(xq), dtype=float)
-    if fvals.shape != xq.shape:  # f returned a scalar or broadcast shape
-        fvals = np.broadcast_to(fvals, xq.shape)
+    _, wq, fvals = gauss_rule(f, space.n_elements)
     # local hat values: right node of the element rises, left node falls
     t = 0.5 * (_GAUSS_X + 1.0)
     contrib_right = fvals * (wq * t)        # toward node e+1

@@ -29,7 +29,6 @@ the sums form no (N, s) temporary, and a report costs O(N r).
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -162,13 +161,13 @@ def _dist_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 @dataclass
 class RomErrorReport:
     """Error metrics for a ROM run; squared quantities follow the bound
-    statements (max_l2_sq = max_n ||e^n||^2), final_l2 is the plain norm."""
+    statements (max_l2_sq = max_n ||e^n||^2).  A ratio is nan when its
+    denominator falls below round-off scale."""
 
     max_l2_sq: float
     max_energy: float
-    final_l2: float
-    ratio_energy: Optional[float]
-    ratio_pointwise: Optional[float]
+    ratio_energy: float
+    ratio_pointwise: float
 
 
 def error_report(frame: ErrorFrame, coeffs: np.ndarray) -> RomErrorReport:
@@ -179,7 +178,7 @@ def error_report(frame: ErrorFrame, coeffs: np.ndarray) -> RomErrorReport:
     The error splits as e^n = eta^n - phi^n with eta^n = u_h^n - R_r u_h^n
     (data projection error) and phi^n = u_r^n - R_r u_h^n (discretization
     error); the bound denominators use phi^1, phi^2 and the Ritz defects of
-    the discarded modes.  Ratios are reported as None when the denominator
+    the discarded modes.  Ratios are reported as nan when the denominator
     falls below round-off scale.
     """
     basis, dt, c = frame.basis, frame.dt, frame.params.c
@@ -195,7 +194,6 @@ def error_report(frame: ErrorFrame, coeffs: np.ndarray) -> RomErrorReport:
     e_energy = frame.off_energy + energy(
         tail_bd + _dist_sq(forward_diff(c_head, dt), forward_diff(coeffs, dt)),
         tail_d + _dist_sq(frame.d[:, :r], avg_psi), c)
-    final_l2 = float(np.sqrt(max(l2_sq[-1], 0.0)))
 
     # R_r v = x Phi_r with x L_rr = the first r psi-coefficients of v: of u^1,
     # bd u^2 and the discarded modes, whose psi-coefficients are rows of L
@@ -219,10 +217,10 @@ def error_report(frame: ErrorFrame, coeffs: np.ndarray) -> RomErrorReport:
     max_energy = float(np.max(e_energy))
     max_l2_sq = float(np.max(l2_sq))
     scale = max(basis.eigenvalues[0], 1.0)
-    ratio_energy = max_energy / energy_denom if energy_denom > _RATIO_FLOOR * scale else None
-    ratio_pointwise = max_l2_sq / pointwise_denom if pointwise_denom > _RATIO_FLOOR * scale else None
+    ratio_energy = max_energy / energy_denom if energy_denom > _RATIO_FLOOR * scale else np.nan
+    ratio_pointwise = max_l2_sq / pointwise_denom if pointwise_denom > _RATIO_FLOOR * scale else np.nan
 
     return RomErrorReport(
-        max_l2_sq=max_l2_sq, max_energy=max_energy, final_l2=final_l2,
+        max_l2_sq=max_l2_sq, max_energy=max_energy,
         ratio_energy=ratio_energy, ratio_pointwise=ratio_pointwise,
     )

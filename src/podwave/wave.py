@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import diffops
-from .fem import FemSpace, l2_norms_sq, h10_norms_sq, l2_project
+from .fem import FemSpace, gauss_rule, l2_norms_sq, h10_norms_sq, l2_project
 
 _TIME_GRID_TOL = 1e-12
 _BLOCK_CELLS = 1 << 17  # cells per row block of a reduction: 1 MiB of float64
@@ -214,15 +214,11 @@ def energy_series(space: FemSpace, states: np.ndarray, dt: float, c: float) -> n
         E(u^n) = 0.5 ||(u^n - u^{n-1}) / dt||^2_L2 + 0.5 c^2 ||(u^n + u^{n-1}) / 2||^2_H10
 
     for n = 2..N.  Returns an array of length N-1; entry i corresponds to
-    n = i + 2.  It is evaluated over the _row_blocks of its levels, each
-    block reading one state past its end.
+    n = i + 2.  The stack is evaluated whole: EnergyBalance.add passes it
+    one bounded block of levels.
     """
-    e = np.empty(len(states) - 1)
-    for lo, hi in _row_blocks(len(e), states.shape[-1]):
-        u = states[lo:hi + 1]
-        bd_sq = l2_norms_sq(space, diffops.forward_diff(u, dt))
-        e[lo:hi] = energy(bd_sq, h10_norms_sq(space, 0.5 * (u[1:] + u[:-1])), c)
-    return e
+    bd_sq = l2_norms_sq(space, diffops.forward_diff(states, dt))
+    return energy(bd_sq, h10_norms_sq(space, 0.5 * (states[1:] + states[:-1])), c)
 
 
 class EnergyBalance:
@@ -278,7 +274,6 @@ def energy_balance(traj: Trajectory, params: WaveParams):
 # ---------------------------------------------------------------------------
 
 _SERIES_PANELS = 2000  # composite Gauss panels for sine coefficients
-_GAUSS_X5, _GAUSS_W5 = np.polynomial.legendre.leggauss(5)
 _DEGENERATE_TOL = 1e-12
 
 
@@ -292,7 +287,6 @@ class AnalyticSeriesSolution:
     modes (coincident roots) switch to the (a + b t) exp(mu t) limit form.
     """
 
-    params: WaveParams
     k_max: int
     mu_plus: np.ndarray = field(repr=False)
     mu_minus: np.ndarray = field(repr=False)
@@ -301,21 +295,15 @@ class AnalyticSeriesSolution:
     degenerate: np.ndarray = field(repr=False)
 
 
-def _sine_coefficients(fs, k_max: int, panels: int = _SERIES_PANELS) -> np.ndarray:
+def _sine_coefficients(fs, k_max: int) -> np.ndarray:
     """f_k = 2 * integral_0^1 f(x) sin(pi k x) dx for k = 1..k_max, one row
-    per function f of fs.  Each block of the sine matrix is evaluated once
-    and multiplied by each function's weights on its own, so each row is
-    bitwise that of fs holding its function alone."""
-    width = 1.0 / panels
-    lefts = width * np.arange(panels)
-    xq = (lefts[:, None] + 0.5 * width * (_GAUSS_X5[None, :] + 1.0)).ravel()
-    wq = np.tile(0.5 * width * _GAUSS_W5, panels)
-    weighted = []
-    for f in fs:
-        fvals = np.asarray(f(xq), dtype=float)
-        if fvals.shape != xq.shape:
-            fvals = np.broadcast_to(fvals, xq.shape)
-        weighted.append(wq * fvals)
+    per function f of fs, by the Gauss rule on _SERIES_PANELS cells.  Each
+    block of the sine matrix is evaluated once and multiplied by each
+    function's weights on its own, so each row is bitwise that of fs holding
+    its function alone."""
+    rules = [gauss_rule(f, _SERIES_PANELS) for f in fs]
+    xq = rules[0][0].ravel()
+    weighted = [(wq * fq).ravel() for _, wq, fq in rules]
     coef = np.empty((len(fs), k_max))
     for lo, hi in _row_blocks(k_max, len(xq)):
         sines = 2.0 * np.sin(np.pi * np.outer(np.arange(lo + 1, hi + 1), xq))
@@ -359,7 +347,7 @@ def analytic_series(params: WaveParams, u0: Callable, u00: Callable,
     coef_b[degenerate] = f00[degenerate] + sigma[degenerate] * f0[degenerate]
 
     return AnalyticSeriesSolution(
-        params=params, k_max=k_max, mu_plus=mu_plus, mu_minus=mu_minus,
+        k_max=k_max, mu_plus=mu_plus, mu_minus=mu_minus,
         coef_a=coef_a, coef_b=coef_b, degenerate=degenerate,
     )
 

@@ -140,7 +140,6 @@ def error_report(fe_traj, rom_states, basis, r, params) -> RomErrorReport:
 
     l2_sq = l2_norms_sq(space, err)
     e_energy = energy_series(space, err, dt, params.c)
-    final_l2 = float(np.sqrt(max(l2_sq[-1], 0.0)))
 
     # discretization-error energy at the second time level
     e_phi2 = float(energy_series(space, phi, dt, params.c)[0])
@@ -158,10 +157,10 @@ def error_report(fe_traj, rom_states, basis, r, params) -> RomErrorReport:
     max_energy = float(np.max(e_energy))
     max_l2_sq = float(np.max(l2_sq))
     scale = max(basis.eigenvalues[0], 1.0)
-    ratio_energy = max_energy / energy_denom if energy_denom > _RATIO_FLOOR * scale else None
-    ratio_pointwise = max_l2_sq / pointwise_denom if pointwise_denom > _RATIO_FLOOR * scale else None
+    ratio_energy = max_energy / energy_denom if energy_denom > _RATIO_FLOOR * scale else np.nan
+    ratio_pointwise = max_l2_sq / pointwise_denom if pointwise_denom > _RATIO_FLOOR * scale else np.nan
 
     return RomErrorReport(
-        max_l2_sq=max_l2_sq, max_energy=max_energy, final_l2=final_l2,
+        max_l2_sq=max_l2_sq, max_energy=max_energy,
         ratio_energy=ratio_energy, ratio_pointwise=ratio_pointwise,
     )

@@ -196,9 +196,8 @@ def test_pointwise_bound_inequalities(kv_run, viscous_run):
 def test_bound_ratio_magnitudes(viscous_run):
     """ddq ROM bound quotients at D=0.1, r=20 land in the expected windows."""
     rep = viscous_run.rom_report("ddq", 20)
-    ok = rep.ratio_energy is not None and 0 < rep.ratio_energy <= 1
+    ok = 0 < rep.ratio_energy <= 1  # a nan ratio fails every comparison
     ok &= 7.66e-10 / 100 <= rep.ratio_energy <= 7.66e-10 * 100
-    ok &= rep.ratio_pointwise is not None
     ok &= 1.79e-7 / 100 <= rep.ratio_pointwise <= 1.79e-7 * 100
     report("bound-ratios", ok,
            f"energy ratio {rep.ratio_energy:.2e} (target 7.66e-10 x100), "

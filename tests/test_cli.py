@@ -258,9 +258,10 @@ def reference_lines(block) -> bytes:
                 min_size=1, max_size=12))
 def test_float_blocks_are_the_cell_rule_byte_for_byte(tmp_path, values):
     """A float64 block is written as %.16e per cell, whichever of its cells
-    the digit path certifies; a block with nan, inf or a value outside
-    [1e-250, 1e250) takes the %-format path whole, so each cell is also
-    written as a block of its own."""
+    the digit path certifies: nan, inf, values outside [1e-250, 1e250) and
+    uncertified digits are %-formatted one by one and spliced in among the
+    others.  The values are written as one column, as one row and as blocks
+    of one cell each."""
     x = np.array(values)
     for rows in (x[:, None], x[None, :], [x[i:i + 1, None] for i in range(x.size)]):
         expected = b"".join(map(reference_lines, rows if isinstance(rows, list) else [rows]))
@@ -269,7 +270,7 @@ def test_float_blocks_are_the_cell_rule_byte_for_byte(tmp_path, values):
 
 def hard_cells():
     """Values near the certification limits of the digit path, all in its
-    range [1e-250, 1e250), so that no block of them takes the %-format path."""
+    range [1e-250, 1e250), so that every cell of them is one it tries."""
     rng = np.random.default_rng(17)
     exps = rng.integers(-250, 250, 4000).tolist()
     digits = rng.integers(10 ** 16, 10 ** 17, 4000).tolist()
@@ -288,7 +289,8 @@ def hard_cells():
 def test_hard_float_blocks_are_the_cell_rule_byte_for_byte(tmp_path):
     """Near-ties and their neighbours, powers of ten and their neighbours,
     k/2^m values and short decimals; then the edges of the digit path's
-    range and every special value."""
+    range and every special value, in blocks of their own and spliced into
+    one block of hard cells."""
     cells = hard_cells()
     for block in (cells[:, None], cells[:cells.size // 8 * 8].reshape(-1, 8)):
         assert csv_body(tmp_path / "hard.csv", block) == reference_lines(block)
@@ -298,6 +300,9 @@ def test_hard_float_blocks_are_the_cell_rule_byte_for_byte(tmp_path):
     edges = np.concatenate([edges, -edges])
     cells = [edges[i:i + 1, None] for i in range(edges.size)]  # one block each
     assert csv_body(tmp_path / "edges.csv", cells) == b"".join(map(reference_lines, cells))
+    mixed = np.insert(hard_cells()[:512 - edges.size], 11 * np.arange(edges.size), edges)
+    block = mixed.reshape(-1, 8)  # 512 cells: one formatted block
+    assert csv_body(tmp_path / "mixed.csv", block) == reference_lines(block)
 
 
 @pytest.mark.parametrize("stride", [1, 3])

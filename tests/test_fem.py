@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fe_reference import h10_inner, interpolate, l2_inner, to_dense
-from podwave.fem import assemble, h10_norms_sq, l2_norms_sq, l2_project
+from podwave.fem import assemble, gauss_rule, h10_norms_sq, l2_norms_sq, l2_project
 from podwave.wave import TimeGrid, WaveParams, default_u0, default_u00, sine_mode, solve
 
 
@@ -21,6 +21,16 @@ def test_assemble_four_elements():
     np.testing.assert_allclose(space.mass.off, np.full(2, 1.0 / 24.0))
     np.testing.assert_allclose(space.stiffness.diag, np.full(3, 8.0))
     np.testing.assert_allclose(space.stiffness.off, np.full(2, -4.0))
+
+
+@pytest.mark.parametrize("cells", [1, 3, 7])
+def test_gauss_rule_integrates_degree_nine_exactly(cells):
+    for k in range(10):
+        xq, wq, fq = gauss_rule(lambda x: x**k, cells)
+        assert xq.shape == (cells, 5) and wq.shape == (5,)
+        assert (wq * fq).sum() == pytest.approx(1.0 / (k + 1), rel=1e-14, abs=0), k
+    xq, _, fq = gauss_rule(lambda x: 2.5, cells)  # a scalar comes back broadcast
+    assert fq.shape == xq.shape and np.all(fq == 2.5)
 
 
 def test_assemble_rejects_tiny_mesh():

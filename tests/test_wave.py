@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import fe_reference
 from fe_reference import energy, h10_inner, solve_states, step, to_dense
-from podwave import experiments, wave
+from podwave import experiments, fem, wave
 from podwave.config import RunConfig
 from podwave.fem import assemble, l2_norms_sq, l2_project
 from podwave.wave import (
@@ -193,9 +193,10 @@ def test_convergence_never_stores_a_trajectory(monkeypatch):
     assert len(rows) == 2 and calls == []
 
 
-def test_convergence_memory_is_two_time_levels():
+def test_convergence_memory_is_one_block_of_levels():
     """At 2000 elements and dt = 1/3200, all N x n_dof states would take
-    4001 * 1999 * 8 bytes = 64 MB; the run keeps two levels."""
+    4001 * 1999 * 8 bytes = 64 MB; the run holds one bounded block of
+    levels: 66 levels of 1999 unknowns, 1.05 MB."""
     config = RunConfig(n_elements=2000, dt=1.0 / 3200.0, T=1.25, u0="sine",
                        k_max=20, dt_list=(1.0 / 3200.0,)).validated()
     tracemalloc.start()
@@ -400,8 +401,8 @@ def one_product_sine_coefficients(f, k_max, panels=wave._SERIES_PANELS):
     the rows were blocked."""
     width = 1.0 / panels
     lefts = width * np.arange(panels)
-    xq = (lefts[:, None] + 0.5 * width * (wave._GAUSS_X5[None, :] + 1.0)).ravel()
-    wq = np.tile(0.5 * width * wave._GAUSS_W5, panels)
+    xq = (lefts[:, None] + 0.5 * width * (fem._GAUSS_X[None, :] + 1.0)).ravel()
+    wq = np.tile(0.5 * width * fem._GAUSS_W, panels)
     fvals = np.broadcast_to(np.asarray(f(xq), dtype=float), xq.shape)
     k = np.arange(1, k_max + 1)
     return 2.0 * np.sin(np.pi * np.outer(k, xq)) @ (wq * fvals)
