@@ -8,6 +8,7 @@ Tuples are written comma separated, an unset output_dir as the empty value.
 
 import math
 import os
+import re
 from dataclasses import dataclass, fields
 from typing import Optional, Tuple, get_args, get_origin
 
@@ -133,13 +134,17 @@ def _parse_scalar(name: str, kind, text: str):
 
 
 def load_config(path: str) -> dict:
-    """Read a flat key=value file into a dict of parsed values."""
+    """Read a flat key=value file into a dict of parsed values.
+
+    A line whose first non-blank character is # is a comment, and so is the
+    rest of a line from a # after a blank; any other # is part of a value,
+    so that a CSV header replays output_dir=out/run#1 whole."""
     out = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
+                line = re.split(r"\s#", raw.strip(), maxsplit=1)[0].strip()
+                if not line or line.startswith("#"):
                     continue
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")

@@ -5,18 +5,23 @@ matrices and the time-step systems are symmetric tridiagonal, and the one
 SPD tridiagonal factorisation serves the time stepping, the L2 projection
 and the POD geometry.  The heavy lifting is delegated to LAPACK via scipy;
 this module pins down the storage conventions and the error behavior the
-rest of the package relies on.
+rest of the package relies on.  The thin SVD of the POD data is a blocked
+QR: it folds the data's row blocks one at a time into one triangle and
+takes the SVD of that, so the data is never held whole.
 
 Stacks of vectors are arrays (k, n) with the vector index first; every
 operator acts on the last axis, and a single vector (n,) is the k-less case
-of the same code.  LAPACK's column layout stays inside this module.
+of the same code.  LAPACK's column layout stays inside this module, except
+that thin_svd factors a column-major row block without copying it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dpbtrs, dtbtrs
+from scipy.linalg.lapack import dpbtrs, dtbtrs, dtpqrt
+
+_TPQRT_NB = 32  # dtpqrt's block size: the columns of each compact-WY reflector block
 
 
 class LinAlgFailure(RuntimeError):
@@ -109,8 +114,9 @@ class BandedCholesky:
 
     def r_matvec(self, x: np.ndarray) -> np.ndarray:
         """R @ x on the last axis of x (..., n), in place: x, a float array,
-        is overwritten with the product and returned, so that the POD data
-        matrix is formed with one full-size temporary."""
+        is overwritten with the product and returned.  The one temporary is
+        R's superdiagonal term, an array the size of x, so the POD data
+        matrix is formed one row block at a time."""
         upper = self._cb[0, 1:] * x[..., 1:]
         x *= self._cb[1]
         x[..., :-1] += upper
@@ -121,29 +127,46 @@ class BandedCholesky:
         return self._lapack_solve(dtbtrs, b)
 
 
-def thin_svd(b: np.ndarray):
+def thin_svd(b: np.ndarray, rows=None):
     """Thin SVD of a stack b (k, n) of vectors, read as the (n, k) matrix
     b^T = U diag(s) V^T with singular values descending.
 
     Returns (U^T, s): the left singular vectors as a stack (min(k, n), n)
-    and the spectrum; the right factor is not returned.  b is scratch: a
-    column-major b is overwritten, any other layout is copied first, and
-    once the triangle is copied out it is freed unless the caller holds it.
+    and the spectrum; the right factor is not returned.  rows, if given,
+    yields the stack in consecutive row blocks, float arrays (k_i, n) that
+    are overwritten, and b then gives only its shape; b is never written.
 
-    b = Q R by LAPACK dgeqrf, R the leading min(k, n) rows; as b^T = R^T Q^T,
-    the SVD of R^T (a column-major view, overwritten) has the U and s of
-    b^T and never forms the k-long right factor (Chan's R-SVD).
+    Each block is folded into an n x n triangle R by LAPACK dtpqrt, the QR
+    factorisation of R stacked on the block (the flat-tree blocked
+    tall-skinny QR of Demmel, Grigori, Hoemmen and Langou, 2012), so that
+    b = Q R and b is never held whole.  As b^T = R^T Q^T, the
+    SVD of R^T has the U and s of b^T and never forms the k-long right
+    factor (Chan's R-SVD).  For k < n the n - k trailing singular values of
+    R are round-off and are dropped.
     """
     k, n = b.shape
+    r = np.zeros((n, n), order="F")
+    # the generator's scope drops the last block before the SVD's workspace is taken
+    folded = sum(_fold(r, block, rows is not None) for block in ((b,) if rows is None else rows))
+    if folded != k:
+        raise ValueError(f"the row blocks hold {folded} rows, the stack {k}")
     try:
-        work, _ = dgeqrf_lwork(k, n)  # workspace query
-        qr, _, _, info = dgeqrf(b, lwork=int(work), overwrite_a=True)
-        if info != 0:
-            raise LinAlgFailure(f"dgeqrf failed with info={info}")
-        r = np.triu(qr[:min(k, n)])
-        del b, qr  # the (k, n) buffer is free before the SVD's workspace is taken
-        u, s, _ = scipy.linalg.svd(r.T, full_matrices=False, overwrite_a=True,
-                                   check_finite=False)
+        # R = W S Z^T, so R^T = Z S W^T: U^T is the right factor Z^T of R
+        _, s, ut = scipy.linalg.svd(r, full_matrices=False, overwrite_a=True,
+                                    check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise LinAlgFailure(f"SVD did not converge: {exc}") from exc
-    return u.T, s
+    m = min(k, n)
+    return ut[:m], s[:m]
+
+
+def _fold(r: np.ndarray, block: np.ndarray, overwrite: bool) -> int:
+    """Fold a row block (m, n) into the column-major triangle r (n, n) in
+    place by dtpqrt: r becomes the triangle of the QR factorisation of r
+    stacked on the block.  Returns m.  A column-major block that may be
+    overwritten is dtpqrt's own buffer; any other is copied."""
+    _, _, _, info = dtpqrt(0, min(_TPQRT_NB, r.shape[0]), r, block,
+                           overwrite_a=True, overwrite_b=overwrite)
+    if info != 0:
+        raise LinAlgFailure(f"dtpqrt failed with info={info}")
+    return block.shape[0]

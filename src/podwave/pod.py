@@ -9,11 +9,18 @@ Three data-set conventions are supported for a trajectory u^1..u^N:
     ddq        u^1, du^1 and all second
                difference quotients     weights  1, 1, dt, ..., dt
 
+Each data vector is linear in at most three consecutive snapshots, so a
+data set is a view of its trajectory and PodDataSet.rows forms any row
+block of its vectors; the basis, the data errors and the bound checks read
+the vectors in the row blocks of wave._row_blocks and never hold them all.
+
 The POD space is L2: modes are M-orthonormal and solve the weighted
 eigenproblem of the data Gram operator.  With M = R^T R this is the SVD of
 B = R W sqrt(Gamma): eigenvalues are squared singular values and modes are
-R^{-1} times the left singular vectors.  thin_svd reduces B to a triangle
-by a QR factorisation of B^T first.  The SVD is of B, not of B B^T: a
+R^{-1} times the left singular vectors.  thin_svd folds the row blocks of
+B^T into one n_dof x n_dof triangle, an exact blocked QR factorisation that
+keeps every mode, and takes the SVD of the triangle.  The SVD is of B, not
+of B B^T: a
 backward-stable SVD moves each sigma_k by about eps * sigma_1, so
 lambda_k = sigma_k^2 is accurate to about eps * sigma_1 * sigma_k, where
 B B^T would give eps * sigma_1^2; the deep H1_0 tails of the error formulas
@@ -32,7 +39,7 @@ import scipy.linalg
 from . import diffops
 from .fem import FemSpace, l2_norms_sq, h10_norms_sq
 from .linalg import LinAlgFailure, thin_svd
-from .wave import TimeGrid, Trajectory
+from .wave import TimeGrid, Trajectory, _row_blocks
 
 METHODS = ("standard", "dq1", "ddq")
 
@@ -43,18 +50,40 @@ PROJECTOR_RITZ = "ritz"
 
 @dataclass
 class PodDataSet:
-    """Weighted data vectors feeding the POD eigenproblem."""
+    """The weighted data vectors feeding the POD eigenproblem, as a view of
+    the snapshots: each data vector is linear in at most three consecutive
+    snapshots, so rows forms any row block of them and the data set is
+    never held whole."""
 
-    vectors: np.ndarray  # (N_w, n_dof)
-    weights: np.ndarray  # (N_w,)
+    states: np.ndarray   # (N, n_dof) the snapshots u^1..u^N
+    weights: np.ndarray  # (N,) one per data vector
     method: str
     space: FemSpace
     grid: TimeGrid
-    # the data matrix (n_dof, N_w) of the eigenproblem: a view of vectors
+    # the snapshot matrix (n_dof, N): a view of states
     columns: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.columns = self.vectors.T
+        self.columns = self.states.T
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """The data vectors lo..hi-1 (0-based), a stack (hi - lo, n_dof)
+        read from the snapshots max(lo - 2, 0)..hi-1, each bitwise the
+        same for any lo and hi; for standard data a view of the states."""
+        u, dt = self.states, self.grid.dt
+        order = _DIFFERENCE_ORDER[self.method]
+        first = min(max(lo, order), hi)  # the first row that is a quotient of that order
+        body = _QUOTIENTS[order](u[first - order:hi], dt) if first < hi else u[:0]
+        if lo == first:
+            return body
+        # the leading rows: u^1, then for ddq its first difference quotient
+        lead = np.concatenate((u[:1], diffops.forward_diff(u[:2], dt)))
+        return np.concatenate((lead[lo:first], body))
+
+
+# per method, the order of the difference quotient of every non-leading data vector
+_DIFFERENCE_ORDER = {"standard": 0, "dq1": 1, "ddq": 2}
+_QUOTIENTS = (lambda u, dt: u, diffops.forward_diff, diffops.second_diff)
 
 
 @dataclass
@@ -73,22 +102,13 @@ class PodBasis:
 
 
 def build_dataset(traj: Trajectory, method: str) -> PodDataSet:
-    """Assemble the POD data vectors and weights for the given convention."""
+    """The POD data set of traj for the given convention: its weights and a
+    view of its snapshots, from which PodDataSet.rows forms the vectors."""
     if method not in METHODS:
         raise ValueError(f"unknown POD method {method!r}; expected one of {METHODS}")
-    u = traj.states  # (N, m)
-    n, dt = traj.grid.N, traj.grid.dt
-    weights = np.full(n, dt)
-    if method == "standard":
-        vectors = u
-    elif method == "dq1":
-        vectors = np.concatenate((u[:1], diffops.forward_diff(u, dt)))
-        weights[0] = 1.0
-    else:  # ddq
-        vectors = np.concatenate((u[:1], diffops.forward_diff(u[:2], dt),
-                                  diffops.second_diff(u, dt)))
-        weights[:2] = 1.0
-    return PodDataSet(vectors=vectors, weights=weights, method=method,
+    weights = np.full(traj.grid.N, traj.grid.dt)
+    weights[:_DIFFERENCE_ORDER[method]] = 1.0
+    return PodDataSet(states=traj.states, weights=weights, method=method,
                       space=traj.space, grid=traj.grid)
 
 
@@ -98,12 +118,15 @@ def compute_basis(data: PodDataSet, rank_tol: float = 0.0) -> PodBasis:
     Retains every eigenvalue whose singular value exceeds
     max(sqrt(rank_tol) * sigma_1, 0); the default keeps the full positive
     spectrum so that deep tails of the error formulas remain available.
+    The rows of B^T = W^(1/2) (data) R^T reach the SVD one row block at a
+    time, column-major, as thin_svd folds them.
     """
     space = data.space
     chol = space.mass.cholesky()
-    # unnamed, so that thin_svd, which factors it in place, can free it
-    u, sing = thin_svd(chol.r_matvec(np.multiply(data.vectors, np.sqrt(data.weights)[:, None],
-                                                 order="F")))
+    scale = np.sqrt(data.weights)[:, None]
+    blocks = (chol.r_matvec(np.multiply(data.rows(lo, hi), scale[lo:hi], order="F"))
+              for lo, hi in _row_blocks(len(scale), space.n_dof))
+    u, sing = thin_svd(data.states, rows=blocks)
     if sing[0] <= 0.0:
         raise ValueError("POD data is identically zero")
     cutoff = max(np.sqrt(rank_tol) * sing[0], 0.0)
@@ -172,13 +195,23 @@ def _residual_norms_sq(basis: PodBasis, r: int, v: np.ndarray, projector: str):
     return l2_norms_sq(basis.space, residual), h10_norms_sq(basis.space, residual)
 
 
+def _blocked_residual_norms_sq(basis: PodBasis, r: int, n_rows: int, rows, projector: str):
+    """_residual_norms_sq (2, n_rows) of the stack whose rows lo..hi-1 are
+    rows(lo, hi), evaluated over its _row_blocks: no residual of the whole
+    stack is formed, and each row's norms are bitwise those of one call."""
+    norms = np.empty((len(NORMS), n_rows))
+    for lo, hi in _row_blocks(n_rows, basis.space.n_dof):
+        norms[:, lo:hi] = _residual_norms_sq(basis, r, rows(lo, hi), projector)
+    return norms
+
+
 def data_error_actual(data: PodDataSet, basis: PodBasis, r: int,
                       projector: str = PROJECTOR_L2):
     """The weighted sums of squared projection errors over a data set, in
     the norms of NORMS; over the basis's own data set they equal
     data_error_formula."""
-    return tuple(float(np.dot(data.weights, errs))
-                 for errs in _residual_norms_sq(basis, r, data.vectors, projector))
+    norms = _blocked_residual_norms_sq(basis, r, len(data.weights), data.rows, projector)
+    return tuple(float(np.dot(data.weights, errs)) for errs in norms)
 
 
 def data_error_formula(basis: PodBasis, r: int, projector: str = PROJECTOR_L2):
@@ -221,7 +254,9 @@ def pointwise_bound_check(traj: Trajectory, basis: PodBasis, r: int,
         raise ValueError(f"no snapshot bound for {basis.method} data and statistic "
                          f"{statistic!r}: dq1/ddq data, max or sum")
     c = _BOUND_CONSTANTS[basis.method, statistic](basis.grid.T)
+    norms = _blocked_residual_norms_sq(basis, r, traj.grid.N,
+                                       lambda lo, hi: traj.states[lo:hi], projector)
     lhs = [float(np.max(e)) if statistic == "max" else float(traj.grid.dt * np.sum(e))
-           for e in _residual_norms_sq(basis, r, traj.states, projector)]
+           for e in norms]
     return tuple(BoundCheck(lhs=side, rhs=c * formula)
                  for side, formula in zip(lhs, data_error_formula(basis, r, projector)))

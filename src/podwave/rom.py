@@ -24,8 +24,9 @@ elementwise, so each run's coefficients are bitwise those of a system of its
 own.  ErrorFrame(traj, basis, params, sizes) sums the discarded modes' squares
 of c, bd c and d per level once for every size, over the column ranges
 between the sizes from the last column down, and keeps the columns of c and d
-below the largest size only.  The ranges are views and bd c overwrites c, so
-the sums form no (N, s) temporary, and a report costs O(N r).
+below the largest size only.  It forms c and d in row blocks of levels, each
+reading one level past its end for bd c and the averages, so no (N, s)
+product is ever held, and a report costs O(N r).
 """
 
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ import scipy.linalg
 from .diffops import forward_diff
 from .fem import l2_norms_sq, h10_norms_sq
 from .pod import PodBasis, check_rank, stiffness_factor
-from .wave import TimeGrid, Trajectory, WaveParams, energy, step_weights
+from .wave import TimeGrid, Trajectory, WaveParams, _row_blocks, energy, step_weights
 
 _REDUCED_MASS_TOL = 1e-10
 _RATIO_FLOOR = 1e-14
@@ -115,41 +116,54 @@ class ErrorFrame:
         for r in sizes:
             check_rank(basis, r)
         self.basis, self.params, self.dt = basis, params, dt
-        self.lower, a_phi = stiffness_factor(basis, s)  # (s, s) L
-        a_psi = scipy.linalg.solve_triangular(self.lower, a_phi, lower=True)
-        # two products: c as a view of one (N, 2s) product would keep du alive
-        c, du = u @ space.mass.matvec(phi).T, u @ a_psi.T
+        self.lower, a_psi = stiffness_factor(basis, s)  # (s, s) L and A phi
+        a_psi = scipy.linalg.solve_triangular(self.lower, a_psi, lower=True)  # A psi
+        m_phi = space.mass.matvec(phi)
         # psi-coefficients of u^1 and bd u^2, the difference taken first
         self.start = np.stack((u[0], (u[1] - u[0]) / dt)) @ a_psi.T
-        self.off_l2 = self.off_energy = 0.0
-        if s < space.n_dof:
+        n, r_max = traj.grid.N, sizes[-1]
+        self.c, self.d = np.empty((n, r_max)), np.empty((n - 1, r_max))
+        # per size, the tail sums of c, bd c and d, by level
+        tails = np.zeros((3, len(sizes), n))
+        off = s < space.n_dof
+        if off:
             psi = scipy.linalg.solve_triangular(self.lower, phi, lower=True)
-            out_m, out_a = u - c @ phi, u - du @ psi
-            self.off_l2 = l2_norms_sq(space, out_m)
-            self.off_energy = energy(l2_norms_sq(space, forward_diff(out_m, dt)),
-                                      h10_norms_sq(space, 0.5 * (out_a[1:] + out_a[:-1])),
-                                      params.c)
-        du[:-1] += du[1:]  # the level averages d, formed in place
-        du[:-1] *= 0.5
-        tails_d = _tail_sums(du[:-1], sizes)
-        self.d = np.ascontiguousarray(du[:-1, :sizes[-1]])
-        del du  # before c's kept columns are copied
-        self.c = c[:, :sizes[-1]].copy()
-        tails_c = _tail_sums(c, sizes)
-        c[:-1] -= c[1:]  # -bd c, formed in place: the same squares
-        c[:-1] /= dt
-        tails_bd = _tail_sums(c[:-1], sizes)
-        self.tails = {r: (tails_c[r], tails_bd[r], tails_d[r]) for r in sizes}
+            self.off_l2, self.off_energy = np.empty(n), np.empty(n - 1)
+        else:
+            self.off_l2 = self.off_energy = 0.0
+        # blocks of the level pairs (j, j + 1): each block reads one level past
+        # its end, and the last block also owns the last level's c
+        for lo, hi in _row_blocks(n - 1, space.n_dof):
+            levels = u[lo:hi + 1]
+            c, du = levels @ m_phi.T, levels @ a_psi.T
+            own = hi + 1 - lo if hi == n - 1 else hi - lo  # rows of c this block owns
+            self.c[lo:lo + own] = c[:own, :r_max]
+            _tail_sums(c[:own], sizes, tails[0, :, lo:lo + own])
+            if off:
+                out_m, out_a = levels - c @ phi, levels - du @ psi
+                self.off_l2[lo:lo + own] = l2_norms_sq(space, out_m[:own])
+                self.off_energy[lo:hi] = energy(
+                    l2_norms_sq(space, forward_diff(out_m, dt)),
+                    h10_norms_sq(space, 0.5 * (out_a[1:] + out_a[:-1])), params.c)
+            c[:-1] -= c[1:]  # -bd c, formed in place: the same squares
+            c[:-1] /= dt
+            _tail_sums(c[:-1], sizes, tails[1, :, lo:hi])
+            du[:-1] += du[1:]  # the level averages d, formed in place
+            du[:-1] *= 0.5
+            self.d[lo:hi] = du[:-1, :r_max]
+            _tail_sums(du[:-1], sizes, tails[2, :, lo:hi])
+        self.tails = {r: (tails[0, i], tails[1, i, :-1], tails[2, i, :-1])
+                      for i, r in enumerate(sizes)}
 
 
-def _tail_sums(x: np.ndarray, sizes) -> dict:
-    """{r: per row, the sum of x[:, k]^2 over k >= r} for the ascending sizes,
-    summed over the column ranges between them from the last column down."""
-    tails, total, hi = {}, 0.0, x.shape[1]
-    for r in reversed(sizes):
-        total = total + np.einsum("ij,ij->i", x[:, r:hi], x[:, r:hi])
-        tails[r], hi = total, r
-    return tails
+def _tail_sums(x: np.ndarray, sizes, out: np.ndarray):
+    """out[i] = per row, the sum of x[:, k]^2 over k >= sizes[i] for the
+    ascending sizes, summed over the column ranges between them from the
+    last column down."""
+    total, hi = 0.0, x.shape[1]
+    for i in reversed(range(len(sizes))):
+        total = total + np.einsum("ij,ij->i", x[:, sizes[i]:hi], x[:, sizes[i]:hi])
+        out[i], hi = total, sizes[i]
 
 
 def _dist_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:

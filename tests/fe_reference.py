@@ -119,6 +119,15 @@ def solve_csvs(config, out_dir):
               np.column_stack((grid.times[1:-1], e[:-1], rate, -dissipation)))
 
 
+# A backward-stable SVD gives each sigma_k within a small multiple of
+# eps * sigma_1 (Golub and Van Loan, section 8.6), so two such SVDs of one
+# matrix differ by at most the sum of their multiples.  16 = 2 * 8 allows
+# about 8 each, the size of the Householder QR's and gesdd's constants at the
+# test shapes; test_thin_svd_is_as_accurate_as_the_direct_svd asserts the
+# same bound against gesdd.
+SVD_TOL_EPS = 16.0
+
+
 def thin_svd_of_a_copy(b: np.ndarray):
     """(U^T, s) of the (n, k) matrix b^T for a stack b (k, n), left intact:
     the SVD of R^T, R the leading min(k, n) rows of the triangle of scipy's
@@ -127,6 +136,15 @@ def thin_svd_of_a_copy(b: np.ndarray):
     r = scipy.linalg.qr(b, mode="r")[0][:min(k, n)]
     u, s, _ = scipy.linalg.svd(r.T, full_matrices=False)
     return u.T, s
+
+
+def separated_modes(s: np.ndarray):
+    """The indices j of a descending spectrum s whose sigma_j is at least
+    1e-2 sigma_1 from each neighbour, and the gaps (len(s),) to the nearer
+    neighbour: the modes a backward-stable SVD pins down to within a small
+    multiple of eps * sigma_1 / gap_j (Wedin's bound)."""
+    gaps = np.minimum(-np.diff(s, prepend=np.inf), -np.diff(s, append=-np.inf))
+    return np.flatnonzero(gaps >= 1e-2 * s[0]), gaps
 
 
 def error_report(fe_traj, rom_states, basis, r, params) -> RomErrorReport:

@@ -588,6 +588,19 @@ def test_csv_header_reproduces_the_run(tmp_path, argv):
     assert sorted(os.listdir(again)) == names
 
 
+def test_csv_header_replays_a_hash_inside_a_value(tmp_path):
+    """Only a line that starts with # or the rest of a line from a # after a
+    blank is a comment: the header of a run into run#1, replayed as a config
+    file, writes to run#1 again, not to run."""
+    out = tmp_path / "run#1"
+    assert main(SMALL + ["--output-dir", str(out), "singvals"]) == 0
+    config = header_config(out / "singvals_standard.csv", tmp_path / "run.cfg",
+                           drop=("command",))
+    assert make_config(config).output_dir == str(out)
+    assert main(["--config", config, "singvals"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run#1", "run.cfg"]
+
+
 def test_unset_output_dir_replays_to_the_fallback(tmp_path, monkeypatch):
     """A run without --output-dir records output_dir as empty, and the
     header replayed as a config file writes to $PODWAVE_OUTPUT_DIR again,

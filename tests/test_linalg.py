@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fe_reference import banded_upper, thin_svd_of_a_copy, to_dense
+from fe_reference import SVD_TOL_EPS, banded_upper, separated_modes, thin_svd_of_a_copy, to_dense
 from podwave.linalg import LinAlgFailure, SymTridiagonal, thin_svd
 
 
@@ -172,29 +172,69 @@ def test_r_matvec_in_place_is_bitwise_the_product(shape):
     assert np.array_equal(x, expected)
 
 
-@pytest.mark.parametrize("shape", [(12, 40), (40, 12), (24, 12), (23, 12), (12, 12)])
-def test_thin_svd_of_scratch_is_bitwise_that_of_a_copy(shape):
-    """thin_svd lets LAPACK overwrite its argument; the factors are those of
-    the same algorithm on a copy, for k < n, k > n and k = n stacks laid out
-    row- or column-major."""
-    b = np.random.default_rng(7).standard_normal(shape)
-    u, s = thin_svd_of_a_copy(b)
-    for order in ("C", "F"):
-        u_scratch, s_scratch = thin_svd(np.array(b, order=order))
-        assert np.array_equal(u_scratch, u) and np.array_equal(s_scratch, s)
-
-
-def test_thin_svd_factors_a_column_major_stack_in_place():
-    """A column-major stack is the QR's own buffer: the call allocates far
-    less than a copy of it."""
-    b = np.asfortranarray(np.random.default_rng(8).standard_normal((4000, 100)))
+def test_r_matvec_allocates_one_array_the_size_of_its_argument():
+    """r_matvec's one temporary is R's superdiagonal term: a stack of 400
+    vectors of 400 entries takes its own size more, with room for numpy's
+    small ufunc buffers, not twice its size."""
+    factor = random_spd_tridiag(np.random.default_rng(6), 400).cholesky()
+    x = np.random.default_rng(7).standard_normal((400, 400))
     tracemalloc.start()
     try:
-        thin_svd(b)
+        factor.r_matvec(x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < b.nbytes / 2
+    assert peak < 1.25 * x.nbytes, peak
+
+
+def row_blocks_of(b, rows):
+    """b in consecutive column-major blocks of the given row count, copies."""
+    return (np.array(b[lo:lo + rows], order="F") for lo in range(0, b.shape[0], rows))
+
+
+@pytest.mark.parametrize("shape", [(12, 40), (40, 12), (24, 12), (23, 12), (12, 12)])
+def test_thin_svd_agrees_with_an_svd_of_a_copy(shape):
+    """thin_svd, of b whole or in row blocks of any size, laid out row- or
+    column-major, leaves b intact and agrees with the QR and SVD of a copy:
+    |delta sigma_k| <= SVD_TOL_EPS * eps * sigma_1 for k < n, k > n and
+    k = n stacks, and each mode j whose sigma_j is separated from its
+    neighbours by gap_j >= 1e-2 sigma_1 within twice that over gap_j (Wedin's
+    bound for the difference of the two backward errors)."""
+    b = np.random.default_rng(7).standard_normal(shape)
+    u_ref, s_ref = thin_svd_of_a_copy(b)
+    tol = SVD_TOL_EPS * np.finfo(float).eps * s_ref[0]
+    separated, gaps = separated_modes(s_ref)
+    assert separated.size > 0
+    for order in ("C", "F"):
+        for rows in (None, 1, 5, shape[0]):
+            stack = np.array(b, order=order)
+            u, s = thin_svd(stack, rows=None if rows is None else row_blocks_of(stack, rows))
+            assert np.array_equal(stack, b)
+            assert u.shape == u_ref.shape and s.shape == s_ref.shape
+            assert np.max(np.abs(s - s_ref)) <= tol
+            for j in separated:
+                sign = np.sign(u[j] @ u_ref[j])
+                assert np.linalg.norm(u[j] - sign * u_ref[j]) <= 2.0 * tol / gaps[j]
+
+
+def test_thin_svd_holds_one_row_block_and_the_triangle():
+    """Fed in row blocks, thin_svd holds a block, the n x n triangle and the
+    SVD's workspace: for 4000 vectors of 100 entries, in blocks of 400,
+    under a quarter of the stack's size."""
+    b = np.random.default_rng(8).standard_normal((4000, 100))
+    tracemalloc.start()
+    try:
+        thin_svd(b, rows=row_blocks_of(b, 400))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < b.nbytes / 4, peak
+
+
+def test_thin_svd_rejects_blocks_that_miss_rows():
+    b = np.random.default_rng(9).standard_normal((30, 8))
+    with pytest.raises(ValueError):
+        thin_svd(b, rows=row_blocks_of(b[:20], 10))
 
 
 @pytest.mark.parametrize("shape", [(400, 60), (120, 60), (90, 60)])

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fe_reference import backward_avg, h10_inner, l2_inner, thin_svd_of_a_copy
-from podwave import pod
+from fe_reference import (SVD_TOL_EPS, backward_avg, h10_inner, l2_inner, separated_modes,
+                          thin_svd_of_a_copy)
+from podwave import diffops, pod, wave
 from podwave.fem import assemble, h10_norms_sq, l2_norms_sq
 from podwave.wave import TimeGrid, Trajectory, WaveParams, default_u0, default_u00, solve
 
@@ -39,19 +40,19 @@ def test_dataset_weights_and_shapes():
     n, dt = traj.grid.N, traj.grid.dt
     std = pod.build_dataset(traj, "standard")
     np.testing.assert_allclose(std.weights, dt)
-    np.testing.assert_allclose(std.vectors, traj.states)
+    np.testing.assert_allclose(std.rows(0, n), traj.states)
 
     dq1 = pod.build_dataset(traj, "dq1")
-    assert dq1.vectors.shape == (n, traj.space.n_dof)
+    assert dq1.rows(0, n).shape == (n, traj.space.n_dof)
     np.testing.assert_allclose(dq1.weights, [1.0] + [dt] * (n - 1))
-    np.testing.assert_allclose(dq1.vectors[0], traj.states[0])
-    np.testing.assert_allclose(dq1.vectors[3], (traj.states[3] - traj.states[2]) / dt)
+    np.testing.assert_allclose(dq1.rows(0, 1)[0], traj.states[0])
+    np.testing.assert_allclose(dq1.rows(3, 4)[0], (traj.states[3] - traj.states[2]) / dt)
 
     ddq = pod.build_dataset(traj, "ddq")
     np.testing.assert_allclose(ddq.weights, [1.0, 1.0] + [dt] * (n - 2))
-    np.testing.assert_allclose(ddq.vectors[1], (traj.states[1] - traj.states[0]) / dt)
+    np.testing.assert_allclose(ddq.rows(1, 2)[0], (traj.states[1] - traj.states[0]) / dt)
     np.testing.assert_allclose(
-        ddq.vectors[4],
+        ddq.rows(4, 5)[0],
         (traj.states[4] - 2 * traj.states[3] + traj.states[2]) / dt**2)
 
     with pytest.raises(ValueError):
@@ -65,18 +66,18 @@ def test_dataset_polynomial_time_profiles():
     t = dt * np.arange(6)
 
     const = make_traj(space, np.tile(v, (6, 1)), dt)
-    d = pod.build_dataset(const, "ddq")
-    np.testing.assert_allclose(d.vectors[0], v)
-    np.testing.assert_allclose(d.vectors[1:], 0.0, atol=1e-12)
+    d = pod.build_dataset(const, "ddq").rows(0, 6)
+    np.testing.assert_allclose(d[0], v)
+    np.testing.assert_allclose(d[1:], 0.0, atol=1e-12)
 
     linear = make_traj(space, np.outer(t, v), dt)
-    d = pod.build_dataset(linear, "ddq")
-    np.testing.assert_allclose(d.vectors[1], v, rtol=1e-12)
-    np.testing.assert_allclose(d.vectors[2:], 0.0, atol=1e-11)
+    d = pod.build_dataset(linear, "ddq").rows(0, 6)
+    np.testing.assert_allclose(d[1], v, rtol=1e-12)
+    np.testing.assert_allclose(d[2:], 0.0, atol=1e-11)
 
     quad = make_traj(space, np.outer(t**2, v), dt)
-    d = pod.build_dataset(quad, "ddq")
-    np.testing.assert_allclose(d.vectors[2:], np.tile(2.0 * v, (4, 1)), rtol=1e-10)
+    d = pod.build_dataset(quad, "ddq").rows(0, 6)
+    np.testing.assert_allclose(d[2:], np.tile(2.0 * v, (4, 1)), rtol=1e-10)
 
 
 # --- basis -------------------------------------------------------------------
@@ -86,7 +87,7 @@ def test_single_column_basis():
     space = assemble(10)
     rng = np.random.default_rng(1)
     w = rng.standard_normal(space.n_dof)
-    data = pod.PodDataSet(vectors=w[None], weights=np.array([1.0]),
+    data = pod.PodDataSet(states=w[None], weights=np.array([1.0]),
                           method="standard", space=space,
                           grid=TimeGrid(T=1.0, dt=0.5, N=3))
     basis = pod.compute_basis(data)
@@ -106,7 +107,7 @@ def test_two_orthonormal_columns():
     vecs[0] /= np.sqrt(l2_inner(space, vecs[0], vecs[0]))
     vecs[1] -= l2_inner(space, vecs[1], vecs[0]) * vecs[0]
     vecs[1] /= np.sqrt(l2_inner(space, vecs[1], vecs[1]))
-    data = pod.PodDataSet(vectors=vecs, weights=np.ones(2), method="standard",
+    data = pod.PodDataSet(states=vecs, weights=np.ones(2), method="standard",
                           space=space, grid=TimeGrid(T=1.0, dt=0.5, N=3))
     basis = pod.compute_basis(data)
     np.testing.assert_allclose(basis.eigenvalues, [1.0, 1.0], rtol=1e-10)
@@ -126,7 +127,7 @@ def test_orthogonal_columns_spectrum_by_hand():
         sines[j] /= np.sqrt(l2_inner(space, sines[j], sines[j]))
     amps = np.array([0.7, 2.0, 0.4])
     weights = np.array([0.5, 0.25, 2.0])
-    data = pod.PodDataSet(vectors=amps[:, None] * sines, weights=weights, method="standard",
+    data = pod.PodDataSet(states=amps[:, None] * sines, weights=weights, method="standard",
                           space=space, grid=TimeGrid(T=1.0, dt=0.5, N=3))
     basis = pod.compute_basis(data)
     expected = np.sort(weights * amps**2)[::-1]
@@ -141,9 +142,9 @@ def test_basis_orthonormal_and_trace():
         phi = basis.modes
         gram = phi @ traj.space.mass.matvec(phi).T
         assert np.max(np.abs(gram - np.eye(basis.rank))) <= 1e-10
+        vectors = data.rows(0, traj.grid.N)
         total = float(np.dot(data.weights,
-                             np.einsum("ij,ij->i", data.vectors,
-                                       traj.space.mass.matvec(data.vectors))))
+                             np.einsum("ij,ij->i", vectors, traj.space.mass.matvec(vectors))))
         assert np.sum(basis.eigenvalues) == pytest.approx(total, rel=1e-10)
         assert np.all(np.diff(basis.eigenvalues) <= 1e-12 * basis.eigenvalues[0])
 
@@ -261,7 +262,8 @@ def test_error_pairs_are_the_two_norms_of_one_residual(seed):
         tail = basis.eigenvalues[3:]
         for projector in (pod.PROJECTOR_L2, pod.PROJECTOR_RITZ):
             project = pod._PROJECTORS[projector]
-            res = data.vectors - project(basis, 3, data.vectors)
+            vectors = data.rows(0, traj.grid.N)
+            res = vectors - project(basis, 3, vectors)
             assert pod.data_error_actual(data, basis, 3, projector) == (
                 float(np.dot(data.weights, l2_norms_sq(space, res))),
                 float(np.dot(data.weights, h10_norms_sq(space, res))))
@@ -406,36 +408,106 @@ def test_sequence_bounds_on_pod_error_sequences():
 
 
 @pytest.mark.parametrize("method", pod.METHODS)
-def test_basis_is_bitwise_that_of_an_svd_on_a_copy(method):
-    """compute_basis lets the SVD overwrite R W^(1/2) data; the basis is that
-    of the same SVD on a copy."""
+def test_basis_agrees_with_an_svd_on_a_copy(method, monkeypatch):
+    """compute_basis, fed R W^(1/2) data in row blocks of 16 vectors, agrees
+    with the QR and SVD of a copy of the whole stack: each sigma within
+    SVD_TOL_EPS * eps * sigma_1, so each
+    eigenvalue within that times 2 sigma_k plus its square, and each mode j
+    separated from its neighbours by gap_j >= 1e-2 sigma_1 within twice that
+    over gap_j in the L2 norm, as R maps modes to singular vectors."""
+    monkeypatch.setattr(wave, "_BLOCK_CELLS", 1)  # 16-row blocks: 81 levels in 5
     traj, _ = solved_traj(n_elements=24, dt=1.0 / 40.0)
     data = pod.build_dataset(traj, method)
     chol = traj.space.mass.cholesky()
-    b = chol.r_matvec(data.vectors * np.sqrt(data.weights)[:, None])
+    b = chol.r_matvec(data.rows(0, traj.grid.N) * np.sqrt(data.weights)[:, None])
     u, sing = thin_svd_of_a_copy(b)
     modes = chol.r_solve(u)
-    pod._fix_mode_signs(modes)
     basis = pod.compute_basis(data)
-    assert np.array_equal(basis.eigenvalues, sing ** 2)
-    assert np.array_equal(basis.modes, modes)
+    assert basis.rank == sing.size
+    tol = SVD_TOL_EPS * np.finfo(float).eps * sing[0]
+    assert np.all(np.abs(basis.eigenvalues - sing ** 2) <= tol * (2.0 * sing + tol))
+    separated, gaps = separated_modes(sing)
+    assert separated.size > 1
+    for j in separated:
+        sign = np.sign(l2_inner(traj.space, basis.modes[j], modes[j]))
+        diff = basis.modes[j] - sign * modes[j]
+        assert np.sqrt(l2_inner(traj.space, diff, diff)) <= 2.0 * tol / gaps[j]
 
 
-def test_compute_basis_frees_the_data_stack_before_the_svd():
-    """At 400 elements and 1001 levels the scaled data stack is 3.2 MB and
-    the SVD of its 399 x 399 triangle needs 4.6 MB more.  compute_basis
-    holds the stack until dgeqrf has factored it and the triangle is
-    copied out, not through the SVD (11.0 MB when it did; 7.8 MB now)."""
-    traj, _ = solved_traj(n_elements=400, dt=1.0 / 400.0, T=2.5)
-    data = pod.build_dataset(traj, "standard")
+def traced_peak(fn):
+    """The tracemalloc peak of one call fn(), in bytes above what was held."""
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        pod.compute_basis(data)
-        peak = tracemalloc.get_traced_memory()[1] - held
+        fn()
+        return tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert peak < 3 * data.vectors.nbytes, peak
+
+
+@pytest.fixture(scope="module")
+def reference_traj():
+    """400 elements, dt = 1/800, T = 2.5: 2001 levels, 6.1 MiB of states."""
+    return solved_traj(n_elements=400, dt=1.0 / 800.0, T=2.5)[0]
+
+
+def test_compute_basis_holds_no_whole_data_stack(reference_traj):
+    """The ddq data stack of the reference trajectory is 6.1 MiB.
+    compute_basis holds two or three 1 MiB row blocks of it, the 399 x 399
+    triangle and gesdd's workspace, five triangles more: about 7.3 MiB
+    whatever the level count (12.2 MiB when it held the scaled stack)."""
+    data = pod.build_dataset(reference_traj, "ddq")
+    peak = traced_peak(lambda: pod.compute_basis(data))
+    assert peak < 8 << 20, peak
+
+
+@pytest.mark.parametrize("projector", (pod.PROJECTOR_L2, pod.PROJECTOR_RITZ))
+def test_data_error_actual_holds_no_whole_residual(reference_traj, projector):
+    """Over the 2001 ddq data vectors of the reference trajectory and 60
+    modes, data_error_actual holds a few 1 MiB row blocks of data and
+    residual: about 3.1 MiB (12.3 MiB with the whole residual stack)."""
+    basis = pod.pod_basis(reference_traj, "ddq")
+    data = pod.build_dataset(reference_traj, "ddq")
+    peak = traced_peak(lambda: pod.data_error_actual(data, basis, 60, projector))
+    assert peak < 4 << 20, peak
+
+
+@pytest.mark.parametrize("method", pod.METHODS)
+def test_data_rows_are_bitwise_the_same_in_any_row_blocks(method):
+    """Every row block of a data set, the leading rows included, is bitwise
+    the matching rows of the data vectors written out whole."""
+    traj = random_traj(3, n_steps=23)
+    u, dt, n = traj.states, traj.grid.dt, traj.grid.N
+    whole = {"standard": u,
+             "dq1": np.concatenate((u[:1], diffops.forward_diff(u, dt))),
+             "ddq": np.concatenate((u[:1], diffops.forward_diff(u[:2], dt),
+                                    diffops.second_diff(u, dt)))}[method]
+    data = pod.build_dataset(traj, method)
+    for rows in (1, 2, 3, 5, n):
+        blocks = [data.rows(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+        assert np.array_equal(np.concatenate(blocks), whole)
+    for lo, hi in ((0, 0), (1, 1), (0, 1), (1, 2), (1, 3), (2, 2), (n - 1, n)):
+        assert np.array_equal(data.rows(lo, hi), whole[lo:hi])
+
+
+def test_data_error_actual_is_the_same_in_any_row_blocks(monkeypatch):
+    """The data errors and the snapshot-bound sides summed over row blocks of
+    16 vectors agree with one block to round-off (1e-13 relative)."""
+    traj, _ = solved_traj(n_elements=24, dt=1.0 / 40.0)
+    basis = pod.pod_basis(traj, "ddq")
+    data = pod.build_dataset(traj, "ddq")
+
+    def sides():
+        out = []
+        for projector in (pod.PROJECTOR_L2, pod.PROJECTOR_RITZ):
+            out += pod.data_error_actual(data, basis, 5, projector)
+            for check in pod.pointwise_bound_check(traj, basis, 5, projector):
+                out += [check.lhs, check.rhs]
+        return out
+
+    whole = sides()
+    monkeypatch.setattr(wave, "_BLOCK_CELLS", 1)
+    np.testing.assert_allclose(sides(), whole, rtol=1e-13)
 
 
 def test_mode_signs_follow_the_first_nonzero_coefficient():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fe_reference
-from podwave import pod
+from podwave import pod, wave
 from podwave.config import RunConfig
 from podwave.experiments import train_interval_rows, training_slice
 from podwave.fem import assemble, l2_norms_sq
@@ -280,6 +280,67 @@ def test_sweep_reports_allocate_less_than_one_frame_array():
     finally:
         tracemalloc.stop()
     assert peak < (grid.N - 1) * basis.rank * runs[0].itemsize
+
+
+@pytest.mark.parametrize("rank_tol,bound_mib", [(0.0, 11), (1e-12, 15)],
+                         ids=["full-rank", "cut"])
+def test_error_frame_holds_no_whole_product(rank_tol, bound_mib):
+    """At 400 elements, dt = 1/800 and T = 2.5 (2001 levels, 6.1 MiB of
+    states) a frame of a ddq basis for r = 5, 10, ..., 60 holds L, M Phi and
+    A psi (1.2 MiB each), its kept columns and tail sums (2.4 MiB) and row
+    blocks of the products: about 9.9 MiB at full rank, 16.9 MiB with the
+    two whole (N, s) products.  A cut basis (s = 386) adds the off-span
+    residuals, also by blocks: about 13.9 MiB, 41 MiB when they were whole."""
+    space = assemble(400)
+    params = WaveParams(c=1.0, D=0.1)
+    traj = solve(space, TimeGrid.from_dt(2.5, 1.0 / 800.0), params, default_u0, default_u00)
+    basis = pod.pod_basis(traj, "ddq", rank_tol=rank_tol)
+    assert (basis.rank < space.n_dof) == (rank_tol > 0)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        ErrorFrame(traj, basis, params, range(5, 61, 5))
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib << 20, peak
+
+
+@pytest.mark.parametrize("n_elements,T,rank_tol", [
+    (24, 4.0, 0.0),   # 201 levels: the basis spans the FE space
+    (40, 0.5, 0.0),   # 26 levels, 39 unknowns: s < n_dof
+    (24, 4.0, 1e-4),  # a cut spectrum: the states leave span Phi
+], ids=["s-is-n_dof", "n-below-n_dof", "rank-tol"])
+def test_error_frame_is_the_same_in_any_row_blocks(n_elements, T, rank_tol, monkeypatch):
+    """A frame summed over row blocks of 16 level pairs, each reading one
+    level past its end, agrees with a frame of one block to round-off: the
+    coordinates within 1e-13 of the largest of their kind, the squared norms
+    (tail sums and off-span terms) within 1e-13 of the largest squared L2
+    norm or twice the largest energy of the states (c = 1), which bound
+    them."""
+    space = assemble(n_elements)
+    params = WaveParams(c=1.0, D=0.1)
+    traj = solve(space, TimeGrid.from_dt(T, 0.02), params, default_u0, default_u00)
+    basis = pod.pod_basis(traj, "ddq", rank_tol=rank_tol)
+    sizes = sorted({1, max(basis.rank // 2, 1), basis.rank})
+    whole = ErrorFrame(traj, basis, params, sizes)
+    monkeypatch.setattr(wave, "_BLOCK_CELLS", 1)
+    blocked = ErrorFrame(traj, basis, params, sizes)
+
+    def close(got, want, scale):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * scale)
+
+    for name in ("c", "d", "start"):
+        close(getattr(blocked, name), getattr(whole, name),
+              np.max(np.abs(getattr(whole, name))))
+    u_sq = float(np.max(l2_norms_sq(space, traj.states)))
+    u_energy = float(np.max(energy_series(space, traj.states, traj.grid.dt, params.c)))
+    close(blocked.off_l2, whole.off_l2, u_sq)
+    close(blocked.off_energy, whole.off_energy, 2.0 * u_energy)
+    for r in sizes:
+        for got, want, scale in zip(blocked.tails[r], whole.tails[r],
+                                    (u_sq, 2.0 * u_energy, 2.0 * u_energy)):
+            close(got, want, scale)
 
 
 @ROM_DAMPINGS
