@@ -204,16 +204,14 @@ def error_formula_rows(config: RunConfig):
 
 def _rom_reports(traj, basis, params, r_list):
     """The error reports of the ROMs of each size in r_list on basis, from one
-    sized error frame and one solve, freed on return: before the next basis
-    is made."""
+    sized error frame and the level blocks of one solve, freed on return:
+    before the next basis is made."""
     sizes = [int(r) for r in r_list]
     runs = [(basis, r) for r in sizes]
     _check_ranks(runs)
     # the frame before the ROMs: making it is the peak, and it keeps few columns
     frame = rom.ErrorFrame(traj, basis, params, sizes)
-    # held to the end: freed before the reports, its heap layout raised peak RSS
-    romsys = rom.build_rom(runs, traj, params)
-    return [rom.error_report(frame, a) for a in rom.solve_rom(romsys)]
+    return rom.error_reports(frame, rom.solve_rom(rom.build_rom(runs, traj, params)))
 
 
 def rom_sweep_rows(config: RunConfig):
@@ -231,12 +229,13 @@ def rom_sweep_rows(config: RunConfig):
         swept = replace(config, **{param: float(value)}).validated()
         traj, params = fe_trajectory(swept), swept.wave_params()
         for method in ("standard", "ddq"):
-            basis = _basis(swept, traj, method)
-            for r, rep in zip(config.r_list, _rom_reports(traj, basis, params, config.r_list)):
+            reports = _rom_reports(traj, _basis(swept, traj, method), params, config.r_list)
+            for r, rep in zip(config.r_list, reports):
                 rows.append([
                     float(value), int(r), method, rep.max_l2_sq, rep.max_energy,
                     rep.ratio_energy, rep.ratio_pointwise,
                 ])
+        del traj  # unless cached, freed before the next value's trajectory is solved
     return header, rows
 
 
@@ -252,8 +251,12 @@ def profile_rows(config: RunConfig):
     space = traj.space
     basis = _basis(config, traj, config.pod_method)
     _check_ranks([(basis, r)])
-    coeffs, = rom.solve_rom(rom.build_rom([(basis, r)], traj, config.wave_params()))
-    rom_states = coeffs[levels] @ basis.modes[:r]
+    kept = np.empty((len(levels), r))  # the ROM coefficients of the printed levels
+    for n, (coeffs,) in rom.solve_rom(rom.build_rom([(basis, r)], traj, config.wave_params())):
+        for i, level in enumerate(levels):
+            if n <= level < n + len(coeffs):
+                kept[i] = coeffs[level - n]
+    rom_states = kept @ basis.modes[:r]
     header = ["x"]
     cols = [space.full_nodes]
     for t, n, rom_state in zip(times, levels, rom_states):
@@ -280,7 +283,8 @@ def train_interval_rows(config: RunConfig, methods=("standard", "ddq")):
             for t in config.t_train for method in methods]
     rom_runs = [(basis, r) for *_, basis in runs]
     _check_ranks(rom_runs)
-    coeffs = rom.solve_rom(rom.build_rom(rom_runs, traj, config.wave_params()))
+    for _, coeffs in rom.solve_rom(rom.build_rom(rom_runs, traj, config.wave_params())):
+        pass  # only the last block, which holds the final level, is read
     header = ["T_train", "method", "final_time_l2"]
     rows = []
     for (t_train, method, basis), a in zip(runs, coeffs):

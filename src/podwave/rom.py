@@ -5,7 +5,7 @@ Because the modes are M-orthonormal the reduced mass matrix is the identity
 and the reduced system mirrors the full scheme with S_r = Phi A Phi^T in
 place of the stiffness matrix.  Every step matrix is then a polynomial in
 S_r, so the scheme decouples in the eigenbasis of S_r.  A ROM run is its
-coefficients a (N, r): the ROM state at level n is a^n Phi_r.
+coefficients a^n, r per level n: the ROM state at level n is a^n Phi_r.
 
 The errors are taken in POD coordinates: one ErrorFrame per trajectory U and
 basis Phi of s modes.  With Phi A Phi^T = L L^T the rows of psi = L^{-1} Phi
@@ -19,14 +19,17 @@ With d = avg(U) A psi^T and off the part outside span Phi (0 if s = n_dof),
 A study reports many ROMs on one trajectory: every size r of a basis, or
 every training window x method.  build_rom makes one RomSystem of such runs,
 in the eigenbasis of each run's S_r; solve_rom advances the eigen-coordinates
-of every run as the columns of one (N, sum r) array, and the recurrence is
-elementwise, so each run's coefficients are bitwise those of a system of its
-own.  ErrorFrame(traj, basis, params, sizes) sums the discarded modes' squares
-of c, bd c and d per level once for every size, over the column ranges
-between the sizes from the last column down, and keeps the columns of c and d
-below the largest size only.  It forms c and d in row blocks of levels, each
-reading one level past its end for bd c and the averages, so no (N, s)
-product is ever held, and a report costs O(N r).
+of every run side by side in one buffer of a block of levels and yields each
+block's coefficients, run by run.  The recurrence is elementwise, so each
+run's coefficients are bitwise those of a system of its own.  Each report is
+a maximum over levels, so error_reports reduces the blocks as they come and
+no (N, sum r) array is ever formed.  ErrorFrame(traj, basis, params, sizes)
+sums the discarded modes' squares of c, bd c and d per level once for every
+size, over the column ranges between the sizes from the last column down,
+and keeps the columns of c and d below the largest size only.  It forms c
+and d in row blocks of levels, each reading one level past its end for bd c
+and the averages, so no (N, s) product is ever held, and a report costs
+O(N r).
 """
 
 from dataclasses import dataclass
@@ -37,7 +40,8 @@ import scipy.linalg
 from .diffops import forward_diff
 from .fem import l2_norms_sq, h10_norms_sq
 from .pod import PodBasis, check_rank, stiffness_factor
-from .wave import TimeGrid, Trajectory, WaveParams, _row_blocks, energy, step_weights
+from .wave import (TimeGrid, Trajectory, WaveParams, _row_blocks, energy, step_blocks,
+                   step_weights)
 
 _REDUCED_MASS_TOL = 1e-10
 _RATIO_FLOOR = 1e-14
@@ -80,9 +84,14 @@ def build_rom(runs, traj: Trajectory, params: WaveParams) -> RomSystem:
                      start=np.hstack(start), q=tuple(q))
 
 
-def solve_rom(romsys: RomSystem) -> list:
-    """Integrate the reduced systems; returns the coefficients a (N, r_i) of
-    each run, in run order, the ROM state at level n being a^n Phi_{r_i}.
+def solve_rom(romsys: RomSystem, rows: int = 0):
+    """Integrate the reduced systems and yield their coefficients in blocks
+    (n, coeffs) of levels: coeffs lists each run's (levels, r_i) block, in
+    run order, whose first row is level n (0-based), the ROM state at level
+    n + i being coeffs[j][i] Phi_{r_j}.  The blocks are those of
+    wave.step_blocks: rows + 2 levels (by default, about 1 MiB of
+    coordinates), two shared with the next block; rows >= N - 2 gives one
+    block of every level.
 
     The coordinates z = a Q decouple: each FE step matrix w_m M + w_a A
     becomes w_m + w_a lam, and mode k follows
@@ -92,14 +101,10 @@ def solve_rom(romsys: RomSystem) -> list:
     weights = step_weights(romsys.params, romsys.grid.dt)
     lhs, b_cur, b_prev = (wm + wa * romsys.lam for wm, wa in weights)
     b_cur, b_prev = b_cur / lhs, b_prev / lhs
-    z = np.empty((romsys.grid.N, romsys.r))
-    z[:2] = romsys.start
-    for n in range(2, romsys.grid.N):
-        z[n] = b_cur * z[n - 1] + b_prev * z[n - 2]
-    blocks = np.split(z, np.cumsum([len(q) for q in romsys.q])[:-1], axis=1)
-    for block, q in zip(blocks, romsys.q):
-        block[...] = block @ q.T
-    return blocks
+    ends = np.cumsum([len(q) for q in romsys.q])
+    for n, z in step_blocks(romsys.start, romsys.grid.N,
+                            lambda prev, prev2: b_cur * prev + b_prev * prev2, rows):
+        yield n, [z[:, end - len(q):end] @ q.T for end, q in zip(ends, romsys.q)]
 
 
 class ErrorFrame:
@@ -126,11 +131,9 @@ class ErrorFrame:
         # per size, the tail sums of c, bd c and d, by level
         tails = np.zeros((3, len(sizes), n))
         off = s < space.n_dof
+        self.off_l2, self.off_energy = np.zeros(n), np.zeros(n - 1)
         if off:
             psi = scipy.linalg.solve_triangular(self.lower, phi, lower=True)
-            self.off_l2, self.off_energy = np.empty(n), np.empty(n - 1)
-        else:
-            self.off_l2 = self.off_energy = 0.0
         # blocks of the level pairs (j, j + 1): each block reads one level past
         # its end, and the last block also owns the last level's c
         for lo, hi in _row_blocks(n - 1, space.n_dof):
@@ -154,6 +157,22 @@ class ErrorFrame:
             _tail_sums(du[:-1], sizes, tails[2, :, lo:hi])
         self.tails = {r: (tails[0, i], tails[1, i, :-1], tails[2, i, :-1])
                       for i, r in enumerate(sizes)}
+
+    def level_errors(self, n: int, coeffs: np.ndarray):
+        """(||e^j||_M^2 per level j, the error energy per level pair (j, j+1))
+        of a ROM run on the first r modes of the basis, from its coefficients
+        coeffs (levels, r) of the levels n, n+1, ... of the trajectory."""
+        r, end, dt = coeffs.shape[1], n + len(coeffs), self.dt
+        if r not in self.tails:
+            raise ValueError(f"the error frame is sized for r in {sorted(self.tails)}, got {r}")
+        tail_c, tail_bd, tail_d = self.tails[r]
+        c_head, l_rr = self.c[n:end, :r], self.lower[:r, :r]
+        l2_sq = self.off_l2[n:end] + (tail_c[n:end] + _dist_sq(c_head, coeffs))
+        avg_psi = 0.5 * (coeffs[1:] + coeffs[:-1]) @ l_rr
+        e_energy = self.off_energy[n:end - 1] + energy(
+            tail_bd[n:end - 1] + _dist_sq(forward_diff(c_head, dt), forward_diff(coeffs, dt)),
+            tail_d[n:end - 1] + _dist_sq(self.d[n:end - 1, :r], avg_psi), self.params.c)
+        return l2_sq, e_energy
 
 
 def _tail_sums(x: np.ndarray, sizes, out: np.ndarray):
@@ -184,9 +203,35 @@ class RomErrorReport:
     ratio_pointwise: float
 
 
-def error_report(frame: ErrorFrame, coeffs: np.ndarray) -> RomErrorReport:
-    """Compare a ROM run coeffs (N, r) on the first r modes of the frame's
-    basis against the frame's trajectory, and evaluate the error-bound
+def error_reports(frame: ErrorFrame, blocks) -> list:
+    """The error_report of each ROM run on the frame's basis and trajectory,
+    from the runs' level blocks (n, coeffs) as solve_rom yields them.
+
+    Every report is a maximum over levels, so the blocks are reduced as they
+    come: per run, the running maxima of ||e^n||_M^2 and of the error
+    energy, and a^1, a^2 from the first block.  A block's every level and
+    level pair counts; the two levels it shares with the next block count
+    twice, which a maximum ignores.
+    """
+    n_levels, maxima, end = frame.c.shape[0], None, 0
+    for n, coeffs in blocks:
+        end = n + len(coeffs[0])
+        if end > n_levels:
+            break
+        if maxima is None:
+            maxima, starts = np.full((len(coeffs), 2), -np.inf), [a[:2].copy() for a in coeffs]
+        for m, a in zip(maxima, coeffs):
+            m[:] = np.maximum(m, [np.max(e) for e in frame.level_errors(n, a)])
+    if end != n_levels:
+        raise ValueError("the ROM run and the frame live on different grids")
+    return [error_report(frame, start, *m) for start, m in zip(starts, maxima)]
+
+
+def error_report(frame: ErrorFrame, start: np.ndarray, max_l2_sq: float,
+                 max_energy: float) -> RomErrorReport:
+    """The report of a ROM run on the first r modes of the frame's basis,
+    from its coefficients a^1, a^2 (start, (2, r)) and the maxima over
+    levels of its ||e^n||_M^2 and error energy, with the error-bound
     quotients.
 
     The error splits as e^n = eta^n - phi^n with eta^n = u_h^n - R_r u_h^n
@@ -195,26 +240,15 @@ def error_report(frame: ErrorFrame, coeffs: np.ndarray) -> RomErrorReport:
     the discarded modes.  Ratios are reported as nan when the denominator
     falls below round-off scale.
     """
-    basis, dt, c = frame.basis, frame.dt, frame.params.c
-    if coeffs.shape[0] != frame.c.shape[0]:
-        raise ValueError("the ROM run and the frame live on different grids")
-    r = coeffs.shape[1]
-    if r not in frame.tails:
-        raise ValueError(f"the error frame is sized for r in {sorted(frame.tails)}, got {r}")
-    tail_c, tail_bd, tail_d = frame.tails[r]
-    c_head, l_rr = frame.c[:, :r], frame.lower[:r, :r]
-    l2_sq = frame.off_l2 + (tail_c + _dist_sq(c_head, coeffs))
-    avg_psi = 0.5 * (coeffs[1:] + coeffs[:-1]) @ l_rr
-    e_energy = frame.off_energy + energy(
-        tail_bd + _dist_sq(forward_diff(c_head, dt), forward_diff(coeffs, dt)),
-        tail_d + _dist_sq(frame.d[:, :r], avg_psi), c)
+    basis, dt, c, r = frame.basis, frame.dt, frame.params.c, start.shape[1]
+    l_rr = frame.lower[:r, :r]
 
     # R_r v = x Phi_r with x L_rr = the first r psi-coefficients of v: of u^1,
     # bd u^2 and the discarded modes, whose psi-coefficients are rows of L
     tail, l_tail = basis.eigenvalues[r:], frame.lower[r:]
     x = scipy.linalg.solve_triangular(
         l_rr, np.hstack((frame.start[:, :r].T, l_tail[:, :r].T)), lower=True, trans="T")
-    phi1, bd_phi = coeffs[0] - x[:, 0], (coeffs[1] - coeffs[0]) / dt - x[:, 1]
+    phi1, bd_phi = start[0] - x[:, 0], (start[1] - start[0]) / dt - x[:, 1]
     phi1_l2_sq = float(phi1 @ phi1)
     avg_phi = (phi1 + 0.5 * dt * bd_phi) @ l_rr
     e_phi2 = float(energy(bd_phi @ bd_phi, avg_phi @ avg_phi, c))
@@ -228,8 +262,7 @@ def error_report(frame: ErrorFrame, coeffs: np.ndarray) -> RomErrorReport:
 
     energy_denom = e_phi2 + tail_both
     pointwise_denom = phi1_l2_sq + e_phi2 + tail_l2
-    max_energy = float(np.max(e_energy))
-    max_l2_sq = float(np.max(l2_sq))
+    max_energy, max_l2_sq = float(max_energy), float(max_l2_sq)
     scale = max(basis.eigenvalues[0], 1.0)
     ratio_energy = max_energy / energy_denom if energy_denom > _RATIO_FLOOR * scale else np.nan
     ratio_pointwise = max_l2_sq / pointwise_denom if pointwise_denom > _RATIO_FLOOR * scale else np.nan

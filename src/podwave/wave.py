@@ -133,33 +133,43 @@ def initial_states(space: FemSpace, grid: TimeGrid, params: WaveParams,
     return u1, u2
 
 
-def level_blocks(space: FemSpace, grid: TimeGrid, params: WaveParams,
-                 u0: Callable, u00: Callable, rows: int = 0):
-    """Step u^1..u^N and yield them in blocks (n, levels): levels is a stack
-    of consecutive states whose first is level n (0-based).
+def step_blocks(start: np.ndarray, n_levels: int, step: Callable, rows: int = 0):
+    """Step the three-level recurrence x^n = step(x^{n-1}, x^{n-2}) from its
+    first two levels start (2, n_cols) to level n_levels - 1 (0-based), and
+    yield the levels in blocks (n, levels): levels is a stack of consecutive
+    levels whose first is level n.
 
-    The states are stepped into one buffer of rows + 2 rows (by default,
+    The levels are stepped into one buffer of rows + 2 rows (by default,
     rows fills _BLOCK_CELLS cells).  Once it is full it is yielded, and its
-    last two levels, all the three-level scheme reads, move to its front:
-    consecutive blocks share two levels.  A block is overwritten once the
-    next one is asked for.  rows >= N - 2 makes one block of every level.
-    A step reads only the two levels before it, so every state is bitwise
-    the same for any rows.
+    last two levels, all a step reads, move to its front: consecutive blocks
+    share two levels, and each starts at a multiple of rows.  A block is
+    overwritten once the next one is asked for.  rows >= n_levels - 2 makes
+    one block of every level.  A step reads only the two levels before it,
+    so every level is bitwise the same for any rows.
     """
-    lhs, b_cur, b_prev = step_matrices(space, params, grid.dt)
-    solver = lhs.cholesky()
-    rows = min(rows or _block_rows(space.n_dof), grid.N - 2)
-    buf = np.empty((rows + 2, space.n_dof))
-    buf[0], buf[1] = initial_states(space, grid, params, u0, u00)
+    rows = min(rows or _block_rows(start.shape[1]), n_levels - 2)
+    buf = np.empty((rows + 2, start.shape[1]))
+    buf[:2] = start
     n, k = 0, 2  # the level of buf[0] and the rows filled
-    for level in range(2, grid.N):
+    for level in range(2, n_levels):
         if k == len(buf):
             yield n, buf
             buf[:2] = buf[-2:]
             n, k = level - 2, 2
-        buf[k] = solver.solve(b_cur.matvec(buf[k - 1]) + b_prev.matvec(buf[k - 2]))
+        buf[k] = step(buf[k - 1], buf[k - 2])
         k += 1
     yield n, buf[:k]
+
+
+def level_blocks(space: FemSpace, grid: TimeGrid, params: WaveParams,
+                 u0: Callable, u00: Callable, rows: int = 0):
+    """Step u^1..u^N and yield them in blocks (n, levels) of rows + 2
+    consecutive states, as step_blocks does."""
+    lhs, b_cur, b_prev = step_matrices(space, params, grid.dt)
+    solver = lhs.cholesky()
+    start = np.stack(initial_states(space, grid, params, u0, u00))
+    yield from step_blocks(start, grid.N, lambda prev, prev2: solver.solve(
+        b_cur.matvec(prev) + b_prev.matvec(prev2)), rows)
 
 
 def solve(space: FemSpace, grid: TimeGrid, params: WaveParams,

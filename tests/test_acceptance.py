@@ -26,7 +26,7 @@ from podwave.experiments import (
     train_interval_rows,
 )
 from podwave.fem import assemble, l2_norms_sq
-from podwave.rom import ErrorFrame, build_rom, error_report, solve_rom
+from podwave.rom import ErrorFrame, build_rom, error_reports, solve_rom
 from podwave.wave import (
     TimeGrid,
     WaveParams,
@@ -72,8 +72,9 @@ class ReferenceRun:
 
     def rom_report(self, method: str, r: int):
         basis = self.basis(method)
-        coeffs, = solve_rom(build_rom([(basis, r)], self.traj, self.params))
-        return error_report(ErrorFrame(self.traj, basis, self.params, [r]), coeffs)
+        (_, (coeffs,)), = solve_rom(build_rom([(basis, r)], self.traj, self.params), self.grid.N)
+        rep, = error_reports(ErrorFrame(self.traj, basis, self.params, [r]), [(0, [coeffs])])
+        return rep
 
 
 @pytest.fixture(scope="module")
@@ -279,7 +280,7 @@ def test_full_rank_rom_consistency():
     params = WaveParams(c=1.0, D=0.1)
     traj = solve(space, grid, params, default_u0, default_u00)
     basis = pod.pod_basis(traj, "standard")
-    coeffs, = solve_rom(build_rom([(basis, basis.rank)], traj, params))
+    (_, (coeffs,)), = solve_rom(build_rom([(basis, basis.rank)], traj, params), grid.N)
     rom_states = coeffs @ basis.modes
     scale = float(np.max(np.sqrt(l2_norms_sq(space, traj.states))))
     err = float(np.max(np.sqrt(l2_norms_sq(space, traj.states - rom_states))))

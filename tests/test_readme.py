@@ -1,5 +1,6 @@
 """The README's examples are current: its Python examples import only names
-that exist, and its `podwave` command lines parse to a valid configuration."""
+that exist, its "Library use" example runs, and its `podwave` command lines
+parse to a valid configuration."""
 
 import ast
 import os
@@ -25,6 +26,14 @@ def test_readme_imports_resolve():
                for node in imports)
     for node in imports:
         exec(compile(ast.Module(body=[node], type_ignores=[]), "<README python block>", "exec"), {})
+
+
+def test_readme_library_example_runs(capsys):
+    """The "Library use" example runs as written, so a changed signature or
+    return shape of any call it makes fails here."""
+    example, = [block for block in blocks("python") if "podwave.rom" in block]
+    exec(compile(example, "<README Library use>", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 3
 
 
 def test_readme_command_lines_parse():

@@ -8,15 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fe_reference
-from podwave import pod, wave
+from podwave import pod, rom, wave
+from podwave.cli import main
 from podwave.config import RunConfig
-from podwave.experiments import train_interval_rows, training_slice
+from podwave.experiments import (
+    _basis,
+    fe_trajectory,
+    profile_rows,
+    train_interval_rows,
+    training_slice,
+)
 from podwave.fem import assemble, l2_norms_sq
 from podwave.rom import (
     ErrorFrame,
     RomErrorReport,
     build_rom,
-    error_report,
+    error_reports,
     solve_rom,
 )
 from podwave.wave import (
@@ -104,14 +111,14 @@ def test_zero_initial_coefficients_stay_zero(small_run):
     space, grid, params, traj = small_run
     basis = pod.pod_basis(traj, "standard")
     zero = Trajectory(space=space, grid=grid, states=np.zeros((grid.N, space.n_dof)))
-    coeffs, = solve_rom(build_rom([(basis, 5)], zero, params))
+    (_, (coeffs,)), = solve_rom(build_rom([(basis, 5)], zero, params), grid.N)
     np.testing.assert_allclose(coeffs, 0.0)
 
 
 def test_full_rank_rom_reproduces_fe(small_run):
     space, grid, params, traj = small_run
     basis = pod.pod_basis(traj, "standard")
-    coeffs, = solve_rom(build_rom([(basis, basis.rank)], traj, params))
+    (_, (coeffs,)), = solve_rom(build_rom([(basis, basis.rank)], traj, params), grid.N)
     rom_states = coeffs @ basis.modes
     scale = np.max(np.sqrt(l2_norms_sq(space, traj.states)))
     err = np.max(np.sqrt(l2_norms_sq(space, traj.states - rom_states)))
@@ -121,7 +128,7 @@ def test_full_rank_rom_reproduces_fe(small_run):
 def test_rom_energy_identity(small_run):
     space, grid, params, traj = small_run
     basis = pod.pod_basis(traj, "ddq")
-    coeffs, = solve_rom(build_rom([(basis, 8)], traj, params))
+    (_, (coeffs,)), = solve_rom(build_rom([(basis, 8)], traj, params), grid.N)
     rom_traj = Trajectory(space=space, grid=grid, states=coeffs @ basis.modes[:8])
     e, rate, dissipation = energy_balance(rom_traj, params)
     assert np.max(np.abs(rate + dissipation)) <= 1e-10 * e[0]
@@ -133,7 +140,7 @@ def test_rom_energy_conserved_undamped():
     params = WaveParams(c=1.0)
     traj = solve(space, grid, params, default_u0, default_u00)
     basis = pod.pod_basis(traj, "standard")
-    coeffs, = solve_rom(build_rom([(basis, 7)], traj, params))
+    (_, (coeffs,)), = solve_rom(build_rom([(basis, 7)], traj, params), grid.N)
     e = energy_series(space, coeffs @ basis.modes[:7], grid.dt, params.c)
     assert np.max(np.abs(e - e[0])) <= 1e-10 * e[0]
 
@@ -142,8 +149,8 @@ def test_error_report_fields(small_run):
     space, grid, params, traj = small_run
     basis = pod.pod_basis(traj, "ddq")
     r = 8
-    coeffs, = solve_rom(build_rom([(basis, r)], traj, params))
-    rep = error_report(ErrorFrame(traj, basis, params, [r]), coeffs)
+    (_, (coeffs,)), = solve_rom(build_rom([(basis, r)], traj, params), grid.N)
+    rep, = error_reports(ErrorFrame(traj, basis, params, [r]), [(0, [coeffs])])
 
     err = traj.states - coeffs @ basis.modes[:r]
     err_sq = l2_norms_sq(space, err)
@@ -159,8 +166,8 @@ def test_error_report_full_rank_ratios_flagged(small_run):
     space, grid, params, traj = small_run
     basis = pod.pod_basis(traj, "standard")
     r = basis.rank
-    coeffs, = solve_rom(build_rom([(basis, r)], traj, params))
-    rep = error_report(ErrorFrame(traj, basis, params, [r]), coeffs)
+    (_, (coeffs,)), = solve_rom(build_rom([(basis, r)], traj, params), grid.N)
+    rep, = error_reports(ErrorFrame(traj, basis, params, [r]), [(0, [coeffs])])
     # denominators collapse to round-off; quotients are reported as missing
     assert np.isnan(rep.ratio_energy)
     assert np.isnan(rep.ratio_pointwise)
@@ -175,7 +182,7 @@ def test_rom_on_invariant_subspace_matches_fe():
     traj = solve(space, grid, params, lambda x: np.sin(np.pi * x), default_u00)
     basis = pod.pod_basis(traj, "standard", rank_tol=1e-24)
     r = min(basis.rank, 4)
-    coeffs, = solve_rom(build_rom([(basis, r)], traj, params))
+    (_, (coeffs,)), = solve_rom(build_rom([(basis, r)], traj, params), grid.N)
     rom_states = coeffs @ basis.modes[:r]
     scale = np.max(np.sqrt(l2_norms_sq(space, traj.states)))
     err = np.max(np.sqrt(l2_norms_sq(space, traj.states - rom_states)))
@@ -196,7 +203,7 @@ def test_modal_rom_matches_stepping(damping):
     basis = pod.pod_basis(traj, "standard")
     for r in (1, basis.rank // 2, basis.rank):
         ref = stepping_rom_states(basis, r, traj, params)
-        coeffs, = solve_rom(build_rom([(basis, r)], traj, params))
+        (_, (coeffs,)), = solve_rom(build_rom([(basis, r)], traj, params), grid.N)
         gap = np.max(np.abs(coeffs @ basis.modes[:r] - ref)) / np.max(np.abs(ref))
         assert gap <= 1e-9, f"r={r}: relative gap {gap:.2e}"
 
@@ -236,9 +243,10 @@ def assert_rom_bitwise(c, damping):
     for runs in stacks:
         romsys = build_rom(runs, traj, params)
         assert romsys.r == sum(r for _, r in runs)
-        for (run_basis, r), coeffs in zip(runs, solve_rom(romsys), strict=True):
+        (_, stacked), = solve_rom(romsys, grid.N)
+        for (run_basis, r), coeffs in zip(runs, stacked, strict=True):
             want = written_out_modal_coeffs(run_basis, r, traj, params)
-            alone, = solve_rom(build_rom([(run_basis, r)], traj, params))
+            (_, (alone,)), = solve_rom(build_rom([(run_basis, r)], traj, params), grid.N)
             assert np.array_equal(alone, want), r
             assert np.array_equal(coeffs, want), r
 
@@ -253,9 +261,12 @@ def test_frame_rejects_sizes_it_was_not_made_for(small_run):
     space, grid, params, traj = small_run
     basis = pod.pod_basis(traj, "standard")
     frame = ErrorFrame(traj, basis, params, [2, 4])
-    coeffs, = solve_rom(build_rom([(basis, 3)], traj, params))
     with pytest.raises(ValueError, match="sized"):
-        error_report(frame, coeffs)
+        error_reports(frame, solve_rom(build_rom([(basis, 3)], traj, params)))
+    longer = solve(space, TimeGrid.from_dt(2.0, grid.dt), params, default_u0, default_u00)
+    for other in (training_slice(traj, 1.0), longer):  # 21 and 41 levels, not 30
+        with pytest.raises(ValueError, match="grids"):
+            error_reports(frame, solve_rom(build_rom([(basis, 2)], other, params), 4))
     with pytest.raises(ValueError):
         ErrorFrame(traj, basis, params, [basis.rank + 1])
 
@@ -271,11 +282,10 @@ def test_sweep_reports_allocate_less_than_one_frame_array():
     basis = pod.pod_basis(traj, "standard")
     sizes = list(range(2, 26, 2))
     frame = ErrorFrame(traj, basis, params, sizes)
-    runs = solve_rom(build_rom([(basis, r) for r in sizes], traj, params))
+    (_, runs), = solve_rom(build_rom([(basis, r) for r in sizes], traj, params), grid.N)
     tracemalloc.start()
     try:
-        for run in runs:
-            error_report(frame, run)
+        error_reports(frame, [(0, runs)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -343,6 +353,95 @@ def test_error_frame_is_the_same_in_any_row_blocks(n_elements, T, rank_tol, monk
             close(got, want, scale)
 
 
+BLOCK = 16  # levels per block of the blocked solves below
+
+
+@pytest.mark.parametrize("n_levels", [3, BLOCK + 1, BLOCK + 2, BLOCK + 3, 2 * BLOCK + 2])
+@pytest.mark.parametrize("method", ["standard", "ddq"])
+def test_reports_are_the_same_in_any_level_blocks(method, n_levels):
+    """The reports of a stack of sizes, reduced from 16-level blocks as
+    solve_rom yields them, are bitwise those of one block of every level:
+    one block (N = 3, B + 1, B + 2), a last block of three levels (B + 3),
+    and two full blocks (2B + 2).  The stepping is elementwise and the
+    norms reduce each level on its own; at these sizes (r < 32) OpenBLAS
+    also forms each row of the products z Q^T and avg(a) L_rr alike for any
+    row count, and a maximum is exact."""
+    space = assemble(24)
+    params = WaveParams(c=1.0, D=0.1)
+    traj = solve(space, TimeGrid.from_dt((n_levels - 1) * 0.02, 0.02), params,
+                 default_u0, default_u00)
+    assert traj.grid.N == n_levels
+    basis = pod.pod_basis(traj, method)
+    sizes = sorted({1, max(basis.rank // 2, 1), basis.rank})
+    frame = ErrorFrame(traj, basis, params, sizes)
+    romsys = build_rom([(basis, r) for r in sizes], traj, params)
+    whole = error_reports(frame, solve_rom(romsys, n_levels))
+    blocks = list(solve_rom(romsys, BLOCK))
+    assert len(blocks) == max(-(-(n_levels - 2) // BLOCK), 1)
+    for got, want in zip(error_reports(frame, blocks), whole, strict=True):
+        for name in (f.name for f in fields(RomErrorReport)):
+            assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+
+
+def test_reports_hold_no_whole_coefficient_array():
+    """At 400 elements, dt = 1/800 and T = 2.5 (2001 levels), the reports of
+    a ddq basis's 12-size stack r = 5, 10, ..., 60 (sum r = 390) step the
+    coordinates in blocks of 336 levels: a block of z and its coefficients
+    (1 MiB each) and per-run block temporaries, about 3.0 MiB in all.  One
+    (N, sum r) array is 6.0 MiB; a whole solve, which held z and each run's
+    product beside it, peaked at 9.7 MiB."""
+    space = assemble(400)
+    params = WaveParams(c=1.0, D=0.1)
+    traj = solve(space, TimeGrid.from_dt(2.5, 1.0 / 800.0), params, default_u0, default_u00)
+    basis = pod.pod_basis(traj, "ddq")
+    sizes = list(range(5, 61, 5))
+    frame = ErrorFrame(traj, basis, params, sizes)
+    romsys = build_rom([(basis, r) for r in sizes], traj, params)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        reports = error_reports(frame, solve_rom(romsys))
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == len(sizes)
+    assert peak < traj.grid.N * romsys.r * 8, peak
+
+
+@pytest.mark.parametrize("argv", [
+    ["profiles", "--r", "4", "--times", "0", "0.4", "1", "2"],
+    ["train-interval", "--t-train", "2", "1", "--r", "4"],
+], ids=["profiles", "train-interval"])
+def test_rom_tables_are_the_same_in_any_level_blocks(argv, tmp_path, monkeypatch, capsys):
+    """profiles.csv (levels 0, 16, 40 and 80: the first, a shared, an inner
+    and the last level) and train_interval.csv, from 16-level blocks of the
+    ROM, are byte for byte those from one block of every level."""
+    solve_blocks = rom.solve_rom
+    written = []
+    for rows in (10**6, BLOCK):
+        monkeypatch.setattr(rom, "solve_rom", lambda romsys, rows=rows: solve_blocks(romsys, rows))
+        assert main(["--output-dir", str(tmp_path), "--n-elements", "24", "--dt", "1/40",
+                     "--T", "2", "--D", "0.05", *argv]) == 0
+        written.append({path.name: path.read_bytes() for path in tmp_path.iterdir()})
+    assert written[0] == written[1] and len(written[0]) == 1
+
+
+def test_profile_rom_columns_are_the_rom_states_of_their_levels(monkeypatch):
+    """From 16-level blocks, each ROM column of profile_rows is bitwise the
+    state of its level, rebuilt from one block of every level."""
+    config = RunConfig(n_elements=24, dt=1.0 / 40.0, T=2.0, D=0.05, r_list=(4,),
+                       times=(0.0, 0.4, 1.0, 2.0)).validated()
+    solve_blocks = rom.solve_rom
+    monkeypatch.setattr(rom, "solve_rom", lambda romsys, rows=0: solve_blocks(romsys, BLOCK))
+    _, table = profile_rows(config)
+    traj = fe_trajectory(config)
+    basis = _basis(config, traj, config.pod_method)
+    (_, (coeffs,)), = solve_blocks(build_rom([(basis, 4)], traj, config.wave_params()),
+                                   traj.grid.N)
+    want = coeffs[[0, 16, 40, 80]] @ basis.modes[:4]
+    assert np.array_equal(table[1:-1, 2::2].T, want)
+
+
 @ROM_DAMPINGS
 @settings(max_examples=10, deadline=None)
 @given(c=st.floats(0.01, 100.0))
@@ -380,8 +479,8 @@ def test_modal_error_report_matches_the_full_space_report(method, n_elements, T,
     u_sq = float(np.max(l2_norms_sq(space, traj.states)))
     u_energy = float(np.max(energy_series(space, traj.states, dt, params.c)))
     for r in sizes:
-        coeffs, = solve_rom(build_rom([(basis, r)], traj, params))
-        got = error_report(frame, coeffs)
+        (_, (coeffs,)), = solve_rom(build_rom([(basis, r)], traj, params), traj.grid.N)
+        got, = error_reports(frame, [(0, [coeffs])])
         want = fe_reference.error_report(traj, coeffs @ basis.modes[:r], basis, r, params)
         for name in (f.name for f in fields(RomErrorReport)):
             assert np.isnan(getattr(got, name)) == np.isnan(getattr(want, name)), (r, name)
@@ -407,6 +506,6 @@ def test_train_interval_final_error_matches_the_full_space_report():
     assert [row[:2] for row in rows] == [[t, m] for t in t_train for m in ("standard", "ddq")]
     for t, method, final_l2 in rows:
         basis = pod.pod_basis(training_slice(traj, t), method)
-        coeffs, = solve_rom(build_rom([(basis, r)], traj, params))
+        (_, (coeffs,)), = solve_rom(build_rom([(basis, r)], traj, params), traj.grid.N)
         want = np.sqrt(l2_norms_sq(space, traj.states[-1] - coeffs[-1] @ basis.modes[:r]))
         assert final_l2 == pytest.approx(want, rel=1e-9, abs=0), (t, method)

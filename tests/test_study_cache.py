@@ -6,6 +6,7 @@ import functools
 import importlib.util
 import os
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -176,3 +177,23 @@ def test_a_hit_entry_outlives_single_use_entries(monkeypatch):
     assert small_solves(counter, 0.05) == 0
     assert small_solves(counter, 1.0) == 0   # the most recent single-use entries stay
     assert small_solves(counter, 0.1) == 1
+
+
+def test_a_sweep_frees_each_trajectory_before_solving_the_next(tmp_path, monkeypatch, capsys):
+    """With nothing cached, rom-sweep drops each swept value's trajectory,
+    and the bases made from it, before it solves the next value's: no two
+    trajectories are ever held at once."""
+    monkeypatch.setattr(experiments, "_CACHE_BUDGET_BYTES", 0)
+    solve, refs, held = wave.solve, [], []
+
+    def spied_solve(*args, **kwargs):
+        held.append(sum(ref() is not None for ref in refs))
+        traj = solve(*args, **kwargs)
+        refs.extend((weakref.ref(traj), weakref.ref(traj.states)))
+        return traj
+
+    monkeypatch.setattr(wave, "solve", spied_solve)
+    assert main(["--output-dir", str(tmp_path), "--n-elements", "48", "--dt", "1/96",
+                 "--T", "4", "--c", "1.0", "--r-list", "8,12",
+                 "rom-sweep", "--param", "D", "--values", "0.01", "0.05", "0.1"]) == 0
+    assert held == [0, 0, 0]
