@@ -251,11 +251,10 @@ def profile_rows(config: RunConfig):
     space = traj.space
     basis = _basis(config, traj, config.pod_method)
     _check_ranks([(basis, r)])
-    kept = np.empty((len(levels), r))  # the ROM coefficients of the printed levels
+    at, kept = np.array(levels), np.empty((len(levels), r))  # the printed levels' coefficients
     for n, (coeffs,) in rom.solve_rom(rom.build_rom([(basis, r)], traj, config.wave_params())):
-        for i, level in enumerate(levels):
-            if n <= level < n + len(coeffs):
-                kept[i] = coeffs[level - n]
+        here = (n <= at) & (at < n + len(coeffs))
+        kept[here] = coeffs[at[here] - n]
     rom_states = kept @ basis.modes[:r]
     header = ["x"]
     cols = [space.full_nodes]

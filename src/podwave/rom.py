@@ -21,7 +21,10 @@ every training window x method.  build_rom makes one RomSystem of such runs,
 in the eigenbasis of each run's S_r; solve_rom advances the eigen-coordinates
 of every run side by side in one buffer of a block of levels and yields each
 block's coefficients, run by run.  The recurrence is elementwise, so each
-run's coefficients are bitwise those of a system of its own.  Each report is
+run's eigen-coordinates are bitwise those of a system of its own; its
+coefficients, a block of them times Q^T, are too where the blocks are the
+same (one block of every level), and agree to round-off where the block
+size of the stack, set by sum r, splits the levels elsewhere.  Each report is
 a maximum over levels, so error_reports reduces the blocks as they come and
 no (N, sum r) array is ever formed.  ErrorFrame(traj, basis, params, sizes)
 sums the discarded modes' squares of c, bd c and d per level once for every
@@ -84,14 +87,13 @@ def build_rom(runs, traj: Trajectory, params: WaveParams) -> RomSystem:
                      start=np.hstack(start), q=tuple(q))
 
 
-def solve_rom(romsys: RomSystem, rows: int = 0):
+def solve_rom(romsys: RomSystem):
     """Integrate the reduced systems and yield their coefficients in blocks
     (n, coeffs) of levels: coeffs lists each run's (levels, r_i) block, in
     run order, whose first row is level n (0-based), the ROM state at level
     n + i being coeffs[j][i] Phi_{r_j}.  The blocks are those of
-    wave.step_blocks: rows + 2 levels (by default, about 1 MiB of
-    coordinates), two shared with the next block; rows >= N - 2 gives one
-    block of every level.
+    wave.step_blocks, about 1 MiB of coordinates each, two levels shared
+    with the next block; a grid of fewer levels is one block.
 
     The coordinates z = a Q decouple: each FE step matrix w_m M + w_a A
     becomes w_m + w_a lam, and mode k follows
@@ -103,7 +105,7 @@ def solve_rom(romsys: RomSystem, rows: int = 0):
     b_cur, b_prev = b_cur / lhs, b_prev / lhs
     ends = np.cumsum([len(q) for q in romsys.q])
     for n, z in step_blocks(romsys.start, romsys.grid.N,
-                            lambda prev, prev2: b_cur * prev + b_prev * prev2, rows):
+                            lambda prev, prev2: b_cur * prev + b_prev * prev2):
         yield n, [z[:, end - len(q):end] @ q.T for end, q in zip(ends, romsys.q)]
 
 

@@ -72,8 +72,8 @@ class ReferenceRun:
 
     def rom_report(self, method: str, r: int):
         basis = self.basis(method)
-        (_, (coeffs,)), = solve_rom(build_rom([(basis, r)], self.traj, self.params), self.grid.N)
-        rep, = error_reports(ErrorFrame(self.traj, basis, self.params, [r]), [(0, [coeffs])])
+        rep, = error_reports(ErrorFrame(self.traj, basis, self.params, [r]),
+                             solve_rom(build_rom([(basis, r)], self.traj, self.params)))
         return rep
 
 
@@ -280,7 +280,7 @@ def test_full_rank_rom_consistency():
     params = WaveParams(c=1.0, D=0.1)
     traj = solve(space, grid, params, default_u0, default_u00)
     basis = pod.pod_basis(traj, "standard")
-    (_, (coeffs,)), = solve_rom(build_rom([(basis, basis.rank)], traj, params), grid.N)
+    (_, (coeffs,)), = solve_rom(build_rom([(basis, basis.rank)], traj, params))
     rom_states = coeffs @ basis.modes
     scale = float(np.max(np.sqrt(l2_norms_sq(space, traj.states))))
     err = float(np.max(np.sqrt(l2_norms_sq(space, traj.states - rom_states))))

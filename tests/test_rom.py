@@ -111,14 +111,14 @@ def test_zero_initial_coefficients_stay_zero(small_run):
     space, grid, params, traj = small_run
     basis = pod.pod_basis(traj, "standard")
     zero = Trajectory(space=space, grid=grid, states=np.zeros((grid.N, space.n_dof)))
-    (_, (coeffs,)), = solve_rom(build_rom([(basis, 5)], zero, params), grid.N)
+    (_, (coeffs,)), = solve_rom(build_rom([(basis, 5)], zero, params))
     np.testing.assert_allclose(coeffs, 0.0)
 
 
 def test_full_rank_rom_reproduces_fe(small_run):
     space, grid, params, traj = small_run
     basis = pod.pod_basis(traj, "standard")
-    (_, (coeffs,)), = solve_rom(build_rom([(basis, basis.rank)], traj, params), grid.N)
+    (_, (coeffs,)), = solve_rom(build_rom([(basis, basis.rank)], traj, params))
     rom_states = coeffs @ basis.modes
     scale = np.max(np.sqrt(l2_norms_sq(space, traj.states)))
     err = np.max(np.sqrt(l2_norms_sq(space, traj.states - rom_states)))
@@ -128,7 +128,7 @@ def test_full_rank_rom_reproduces_fe(small_run):
 def test_rom_energy_identity(small_run):
     space, grid, params, traj = small_run
     basis = pod.pod_basis(traj, "ddq")
-    (_, (coeffs,)), = solve_rom(build_rom([(basis, 8)], traj, params), grid.N)
+    (_, (coeffs,)), = solve_rom(build_rom([(basis, 8)], traj, params))
     rom_traj = Trajectory(space=space, grid=grid, states=coeffs @ basis.modes[:8])
     e, rate, dissipation = energy_balance(rom_traj, params)
     assert np.max(np.abs(rate + dissipation)) <= 1e-10 * e[0]
@@ -140,7 +140,7 @@ def test_rom_energy_conserved_undamped():
     params = WaveParams(c=1.0)
     traj = solve(space, grid, params, default_u0, default_u00)
     basis = pod.pod_basis(traj, "standard")
-    (_, (coeffs,)), = solve_rom(build_rom([(basis, 7)], traj, params), grid.N)
+    (_, (coeffs,)), = solve_rom(build_rom([(basis, 7)], traj, params))
     e = energy_series(space, coeffs @ basis.modes[:7], grid.dt, params.c)
     assert np.max(np.abs(e - e[0])) <= 1e-10 * e[0]
 
@@ -149,7 +149,7 @@ def test_error_report_fields(small_run):
     space, grid, params, traj = small_run
     basis = pod.pod_basis(traj, "ddq")
     r = 8
-    (_, (coeffs,)), = solve_rom(build_rom([(basis, r)], traj, params), grid.N)
+    (_, (coeffs,)), = solve_rom(build_rom([(basis, r)], traj, params))
     rep, = error_reports(ErrorFrame(traj, basis, params, [r]), [(0, [coeffs])])
 
     err = traj.states - coeffs @ basis.modes[:r]
@@ -166,7 +166,7 @@ def test_error_report_full_rank_ratios_flagged(small_run):
     space, grid, params, traj = small_run
     basis = pod.pod_basis(traj, "standard")
     r = basis.rank
-    (_, (coeffs,)), = solve_rom(build_rom([(basis, r)], traj, params), grid.N)
+    (_, (coeffs,)), = solve_rom(build_rom([(basis, r)], traj, params))
     rep, = error_reports(ErrorFrame(traj, basis, params, [r]), [(0, [coeffs])])
     # denominators collapse to round-off; quotients are reported as missing
     assert np.isnan(rep.ratio_energy)
@@ -182,7 +182,7 @@ def test_rom_on_invariant_subspace_matches_fe():
     traj = solve(space, grid, params, lambda x: np.sin(np.pi * x), default_u00)
     basis = pod.pod_basis(traj, "standard", rank_tol=1e-24)
     r = min(basis.rank, 4)
-    (_, (coeffs,)), = solve_rom(build_rom([(basis, r)], traj, params), grid.N)
+    (_, (coeffs,)), = solve_rom(build_rom([(basis, r)], traj, params))
     rom_states = coeffs @ basis.modes[:r]
     scale = np.max(np.sqrt(l2_norms_sq(space, traj.states)))
     err = np.max(np.sqrt(l2_norms_sq(space, traj.states - rom_states)))
@@ -203,7 +203,7 @@ def test_modal_rom_matches_stepping(damping):
     basis = pod.pod_basis(traj, "standard")
     for r in (1, basis.rank // 2, basis.rank):
         ref = stepping_rom_states(basis, r, traj, params)
-        (_, (coeffs,)), = solve_rom(build_rom([(basis, r)], traj, params), grid.N)
+        (_, (coeffs,)), = solve_rom(build_rom([(basis, r)], traj, params))
         gap = np.max(np.abs(coeffs @ basis.modes[:r] - ref)) / np.max(np.abs(ref))
         assert gap <= 1e-9, f"r={r}: relative gap {gap:.2e}"
 
@@ -243,10 +243,10 @@ def assert_rom_bitwise(c, damping):
     for runs in stacks:
         romsys = build_rom(runs, traj, params)
         assert romsys.r == sum(r for _, r in runs)
-        (_, stacked), = solve_rom(romsys, grid.N)
+        (_, stacked), = solve_rom(romsys)
         for (run_basis, r), coeffs in zip(runs, stacked, strict=True):
             want = written_out_modal_coeffs(run_basis, r, traj, params)
-            (_, (alone,)), = solve_rom(build_rom([(run_basis, r)], traj, params), grid.N)
+            (_, (alone,)), = solve_rom(build_rom([(run_basis, r)], traj, params))
             assert np.array_equal(alone, want), r
             assert np.array_equal(coeffs, want), r
 
@@ -257,16 +257,27 @@ def test_modal_rom_is_bitwise_the_written_out_scheme(damping, c):
     assert_rom_bitwise(c, damping)
 
 
-def test_frame_rejects_sizes_it_was_not_made_for(small_run):
+BLOCK = 16  # levels per block of the blocked solves below
+
+
+def rom_block_rows(monkeypatch, rows):
+    """Make solve_rom step blocks of rows + 2 levels; rows >= N - 2 gives
+    one block of every level."""
+    monkeypatch.setattr(rom, "step_blocks", lambda start, n_levels, step: wave.step_blocks(
+        start, n_levels, step, rows))
+
+
+def test_frame_rejects_sizes_it_was_not_made_for(small_run, monkeypatch):
     space, grid, params, traj = small_run
     basis = pod.pod_basis(traj, "standard")
     frame = ErrorFrame(traj, basis, params, [2, 4])
     with pytest.raises(ValueError, match="sized"):
         error_reports(frame, solve_rom(build_rom([(basis, 3)], traj, params)))
     longer = solve(space, TimeGrid.from_dt(2.0, grid.dt), params, default_u0, default_u00)
+    rom_block_rows(monkeypatch, 4)
     for other in (training_slice(traj, 1.0), longer):  # 21 and 41 levels, not 30
         with pytest.raises(ValueError, match="grids"):
-            error_reports(frame, solve_rom(build_rom([(basis, 2)], other, params), 4))
+            error_reports(frame, solve_rom(build_rom([(basis, 2)], other, params)))
     with pytest.raises(ValueError):
         ErrorFrame(traj, basis, params, [basis.rank + 1])
 
@@ -282,7 +293,7 @@ def test_sweep_reports_allocate_less_than_one_frame_array():
     basis = pod.pod_basis(traj, "standard")
     sizes = list(range(2, 26, 2))
     frame = ErrorFrame(traj, basis, params, sizes)
-    (_, runs), = solve_rom(build_rom([(basis, r) for r in sizes], traj, params), grid.N)
+    (_, runs), = solve_rom(build_rom([(basis, r) for r in sizes], traj, params))
     tracemalloc.start()
     try:
         error_reports(frame, [(0, runs)])
@@ -353,12 +364,9 @@ def test_error_frame_is_the_same_in_any_row_blocks(n_elements, T, rank_tol, monk
             close(got, want, scale)
 
 
-BLOCK = 16  # levels per block of the blocked solves below
-
-
 @pytest.mark.parametrize("n_levels", [3, BLOCK + 1, BLOCK + 2, BLOCK + 3, 2 * BLOCK + 2])
 @pytest.mark.parametrize("method", ["standard", "ddq"])
-def test_reports_are_the_same_in_any_level_blocks(method, n_levels):
+def test_reports_are_the_same_in_any_level_blocks(method, n_levels, monkeypatch):
     """The reports of a stack of sizes, reduced from 16-level blocks as
     solve_rom yields them, are bitwise those of one block of every level:
     one block (N = 3, B + 1, B + 2), a last block of three levels (B + 3),
@@ -375,12 +383,36 @@ def test_reports_are_the_same_in_any_level_blocks(method, n_levels):
     sizes = sorted({1, max(basis.rank // 2, 1), basis.rank})
     frame = ErrorFrame(traj, basis, params, sizes)
     romsys = build_rom([(basis, r) for r in sizes], traj, params)
-    whole = error_reports(frame, solve_rom(romsys, n_levels))
-    blocks = list(solve_rom(romsys, BLOCK))
+    rom_block_rows(monkeypatch, n_levels)
+    whole = error_reports(frame, solve_rom(romsys))
+    rom_block_rows(monkeypatch, BLOCK)
+    blocks = list(solve_rom(romsys))
     assert len(blocks) == max(-(-(n_levels - 2) // BLOCK), 1)
     for got, want in zip(error_reports(frame, blocks), whole, strict=True):
         for name in (f.name for f in fields(RomErrorReport)):
             assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+
+
+def test_stacked_coefficients_agree_with_their_own_in_other_level_blocks(monkeypatch):
+    """Where a stack's level blocks split the levels elsewhere than a run's
+    own (sum r sets the block size), each run's coefficients agree with those
+    of the run on its own within 1e-13 of their largest, not bitwise: its
+    eigen-coordinates are bitwise the same, but at r >= 32 OpenBLAS forms
+    a row of z Q^T in a few-row product (here a last block of three levels:
+    N - 2 = 3B + 1) in another order than in a product of every level."""
+    space = assemble(48)
+    params = WaveParams(c=1.0, D=0.1)
+    traj = solve(space, TimeGrid.from_dt(1.0, 0.02), params, default_u0, default_u00)
+    assert traj.grid.N == 3 * BLOCK + 3
+    basis = pod.pod_basis(traj, "ddq")
+    runs = [(basis, 32), (basis, 40)]
+    rom_block_rows(monkeypatch, BLOCK)
+    blocks = list(solve_rom(build_rom(runs, traj, params)))
+    rom_block_rows(monkeypatch, traj.grid.N)
+    for j, run in enumerate(runs):
+        stacked = np.concatenate([coeffs[j][2 * (n > 0):] for n, coeffs in blocks])
+        (_, (alone,)), = solve_rom(build_rom([run], traj, params))
+        np.testing.assert_allclose(stacked, alone, rtol=0.0, atol=1e-13 * np.max(np.abs(alone)))
 
 
 def test_reports_hold_no_whole_coefficient_array():
@@ -416,10 +448,9 @@ def test_rom_tables_are_the_same_in_any_level_blocks(argv, tmp_path, monkeypatch
     """profiles.csv (levels 0, 16, 40 and 80: the first, a shared, an inner
     and the last level) and train_interval.csv, from 16-level blocks of the
     ROM, are byte for byte those from one block of every level."""
-    solve_blocks = rom.solve_rom
     written = []
     for rows in (10**6, BLOCK):
-        monkeypatch.setattr(rom, "solve_rom", lambda romsys, rows=rows: solve_blocks(romsys, rows))
+        rom_block_rows(monkeypatch, rows)
         assert main(["--output-dir", str(tmp_path), "--n-elements", "24", "--dt", "1/40",
                      "--T", "2", "--D", "0.05", *argv]) == 0
         written.append({path.name: path.read_bytes() for path in tmp_path.iterdir()})
@@ -431,13 +462,12 @@ def test_profile_rom_columns_are_the_rom_states_of_their_levels(monkeypatch):
     state of its level, rebuilt from one block of every level."""
     config = RunConfig(n_elements=24, dt=1.0 / 40.0, T=2.0, D=0.05, r_list=(4,),
                        times=(0.0, 0.4, 1.0, 2.0)).validated()
-    solve_blocks = rom.solve_rom
-    monkeypatch.setattr(rom, "solve_rom", lambda romsys, rows=0: solve_blocks(romsys, BLOCK))
+    rom_block_rows(monkeypatch, BLOCK)
     _, table = profile_rows(config)
     traj = fe_trajectory(config)
     basis = _basis(config, traj, config.pod_method)
-    (_, (coeffs,)), = solve_blocks(build_rom([(basis, 4)], traj, config.wave_params()),
-                                   traj.grid.N)
+    rom_block_rows(monkeypatch, traj.grid.N)
+    (_, (coeffs,)), = solve_rom(build_rom([(basis, 4)], traj, config.wave_params()))
     want = coeffs[[0, 16, 40, 80]] @ basis.modes[:4]
     assert np.array_equal(table[1:-1, 2::2].T, want)
 
@@ -479,7 +509,7 @@ def test_modal_error_report_matches_the_full_space_report(method, n_elements, T,
     u_sq = float(np.max(l2_norms_sq(space, traj.states)))
     u_energy = float(np.max(energy_series(space, traj.states, dt, params.c)))
     for r in sizes:
-        (_, (coeffs,)), = solve_rom(build_rom([(basis, r)], traj, params), traj.grid.N)
+        (_, (coeffs,)), = solve_rom(build_rom([(basis, r)], traj, params))
         got, = error_reports(frame, [(0, [coeffs])])
         want = fe_reference.error_report(traj, coeffs @ basis.modes[:r], basis, r, params)
         for name in (f.name for f in fields(RomErrorReport)):
@@ -506,6 +536,6 @@ def test_train_interval_final_error_matches_the_full_space_report():
     assert [row[:2] for row in rows] == [[t, m] for t in t_train for m in ("standard", "ddq")]
     for t, method, final_l2 in rows:
         basis = pod.pod_basis(training_slice(traj, t), method)
-        (_, (coeffs,)), = solve_rom(build_rom([(basis, r)], traj, params), traj.grid.N)
+        (_, (coeffs,)), = solve_rom(build_rom([(basis, r)], traj, params))
         want = np.sqrt(l2_norms_sq(space, traj.states[-1] - coeffs[-1] @ basis.modes[:r]))
         assert final_l2 == pytest.approx(want, rel=1e-9, abs=0), (t, method)
