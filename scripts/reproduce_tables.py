@@ -4,8 +4,9 @@
 Runs the podwave CLI in this one process for every experiment family, so
 the study cache can share FE trajectories and POD bases between families,
 within its 8 MiB budget: at the full scale a 400-element trajectory over
-T = 10 does not fit, and the run makes 26 FE solves for 11 distinct
-trajectories.  It writes:
+T = 10 does not fit, and the run makes 26 FE solves (counted by a spy on
+wave.solve) for 11 distinct trajectories; the --quick run makes 11, one
+per trajectory.  It writes:
 
   error_formulas/   actual-vs-formula data errors (standard and ddq)
   singvals/         POD singular value decay for both damping types
@@ -17,8 +18,8 @@ trajectories.  It writes:
 The wave speed is not part of the reference setup; c = 2/pi reproduces the
 Kelvin-Voigt data-error magnitudes and c = 1 the viscous-damping ROM tables,
 so each family is run with its identified value.  The full scale (400
-elements, dt = 1/800, T = 10) takes about 15 s (one BLAS thread, a 2-vCPU
-Xeon VM).
+elements, dt = 1/800, T = 10) takes 16-19 s over six runs (one BLAS
+thread, a 2-vCPU Xeon VM whose speed drifts), the --quick scale under 1 s.
 """
 
 import argparse

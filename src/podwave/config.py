@@ -46,10 +46,11 @@ class RunConfig:
     dt_list: Tuple[float, ...] = (0.01, 0.005, 0.0025)  # convergence
 
     def validated(self) -> "RunConfig":
-        for f in fields(self):
+        for f in fields(self):  # every float, also each of a list
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
+            for v in value if get_origin(f.type) is tuple else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ConfigError(f"{f.name} must be finite, got {v}")
         if self.n_elements < 2:
             raise ConfigError("n_elements must be at least 2")
         try:  # the time grid's and the equation's own rules

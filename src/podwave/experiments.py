@@ -204,13 +204,11 @@ def error_formula_rows(config: RunConfig):
 
 def _rom_reports(traj, basis, params, r_list):
     """The error reports of the ROMs of each size in r_list on basis, from one
-    sized error frame and the level blocks of one solve, freed on return:
-    before the next basis is made."""
-    sizes = [int(r) for r in r_list]
-    runs = [(basis, r) for r in sizes]
+    error frame and the level blocks of one solve, freed on return: before
+    the next basis is made."""
+    runs = [(basis, int(r)) for r in r_list]
     _check_ranks(runs)
-    # the frame before the ROMs: making it is the peak, and it keeps few columns
-    frame = rom.ErrorFrame(traj, basis, params, sizes)
+    frame = rom.ErrorFrame(traj, basis, params)
     return rom.error_reports(frame, rom.solve_rom(rom.build_rom(runs, traj, params)))
 
 

@@ -24,15 +24,18 @@ block's coefficients, run by run.  The recurrence is elementwise, so each
 run's eigen-coordinates are bitwise those of a system of its own; its
 coefficients, a block of them times Q^T, are too where the blocks are the
 same (one block of every level), and agree to round-off where the block
-size of the stack, set by sum r, splits the levels elsewhere.  Each report is
-a maximum over levels, so error_reports reduces the blocks as they come and
-no (N, sum r) array is ever formed.  ErrorFrame(traj, basis, params, sizes)
-sums the discarded modes' squares of c, bd c and d per level once for every
-size, over the column ranges between the sizes from the last column down,
-and keeps the columns of c and d below the largest size only.  It forms c
-and d in row blocks of levels, each reading one level past its end for bd c
-and the averages, so no (N, s) product is ever held, and a report costs
-O(N r).
+size of the stack, set by sum r + n_dof, splits the levels elsewhere.
+
+Each report is a maximum over levels, so error_reports reduces the blocks as
+they come, the one pass over the levels of a report.  For each block it
+projects the same FE levels onto all modes, c and d and the off-span terms,
+sums the discarded modes' squares of c, bd c and d once for every size, over
+the column ranges between the sizes from the last column down, and folds
+each run's ||e^n||_M^2 and error energy into its running maxima.  No (N, s)
+or (N, sum r) array is ever formed: ErrorFrame(traj, basis, params) holds
+only the per-basis constants, and solve_rom sizes a block by r + n_dof, so
+that the coordinates and the FE levels read beside them stay near one block
+of cells.
 """
 
 from dataclasses import dataclass
@@ -43,7 +46,7 @@ import scipy.linalg
 from .diffops import forward_diff
 from .fem import l2_norms_sq, h10_norms_sq
 from .pod import PodBasis, check_rank, stiffness_factor
-from .wave import (TimeGrid, Trajectory, WaveParams, _row_blocks, energy, step_blocks,
+from .wave import (TimeGrid, Trajectory, WaveParams, _block_rows, energy, step_blocks,
                    step_weights)
 
 _REDUCED_MASS_TOL = 1e-10
@@ -54,10 +57,12 @@ _RATIO_FLOOR = 1e-14
 class RomSystem:
     """ROM runs on the grid of one trajectory and one WaveParams, from
     build_rom, in the eigenbasis S_r = Q diag(lam) Q^T of each run's reduced
-    stiffness: r is their total size, lam and the starting eigen-coordinates
-    (a^1 Q, a^2 Q) are the runs' side by side, and q holds each run's Q."""
+    stiffness: r is their total size, n_dof that of the trajectory's FE
+    space, lam and the starting eigen-coordinates (a^1 Q, a^2 Q) are the
+    runs' side by side, and q holds each run's Q."""
 
     r: int
+    n_dof: int
     params: WaveParams
     grid: TimeGrid
     lam: np.ndarray    # (r,)
@@ -83,7 +88,7 @@ def build_rom(runs, traj: Trajectory, params: WaveParams) -> RomSystem:
         start.append(np.stack(((m_phi @ traj.states[0]) @ q_r, (m_phi @ traj.states[1]) @ q_r)))
         q.append(q_r)
     lam = np.concatenate(lam)
-    return RomSystem(r=lam.size, params=params, grid=traj.grid, lam=lam,
+    return RomSystem(r=lam.size, n_dof=space.n_dof, params=params, grid=traj.grid, lam=lam,
                      start=np.hstack(start), q=tuple(q))
 
 
@@ -92,8 +97,9 @@ def solve_rom(romsys: RomSystem):
     (n, coeffs) of levels: coeffs lists each run's (levels, r_i) block, in
     run order, whose first row is level n (0-based), the ROM state at level
     n + i being coeffs[j][i] Phi_{r_j}.  The blocks are those of
-    wave.step_blocks, about 1 MiB of coordinates each, two levels shared
-    with the next block; a grid of fewer levels is one block.
+    wave.step_blocks, two levels shared with the next block, of as many
+    levels as fill about 1 MiB with r + n_dof columns: the coordinates and
+    the FE states compared with them; a grid of fewer levels is one block.
 
     The coordinates z = a Q decouple: each FE step matrix w_m M + w_a A
     becomes w_m + w_a lam, and mode k follows
@@ -105,86 +111,67 @@ def solve_rom(romsys: RomSystem):
     b_cur, b_prev = b_cur / lhs, b_prev / lhs
     ends = np.cumsum([len(q) for q in romsys.q])
     for n, z in step_blocks(romsys.start, romsys.grid.N,
-                            lambda prev, prev2: b_cur * prev + b_prev * prev2):
+                            lambda prev, prev2: b_cur * prev + b_prev * prev2,
+                            _block_rows(romsys.r + romsys.n_dof)):
         yield n, [z[:, end - len(q):end] @ q.T for end, q in zip(ends, romsys.q)]
 
 
 class ErrorFrame:
-    """An FE trajectory in the coordinates of all modes of a POD basis, the
-    products of the states with the vectors M phi_k and A psi_k, for the
-    reports of ROMs of the given sizes on that basis: per size, the tail
-    sums of squares; below the largest size, the coordinates themselves."""
+    """The constants of the error reports of ROMs on a POD basis against an
+    FE trajectory: L, M phi and A psi over all s modes, psi itself when the
+    basis is cut (s < n_dof), and the psi-coefficients of u^1 and bd u^2.
+    The levels are projected in error_reports, block by block."""
 
-    def __init__(self, traj: Trajectory, basis: PodBasis, params: WaveParams, sizes):
+    def __init__(self, traj: Trajectory, basis: PodBasis, params: WaveParams):
         space, dt, u, phi, s = traj.space, traj.grid.dt, traj.states, basis.modes, basis.rank
-        sizes = sorted({int(r) for r in sizes})
-        if not sizes:
-            raise ValueError("an error frame needs at least one basis size")
-        for r in sizes:
-            check_rank(basis, r)
-        self.basis, self.params, self.dt = basis, params, dt
+        self.traj, self.basis, self.params, self.dt = traj, basis, params, dt
         self.lower, a_psi = stiffness_factor(basis, s)  # (s, s) L and A phi
-        a_psi = scipy.linalg.solve_triangular(self.lower, a_psi, lower=True)  # A psi
-        m_phi = space.mass.matvec(phi)
+        self.a_psi = scipy.linalg.solve_triangular(self.lower, a_psi, lower=True)
+        self.m_phi = space.mass.matvec(phi)
+        self.psi = (scipy.linalg.solve_triangular(self.lower, phi, lower=True)
+                    if s < space.n_dof else None)
         # psi-coefficients of u^1 and bd u^2, the difference taken first
-        self.start = np.stack((u[0], (u[1] - u[0]) / dt)) @ a_psi.T
-        n, r_max = traj.grid.N, sizes[-1]
-        self.c, self.d = np.empty((n, r_max)), np.empty((n - 1, r_max))
-        # per size, the tail sums of c, bd c and d, by level
-        tails = np.zeros((3, len(sizes), n))
-        off = s < space.n_dof
-        self.off_l2, self.off_energy = np.zeros(n), np.zeros(n - 1)
-        if off:
-            psi = scipy.linalg.solve_triangular(self.lower, phi, lower=True)
-        # blocks of the level pairs (j, j + 1): each block reads one level past
-        # its end, and the last block also owns the last level's c
-        for lo, hi in _row_blocks(n - 1, space.n_dof):
-            levels = u[lo:hi + 1]
-            c, du = levels @ m_phi.T, levels @ a_psi.T
-            own = hi + 1 - lo if hi == n - 1 else hi - lo  # rows of c this block owns
-            self.c[lo:lo + own] = c[:own, :r_max]
-            _tail_sums(c[:own], sizes, tails[0, :, lo:lo + own])
-            if off:
-                out_m, out_a = levels - c @ phi, levels - du @ psi
-                self.off_l2[lo:lo + own] = l2_norms_sq(space, out_m[:own])
-                self.off_energy[lo:hi] = energy(
-                    l2_norms_sq(space, forward_diff(out_m, dt)),
-                    h10_norms_sq(space, 0.5 * (out_a[1:] + out_a[:-1])), params.c)
-            c[:-1] -= c[1:]  # -bd c, formed in place: the same squares
-            c[:-1] /= dt
-            _tail_sums(c[:-1], sizes, tails[1, :, lo:hi])
-            du[:-1] += du[1:]  # the level averages d, formed in place
-            du[:-1] *= 0.5
-            self.d[lo:hi] = du[:-1, :r_max]
-            _tail_sums(du[:-1], sizes, tails[2, :, lo:hi])
-        self.tails = {r: (tails[0, i], tails[1, i, :-1], tails[2, i, :-1])
-                      for i, r in enumerate(sizes)}
-
-    def level_errors(self, n: int, coeffs: np.ndarray):
-        """(||e^j||_M^2 per level j, the error energy per level pair (j, j+1))
-        of a ROM run on the first r modes of the basis, from its coefficients
-        coeffs (levels, r) of the levels n, n+1, ... of the trajectory."""
-        r, end, dt = coeffs.shape[1], n + len(coeffs), self.dt
-        if r not in self.tails:
-            raise ValueError(f"the error frame is sized for r in {sorted(self.tails)}, got {r}")
-        tail_c, tail_bd, tail_d = self.tails[r]
-        c_head, l_rr = self.c[n:end, :r], self.lower[:r, :r]
-        l2_sq = self.off_l2[n:end] + (tail_c[n:end] + _dist_sq(c_head, coeffs))
-        avg_psi = 0.5 * (coeffs[1:] + coeffs[:-1]) @ l_rr
-        e_energy = self.off_energy[n:end - 1] + energy(
-            tail_bd[n:end - 1] + _dist_sq(forward_diff(c_head, dt), forward_diff(coeffs, dt)),
-            tail_d[n:end - 1] + _dist_sq(self.d[n:end - 1, :r], avg_psi), self.params.c)
-        return l2_sq, e_energy
+        self.start = np.stack((u[0], (u[1] - u[0]) / dt)) @ self.a_psi.T
 
 
-def _tail_sums(x: np.ndarray, sizes, out: np.ndarray):
-    """out[i] = per row, the sum of x[:, k]^2 over k >= sizes[i] for the
-    ascending sizes, summed over the column ranges between them from the
-    last column down."""
-    total, hi = 0.0, x.shape[1]
-    for i in reversed(range(len(sizes))):
-        total = total + np.einsum("ij,ij->i", x[:, sizes[i]:hi], x[:, sizes[i]:hi])
-        out[i], hi = total, sizes[i]
+def _block_maxima(frame: ErrorFrame, levels: np.ndarray, coeffs) -> np.ndarray:
+    """Per ROM run (runs, 2), the maxima of ||e^j||_M^2 over the FE levels
+    of a block and of the error energy over its level pairs, from the runs'
+    coefficients coeffs of those levels."""
+    space, dt, sizes = frame.traj.space, frame.dt, sorted({a.shape[1] for a in coeffs})
+    c, d = levels @ frame.m_phi.T, levels @ frame.a_psi.T
+    off_l2 = off_energy = 0.0
+    if frame.psi is not None:  # the parts of the levels outside span Phi
+        out_m, out_a = levels - c @ frame.basis.modes, levels - d @ frame.psi
+        off_l2 = l2_norms_sq(space, out_m)
+        off_energy = energy(l2_norms_sq(space, forward_diff(out_m, dt)),
+                            h10_norms_sq(space, 0.5 * (out_a[1:] + out_a[:-1])), frame.params.c)
+    maxima, tails = np.empty((len(coeffs), 2)), _tail_sums(c, sizes)
+    for m, a in zip(maxima, coeffs):
+        m[0] = np.max(off_l2 + (tails[a.shape[1]] + _dist_sq(c[:, :a.shape[1]], a)))
+    c[:-1] -= c[1:]  # -bd c, formed in place: the same squares, against -bd a
+    c[:-1] /= dt
+    d[:-1] += d[1:]  # the level averages d, formed in place
+    d[:-1] *= 0.5
+    tails_bd, tails_d = _tail_sums(c[:-1], sizes), _tail_sums(d[:-1], sizes)
+    for m, a in zip(maxima, coeffs):
+        r = a.shape[1]
+        avg_psi = 0.5 * (a[1:] + a[:-1]) @ frame.lower[:r, :r]
+        m[1] = np.max(off_energy + energy(
+            tails_bd[r] + _dist_sq(c[:-1, :r], (a[:-1] - a[1:]) / dt),
+            tails_d[r] + _dist_sq(d[:-1, :r], avg_psi), frame.params.c))
+    return maxima
+
+
+def _tail_sums(x: np.ndarray, sizes) -> dict:
+    """Per size r of the ascending sizes, the row sums of x[:, k]^2 over
+    k >= r, summed over the column ranges between the sizes from the last
+    column down."""
+    tails, total, hi = {}, 0.0, x.shape[1]
+    for r in reversed(sizes):
+        total = total + np.einsum("ij,ij->i", x[:, r:hi], x[:, r:hi])
+        tails[r], hi = total, r
+    return tails
 
 
 def _dist_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -209,22 +196,22 @@ def error_reports(frame: ErrorFrame, blocks) -> list:
     """The error_report of each ROM run on the frame's basis and trajectory,
     from the runs' level blocks (n, coeffs) as solve_rom yields them.
 
-    Every report is a maximum over levels, so the blocks are reduced as they
-    come: per run, the running maxima of ||e^n||_M^2 and of the error
-    energy, and a^1, a^2 from the first block.  A block's every level and
-    level pair counts; the two levels it shares with the next block count
-    twice, which a maximum ignores.
+    This is the one pass over the levels: each block's FE levels are
+    projected onto the modes as it comes and reduced with it, per run, into
+    the running maxima of ||e^n||_M^2 and of the error energy; a^1, a^2 come
+    from the first block.  A block's every level and level pair counts; the
+    two levels it shares with the next block count twice, which a maximum
+    ignores.
     """
-    n_levels, maxima, end = frame.c.shape[0], None, 0
+    states, maxima, end = frame.traj.states, None, 0
     for n, coeffs in blocks:
         end = n + len(coeffs[0])
-        if end > n_levels:
+        if end > len(states):
             break
         if maxima is None:
             maxima, starts = np.full((len(coeffs), 2), -np.inf), [a[:2].copy() for a in coeffs]
-        for m, a in zip(maxima, coeffs):
-            m[:] = np.maximum(m, [np.max(e) for e in frame.level_errors(n, a)])
-    if end != n_levels:
+        maxima = np.maximum(maxima, _block_maxima(frame, states[n:end], coeffs))
+    if end != len(states):
         raise ValueError("the ROM run and the frame live on different grids")
     return [error_report(frame, start, *m) for start, m in zip(starts, maxima)]
 

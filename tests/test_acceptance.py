@@ -72,7 +72,7 @@ class ReferenceRun:
 
     def rom_report(self, method: str, r: int):
         basis = self.basis(method)
-        rep, = error_reports(ErrorFrame(self.traj, basis, self.params, [r]),
+        rep, = error_reports(ErrorFrame(self.traj, basis, self.params),
                              solve_rom(build_rom([(basis, r)], self.traj, self.params)))
         return rep
 

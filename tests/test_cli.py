@@ -83,19 +83,30 @@ def test_bad_config_exits_one(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value, message", [
-    ("--c", "nan", "c must be finite"),
-    ("--D", "nan", "D must be finite"),
-    ("--T", "inf", "T must be finite"),
-    ("--dt", "1/0", "bad number for dt"),
-], ids=["c-nan", "D-nan", "T-inf", "dt-1/0"])
-def test_non_finite_config_exits_one(tmp_path, capsys, flag, value, message):
-    rc = main(SMALL + [flag, value, "--output-dir", str(tmp_path), "solve"])
+@pytest.mark.parametrize("argv, message", [
+    (["--c", "nan", "solve"], "c must be finite"),
+    (["--D", "nan", "solve"], "D must be finite"),
+    (["--T", "inf", "solve"], "T must be finite"),
+    (["--dt", "1/0", "solve"], "bad number for dt"),
+    (["rom-sweep", "--values", "0.1", "nan"], "values must be finite, got nan"),
+    (["convergence", "--dt-list", "0.01", "inf"], "dt_list must be finite, got inf"),
+    (["train-interval", "--t-train", "1", "nan"], "t_train must be finite, got nan"),
+    (["profiles", "--times", "0", "nan"], "times must be finite, got nan"),
+], ids=["c-nan", "D-nan", "T-inf", "dt-1/0", "values-second-nan", "dt-list-second-inf",
+        "t-train-second-nan", "times-second-nan"])
+def test_non_finite_config_exits_one(tmp_path, capsys, monkeypatch, argv, message):
+    """A non-finite number, a scalar or any entry of a list, exits 1 with
+    one line naming its field, before any FE trajectory is stepped."""
+    stepped = []
+    for name in ("solve", "final_state"):
+        monkeypatch.setattr(wave, name, lambda *args, name=name: stepped.append(name))
+    rc = main(SMALL + ["--output-dir", str(tmp_path), *argv])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not list(tmp_path.iterdir())
+    assert not stepped
 
 
 COARSE = ["--n-elements", "8", "--dt", "1/8", "--T", "1"]  # POD rank 7
@@ -105,15 +116,15 @@ COARSE = ["--n-elements", "8", "--dt", "1/8", "--T", "1"]  # POD rank 7
     (["--pod-method", "foo", "solve"], "pod_method must be one of"),
     (["--u0", "wave", "solve"], "u0 must be one of"),
     (["--n-elements", "abc", "solve"], "bad integer for n_elements"),
-    (["rom-sweep", "--values", "nan"], "D must be finite"),
-    (["rom-sweep", "--values", "inf"], "D must be finite"),
+    (["rom-sweep", "--values", "nan"], "values must be finite"),
+    (["rom-sweep", "--values", "inf"], "values must be finite"),
     (["rom-sweep", "--values", "-1"], "must be nonnegative"),
-    (["train-interval", "--t-train", "nan"], "training interval nan"),
-    (["convergence", "--dt-list", "inf"], "dt must be finite"),
+    (["train-interval", "--t-train", "nan"], "t_train must be finite"),
+    (["convergence", "--dt-list", "inf"], "dt_list must be finite"),
     (["convergence", "--dt-list", "0.3"], "does not divide T"),
     (["--dt", "2", "--T", "2", "solve"], "fewer than two time steps"),
     (["--D", "0.1", "--G", "0.001", "convergence"], "D = 0 or G = 0"),
-    (["profiles", "--times", "nan"], "profile time nan"),
+    (["profiles", "--times", "nan"], "times must be finite"),
     (["profiles", "--times", "-0.01"], "profile time -0.01"),
     (["profiles", "--times", "2.01"], "profile time 2.01"),
     (["profiles", "--times", "0.01"], "profile time 0.01"),

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fe_reference
-from podwave import pod, rom, wave
+from podwave import pod, wave
 from podwave.cli import main
 from podwave.config import RunConfig
 from podwave.experiments import (
@@ -150,7 +150,7 @@ def test_error_report_fields(small_run):
     basis = pod.pod_basis(traj, "ddq")
     r = 8
     (_, (coeffs,)), = solve_rom(build_rom([(basis, r)], traj, params))
-    rep, = error_reports(ErrorFrame(traj, basis, params, [r]), [(0, [coeffs])])
+    rep, = error_reports(ErrorFrame(traj, basis, params), [(0, [coeffs])])
 
     err = traj.states - coeffs @ basis.modes[:r]
     err_sq = l2_norms_sq(space, err)
@@ -167,7 +167,7 @@ def test_error_report_full_rank_ratios_flagged(small_run):
     basis = pod.pod_basis(traj, "standard")
     r = basis.rank
     (_, (coeffs,)), = solve_rom(build_rom([(basis, r)], traj, params))
-    rep, = error_reports(ErrorFrame(traj, basis, params, [r]), [(0, [coeffs])])
+    rep, = error_reports(ErrorFrame(traj, basis, params), [(0, [coeffs])])
     # denominators collapse to round-off; quotients are reported as missing
     assert np.isnan(rep.ratio_energy)
     assert np.isnan(rep.ratio_pointwise)
@@ -257,177 +257,176 @@ def test_modal_rom_is_bitwise_the_written_out_scheme(damping, c):
     assert_rom_bitwise(c, damping)
 
 
-BLOCK = 16  # levels per block of the blocked solves below
-
-
-def rom_block_rows(monkeypatch, rows):
-    """Make solve_rom step blocks of rows + 2 levels; rows >= N - 2 gives
-    one block of every level."""
-    monkeypatch.setattr(rom, "step_blocks", lambda start, n_levels, step: wave.step_blocks(
-        start, n_levels, step, rows))
+BLOCK = 16  # levels per block of the ROM where wave._BLOCK_CELLS is 1
 
 
 def test_frame_rejects_sizes_it_was_not_made_for(small_run, monkeypatch):
+    """Reports of a ROM on a grid of another level count fail, in one block
+    or in many; a ROM larger than its basis fails in build_rom."""
     space, grid, params, traj = small_run
     basis = pod.pod_basis(traj, "standard")
-    frame = ErrorFrame(traj, basis, params, [2, 4])
-    with pytest.raises(ValueError, match="sized"):
-        error_reports(frame, solve_rom(build_rom([(basis, 3)], traj, params)))
+    frame = ErrorFrame(traj, basis, params)
     longer = solve(space, TimeGrid.from_dt(2.0, grid.dt), params, default_u0, default_u00)
-    rom_block_rows(monkeypatch, 4)
-    for other in (training_slice(traj, 1.0), longer):  # 21 and 41 levels, not 30
-        with pytest.raises(ValueError, match="grids"):
-            error_reports(frame, solve_rom(build_rom([(basis, 2)], other, params)))
+    for cells in (wave._BLOCK_CELLS, 1):
+        monkeypatch.setattr(wave, "_BLOCK_CELLS", cells)
+        for other in (training_slice(traj, 1.0), longer):  # 21 and 41 levels, not 30
+            with pytest.raises(ValueError, match="grids"):
+                error_reports(frame, solve_rom(build_rom([(basis, 2)], other, params)))
     with pytest.raises(ValueError):
-        ErrorFrame(traj, basis, params, [basis.rank + 1])
+        build_rom([(basis, basis.rank + 1)], traj, params)
 
 
 def test_sweep_reports_allocate_less_than_one_frame_array():
-    """The reports of a 12-size sweep read the frame's tail sums and kept
-    columns only: beyond the frame and the stack they allocate less than one
-    (N-1, s) array, which differencing every column of c per report forms."""
+    """The reports of a 12-size sweep project the FE levels onto the modes
+    one level block at a time: beyond the frame and the stack they allocate
+    less than one (N-1, s) array, which projecting every level at once
+    forms.  At 200 elements, dt = 1/200 and T = 10 (2001 levels, s = 199)
+    the blocks are of 370 levels (sum r + n_dof = 355 columns fill 1 MiB)
+    and the reports peak at about 1.5 MiB, the same at any N; one (N-1, s)
+    array is 3.0 MiB."""
     space = assemble(200)
-    grid = TimeGrid.from_dt(2.0, 1.0 / 200.0)  # 401 time levels, s = 199
+    grid = TimeGrid.from_dt(10.0, 1.0 / 200.0)
     params = WaveParams(c=1.0, D=0.1)
     traj = solve(space, grid, params, default_u0, default_u00)
     basis = pod.pod_basis(traj, "standard")
     sizes = list(range(2, 26, 2))
-    frame = ErrorFrame(traj, basis, params, sizes)
-    (_, runs), = solve_rom(build_rom([(basis, r) for r in sizes], traj, params))
+    frame = ErrorFrame(traj, basis, params)
+    blocks = list(solve_rom(build_rom([(basis, r) for r in sizes], traj, params)))
+    assert len(blocks) > 1
     tracemalloc.start()
     try:
-        error_reports(frame, [(0, runs)])
+        reports = error_reports(frame, blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (grid.N - 1) * basis.rank * runs[0].itemsize
+    assert len(reports) == len(sizes)
+    assert peak < (grid.N - 1) * basis.rank * blocks[0][1][0].itemsize, peak
 
 
-@pytest.mark.parametrize("rank_tol,bound_mib", [(0.0, 11), (1e-12, 15)],
+@pytest.mark.parametrize("rank_tol,bound_mib", [(0.0, 8), (1e-12, 11)],
                          ids=["full-rank", "cut"])
 def test_error_frame_holds_no_whole_product(rank_tol, bound_mib):
     """At 400 elements, dt = 1/800 and T = 2.5 (2001 levels, 6.1 MiB of
-    states) a frame of a ddq basis for r = 5, 10, ..., 60 holds L, M Phi and
-    A psi (1.2 MiB each), its kept columns and tail sums (2.4 MiB) and row
-    blocks of the products: about 9.9 MiB at full rank, 16.9 MiB with the
-    two whole (N, s) products.  A cut basis (s = 386) adds the off-span
-    residuals, also by blocks: about 13.9 MiB, 41 MiB when they were whole."""
+    states), the frame and the reports of a ddq basis's 12-size stack
+    r = 5, 10, ..., 60 hold no (N, s) or (N, sum r) array, 6.1 or 6.0 MiB.
+    The frame holds L, M Phi and A psi (s = 399: 1.2 MiB each), and making
+    it briefly holds two or three more such arrays: about 6.2 MiB.  The
+    reports step blocks of 160 levels (sum r + n_dof = 789 columns fill
+    1 MiB), whose z, coefficients, c and d take 0.5 MiB each beside the
+    frame.  A cut basis (s = 386) adds psi and, per block, the off-span
+    residuals and their differences, 0.5 MiB each: about 8.8 MiB.  A frame
+    that held c and d and the tail sums per level peaked at 10.0 and
+    13.9 MiB."""
     space = assemble(400)
     params = WaveParams(c=1.0, D=0.1)
     traj = solve(space, TimeGrid.from_dt(2.5, 1.0 / 800.0), params, default_u0, default_u00)
     basis = pod.pod_basis(traj, "ddq", rank_tol=rank_tol)
     assert (basis.rank < space.n_dof) == (rank_tol > 0)
+    sizes = list(range(5, 61, 5))
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        ErrorFrame(traj, basis, params, range(5, 61, 5))
+        frame = ErrorFrame(traj, basis, params)
+        reports = error_reports(frame, solve_rom(build_rom([(basis, r) for r in sizes],
+                                                           traj, params)))
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
+    assert len(reports) == len(sizes)
     assert peak < bound_mib << 20, peak
 
 
-@pytest.mark.parametrize("n_elements,T,rank_tol", [
-    (24, 4.0, 0.0),   # 201 levels: the basis spans the FE space
-    (40, 0.5, 0.0),   # 26 levels, 39 unknowns: s < n_dof
-    (24, 4.0, 1e-4),  # a cut spectrum: the states leave span Phi
-], ids=["s-is-n_dof", "n-below-n_dof", "rank-tol"])
-def test_error_frame_is_the_same_in_any_row_blocks(n_elements, T, rank_tol, monkeypatch):
-    """A frame summed over row blocks of 16 level pairs, each reading one
-    level past its end, agrees with a frame of one block to round-off: the
-    coordinates within 1e-13 of the largest of their kind, the squared norms
-    (tail sums and off-span terms) within 1e-13 of the largest squared L2
-    norm or twice the largest energy of the states (c = 1), which bound
-    them."""
-    space = assemble(n_elements)
-    params = WaveParams(c=1.0, D=0.1)
-    traj = solve(space, TimeGrid.from_dt(T, 0.02), params, default_u0, default_u00)
-    basis = pod.pod_basis(traj, "ddq", rank_tol=rank_tol)
-    sizes = sorted({1, max(basis.rank // 2, 1), basis.rank})
-    whole = ErrorFrame(traj, basis, params, sizes)
-    monkeypatch.setattr(wave, "_BLOCK_CELLS", 1)
-    blocked = ErrorFrame(traj, basis, params, sizes)
-
-    def close(got, want, scale):
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * scale)
-
-    for name in ("c", "d", "start"):
-        close(getattr(blocked, name), getattr(whole, name),
-              np.max(np.abs(getattr(whole, name))))
-    u_sq = float(np.max(l2_norms_sq(space, traj.states)))
-    u_energy = float(np.max(energy_series(space, traj.states, traj.grid.dt, params.c)))
-    close(blocked.off_l2, whole.off_l2, u_sq)
-    close(blocked.off_energy, whole.off_energy, 2.0 * u_energy)
-    for r in sizes:
-        for got, want, scale in zip(blocked.tails[r], whole.tails[r],
-                                    (u_sq, 2.0 * u_energy, 2.0 * u_energy)):
-            close(got, want, scale)
-
-
-@pytest.mark.parametrize("n_levels", [3, BLOCK + 1, BLOCK + 2, BLOCK + 3, 2 * BLOCK + 2])
+@pytest.mark.parametrize("n_elements,n_levels,rank_tol,tol", [
+    *(pytest.param(24, n, 0.0, 0.0, id=str(n)) for n in (3, BLOCK + 1, BLOCK + 2, BLOCK + 3,
+                                                        2 * BLOCK + 2)),
+    pytest.param(24, 201, 0.0, 1e-13, id="s-is-n_dof"),    # the basis spans the FE space
+    pytest.param(40, 26, 0.0, 1e-13, id="n-below-n_dof"),  # 39 unknowns: s < n_dof
+    pytest.param(24, 201, 1e-4, 1e-13, id="rank-tol"),     # a cut spectrum: off span Phi
+])
 @pytest.mark.parametrize("method", ["standard", "ddq"])
-def test_reports_are_the_same_in_any_level_blocks(method, n_levels, monkeypatch):
+def test_reports_are_the_same_in_any_level_blocks(method, n_elements, n_levels, rank_tol, tol,
+                                                  monkeypatch):
     """The reports of a stack of sizes, reduced from 16-level blocks as
-    solve_rom yields them, are bitwise those of one block of every level:
-    one block (N = 3, B + 1, B + 2), a last block of three levels (B + 3),
-    and two full blocks (2B + 2).  The stepping is elementwise and the
-    norms reduce each level on its own; at these sizes (r < 32) OpenBLAS
-    also forms each row of the products z Q^T and avg(a) L_rr alike for any
-    row count, and a maximum is exact."""
-    space = assemble(24)
+    solve_rom yields them, are those of one block of every level.
+
+    Bitwise for one block (N = 3, B + 1, B + 2), a last block of three
+    levels (B + 3) and two full blocks (2B + 2): the stepping is elementwise,
+    the norms reduce each level on its own, a maximum is exact, and at these
+    sizes OpenBLAS forms each row of the products z Q^T, avg(a) L_rr and the
+    projections of the levels alike for any row count.  Over the 13 blocks
+    of a basis that spans the FE space and of a cut one, and the 2 of one
+    with fewer snapshots than unknowns, each maximum agrees within 1e-13 of the
+    largest squared L2 norm or twice the largest energy of the states
+    (c = 1), which bound it, and each ratio as its maximum: the frame fixes
+    the denominator.  A few-row product of the levels with A psi^T, which
+    the triangular solve leaves in Fortran order, may sum a row in another
+    order than a product of every level (seen on the standard cut basis,
+    s = 10: d moves by 9e-16).
+    """
+    space = assemble(n_elements)
     params = WaveParams(c=1.0, D=0.1)
     traj = solve(space, TimeGrid.from_dt((n_levels - 1) * 0.02, 0.02), params,
                  default_u0, default_u00)
     assert traj.grid.N == n_levels
-    basis = pod.pod_basis(traj, method)
+    basis = pod.pod_basis(traj, method, rank_tol=rank_tol)
+    assert (basis.rank < space.n_dof) == (rank_tol > 0 or n_levels <= space.n_dof)
     sizes = sorted({1, max(basis.rank // 2, 1), basis.rank})
-    frame = ErrorFrame(traj, basis, params, sizes)
+    frame = ErrorFrame(traj, basis, params)
     romsys = build_rom([(basis, r) for r in sizes], traj, params)
-    rom_block_rows(monkeypatch, n_levels)
-    whole = error_reports(frame, solve_rom(romsys))
-    rom_block_rows(monkeypatch, BLOCK)
+    whole = list(solve_rom(romsys))
+    assert len(whole) == 1
+    monkeypatch.setattr(wave, "_BLOCK_CELLS", 1)
     blocks = list(solve_rom(romsys))
     assert len(blocks) == max(-(-(n_levels - 2) // BLOCK), 1)
-    for got, want in zip(error_reports(frame, blocks), whole, strict=True):
-        for name in (f.name for f in fields(RomErrorReport)):
-            assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+    bound = {"max_l2_sq": tol * float(np.max(l2_norms_sq(space, traj.states))),
+             "max_energy": tol * 2.0 * float(np.max(energy_series(
+                 space, traj.states, traj.grid.dt, params.c)))}
+    for got, want in zip(error_reports(frame, blocks), error_reports(frame, whole),
+                         strict=True):
+        for name, ratio in (("max_l2_sq", "ratio_pointwise"), ("max_energy", "ratio_energy")):
+            want_max = getattr(want, name)
+            assert abs(getattr(got, name) - want_max) <= bound[name], name
+            np.testing.assert_allclose(getattr(got, ratio), getattr(want, ratio), atol=0,
+                                       rtol=bound[name] / want_max if want_max else 0.0)
 
 
 def test_stacked_coefficients_agree_with_their_own_in_other_level_blocks(monkeypatch):
     """Where a stack's level blocks split the levels elsewhere than a run's
-    own (sum r sets the block size), each run's coefficients agree with those
-    of the run on its own within 1e-13 of their largest, not bitwise: its
-    eigen-coordinates are bitwise the same, but at r >= 32 OpenBLAS forms
-    a row of z Q^T in a few-row product (here a last block of three levels:
-    N - 2 = 3B + 1) in another order than in a product of every level."""
+    own (sum r + n_dof sets the block size), each run's coefficients agree
+    with those of the run on its own within 1e-13 of their largest, not
+    bitwise: its eigen-coordinates are bitwise the same, but at r >= 32
+    OpenBLAS forms a row of z Q^T in a few-row product (here a last block of
+    three levels: N - 2 = 3B + 1) in another order than in a product of
+    every level."""
     space = assemble(48)
     params = WaveParams(c=1.0, D=0.1)
     traj = solve(space, TimeGrid.from_dt(1.0, 0.02), params, default_u0, default_u00)
     assert traj.grid.N == 3 * BLOCK + 3
     basis = pod.pod_basis(traj, "ddq")
     runs = [(basis, 32), (basis, 40)]
-    rom_block_rows(monkeypatch, BLOCK)
+    alone = []
+    for run in runs:
+        (_, (coeffs,)), = solve_rom(build_rom([run], traj, params))
+        alone.append(coeffs)
+    monkeypatch.setattr(wave, "_BLOCK_CELLS", 1)
     blocks = list(solve_rom(build_rom(runs, traj, params)))
-    rom_block_rows(monkeypatch, traj.grid.N)
-    for j, run in enumerate(runs):
+    for j, want in enumerate(alone):
         stacked = np.concatenate([coeffs[j][2 * (n > 0):] for n, coeffs in blocks])
-        (_, (alone,)), = solve_rom(build_rom([run], traj, params))
-        np.testing.assert_allclose(stacked, alone, rtol=0.0, atol=1e-13 * np.max(np.abs(alone)))
+        np.testing.assert_allclose(stacked, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
 
 
 def test_reports_hold_no_whole_coefficient_array():
     """At 400 elements, dt = 1/800 and T = 2.5 (2001 levels), the reports of
-    a ddq basis's 12-size stack r = 5, 10, ..., 60 (sum r = 390) step the
-    coordinates in blocks of 336 levels: a block of z and its coefficients
-    (1 MiB each) and per-run block temporaries, about 3.0 MiB in all.  One
-    (N, sum r) array is 6.0 MiB; a whole solve, which held z and each run's
-    product beside it, peaked at 9.7 MiB."""
+    a ddq basis's 12-size stack r = 5, 10, ..., 60 (sum r = 390), streamed
+    from solve_rom, take the coordinates in blocks of 160 levels: a block of
+    z, its coefficients and the block's projections of the levels, about
+    2.3 MiB in all.  One (N, sum r) array is 6.0 MiB."""
     space = assemble(400)
     params = WaveParams(c=1.0, D=0.1)
     traj = solve(space, TimeGrid.from_dt(2.5, 1.0 / 800.0), params, default_u0, default_u00)
     basis = pod.pod_basis(traj, "ddq")
     sizes = list(range(5, 61, 5))
-    frame = ErrorFrame(traj, basis, params, sizes)
+    frame = ErrorFrame(traj, basis, params)
     romsys = build_rom([(basis, r) for r in sizes], traj, params)
     tracemalloc.start()
     try:
@@ -447,10 +446,12 @@ def test_reports_hold_no_whole_coefficient_array():
 def test_rom_tables_are_the_same_in_any_level_blocks(argv, tmp_path, monkeypatch, capsys):
     """profiles.csv (levels 0, 16, 40 and 80: the first, a shared, an inner
     and the last level) and train_interval.csv, from 16-level blocks of the
-    ROM, are byte for byte those from one block of every level."""
+    ROM, are byte for byte those from one block of every level.  The second
+    run takes its trajectory and bases from the study cache, so only the
+    ROM's blocks differ."""
     written = []
-    for rows in (10**6, BLOCK):
-        rom_block_rows(monkeypatch, rows)
+    for cells in (wave._BLOCK_CELLS, 1):
+        monkeypatch.setattr(wave, "_BLOCK_CELLS", cells)
         assert main(["--output-dir", str(tmp_path), "--n-elements", "24", "--dt", "1/40",
                      "--T", "2", "--D", "0.05", *argv]) == 0
         written.append({path.name: path.read_bytes() for path in tmp_path.iterdir()})
@@ -462,12 +463,11 @@ def test_profile_rom_columns_are_the_rom_states_of_their_levels(monkeypatch):
     state of its level, rebuilt from one block of every level."""
     config = RunConfig(n_elements=24, dt=1.0 / 40.0, T=2.0, D=0.05, r_list=(4,),
                        times=(0.0, 0.4, 1.0, 2.0)).validated()
-    rom_block_rows(monkeypatch, BLOCK)
-    _, table = profile_rows(config)
     traj = fe_trajectory(config)
     basis = _basis(config, traj, config.pod_method)
-    rom_block_rows(monkeypatch, traj.grid.N)
     (_, (coeffs,)), = solve_rom(build_rom([(basis, 4)], traj, config.wave_params()))
+    monkeypatch.setattr(wave, "_BLOCK_CELLS", 1)
+    _, table = profile_rows(config)  # the same trajectory and basis, from the study cache
     want = coeffs[[0, 16, 40, 80]] @ basis.modes[:4]
     assert np.array_equal(table[1:-1, 2::2].T, want)
 
@@ -505,7 +505,7 @@ def test_modal_error_report_matches_the_full_space_report(method, n_elements, T,
     basis = pod.pod_basis(traj, method, rank_tol=rank_tol)
     assert (basis.rank == space.n_dof) == (rank_tol == 0 and traj.grid.N > space.n_dof)
     sizes = sorted({1, max(basis.rank // 2, 1), basis.rank})
-    frame = ErrorFrame(traj, basis, params, sizes)
+    frame = ErrorFrame(traj, basis, params)
     u_sq = float(np.max(l2_norms_sq(space, traj.states)))
     u_energy = float(np.max(energy_series(space, traj.states, dt, params.c)))
     for r in sizes:
