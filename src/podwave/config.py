@@ -36,7 +36,6 @@ class RunConfig:
     output_dir: Optional[str] = None  # None: $PODWAVE_OUTPUT_DIR, else "."
     u0: str = "default"
     u00: str = "zero"
-    rank_tol: float = 0.0
     k_max: int = 200
     stride: int = 1
     param: str = ""  # rom-sweep's swept coefficient; "": G if only G > 0, else D
@@ -70,8 +69,6 @@ class RunConfig:
                 raise ConfigError(f"{name} must be nonempty")
         if self.stride < 1:
             raise ConfigError("stride must be at least 1")
-        if not 0 <= self.rank_tol < 1:  # a cutoff of sigma_1 or more keeps no mode
-            raise ConfigError(f"rank_tol must be in [0, 1), got {self.rank_tol}")
         if self.k_max < 1:
             raise ConfigError("k_max must be at least 1")
         if self.seed < 0:  # the random generator takes no negative seed

@@ -7,10 +7,10 @@ CLI, the test suite, and the reproduction scripts.
 The drivers get their FE trajectories and POD bases from one study cache,
 so that a process making one CLI call per table, as the reproduction script
 does, computes each distinct trajectory and basis once.  Entries are keyed
-by value, a basis by its trajectory's key, its snapshot count, method and
-rank_tol.  To stay within _CACHE_BUDGET_BYTES of array bytes the cache
-evicts the least recently used entry that has never been hit, and only when
-every entry has been hit the least recently used one, so that a run of
+by value, a basis by its trajectory's key, its snapshot count and method.
+To stay within _CACHE_BUDGET_BYTES of array bytes the cache evicts the
+least recently used entry that has never been hit, and only when every
+entry has been hit the least recently used one, so that a run of
 single-use entries (the trajectories of one rom-sweep) does not flush those
 that other ops share.  It never stores an entry larger than the budget, so a
 reference-scale trajectory does not stay resident.  Cached arrays are
@@ -80,9 +80,9 @@ def fe_trajectory(config: RunConfig) -> Trajectory:
 
 def _basis(config: RunConfig, traj: Trajectory, method: str) -> pod.PodBasis:
     """The POD basis of traj, which is fe_trajectory(config) or a training
-    slice of it, with the config's rank_tol, from the study cache."""
-    key = (_trajectory_key(config), traj.grid.N, method, config.rank_tol)
-    return _cached(key, lambda: pod.pod_basis(traj, method, rank_tol=config.rank_tol),
+    slice of it, from the study cache."""
+    key = (_trajectory_key(config), traj.grid.N, method)
+    return _cached(key, lambda: pod.pod_basis(traj, method),
                    lambda basis: (basis.modes, basis.eigenvalues))
 
 
@@ -186,9 +186,6 @@ def _formula_gap(actual: float, formula: float, basis: pod.PodBasis) -> float:
 
 def error_formula_rows(config: RunConfig):
     """Actual-vs-formula data errors for each r and both norms."""
-    if config.rank_tol > 0:  # the formula sums the tail that a cutoff drops
-        raise ConfigError(f"error-formulas needs every POD mode: rank_tol must be 0, "
-                          f"got {config.rank_tol}")
     traj = fe_trajectory(config)
     basis = _basis(config, traj, config.pod_method)
     _check_ranks([(basis, int(r)) for r in config.r_list])

@@ -6,8 +6,9 @@ SPD tridiagonal factorisation serves the time stepping, the L2 projection
 and the POD geometry.  The heavy lifting is delegated to LAPACK via scipy;
 this module pins down the storage conventions and the error behavior the
 rest of the package relies on.  The thin SVD of the POD data is a blocked
-QR: it folds the data's row blocks one at a time into one triangle and
-takes the SVD of that, so the data is never held whole.
+QR: it takes the data only as row blocks, folds them one at a time into one
+triangle and takes the SVD of the triangle's rows that the data fills, so
+the data is never held whole.
 
 Stacks of vectors are arrays (k, n) with the vector index first; every
 operator acts on the last axis, and a single vector (n,) is the k-less case
@@ -127,46 +128,44 @@ class BandedCholesky:
         return self._lapack_solve(dtbtrs, b)
 
 
-def thin_svd(b: np.ndarray, rows=None):
+def thin_svd(b: np.ndarray, rows):
     """Thin SVD of a stack b (k, n) of vectors, read as the (n, k) matrix
     b^T = U diag(s) V^T with singular values descending.
 
-    Returns (U^T, s): the left singular vectors as a stack (min(k, n), n)
-    and the spectrum; the right factor is not returned.  rows, if given,
+    Returns (U^T, s): the left singular vectors as a stack (m, n) and the
+    spectrum (m,), m = min(k, n); the right factor is not returned.  rows
     yields the stack in consecutive row blocks, float arrays (k_i, n) that
-    are overwritten, and b then gives only its shape; b is never written.
+    may be overwritten; b gives only its shape.
 
     Each block is folded into an n x n triangle R by LAPACK dtpqrt, the QR
     factorisation of R stacked on the block (the flat-tree blocked
     tall-skinny QR of Demmel, Grigori, Hoemmen and Langou, 2012), so that
     b = Q R and b is never held whole.  As b^T = R^T Q^T, the
     SVD of R^T has the U and s of b^T and never forms the k-long right
-    factor (Chan's R-SVD).  For k < n the n - k trailing singular values of
-    R are round-off and are dropped.
+    factor (Chan's R-SVD).  Only the leading m rows of R hold the data
+    (for k < n the rest is round-off), so the SVD is of those m x n rows.
     """
     k, n = b.shape
     r = np.zeros((n, n), order="F")
     # the generator's scope drops the last block before the SVD's workspace is taken
-    folded = sum(_fold(r, block, rows is not None) for block in ((b,) if rows is None else rows))
+    folded = sum(_fold(r, block) for block in rows)
     if folded != k:
         raise ValueError(f"the row blocks hold {folded} rows, the stack {k}")
     try:
         # R = W S Z^T, so R^T = Z S W^T: U^T is the right factor Z^T of R
-        _, s, ut = scipy.linalg.svd(r, full_matrices=False, overwrite_a=True,
+        _, s, ut = scipy.linalg.svd(r[:min(k, n)], full_matrices=False, overwrite_a=True,
                                     check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise LinAlgFailure(f"SVD did not converge: {exc}") from exc
-    m = min(k, n)
-    return ut[:m], s[:m]
+    return ut, s
 
 
-def _fold(r: np.ndarray, block: np.ndarray, overwrite: bool) -> int:
+def _fold(r: np.ndarray, block: np.ndarray) -> int:
     """Fold a row block (m, n) into the column-major triangle r (n, n) in
     place by dtpqrt: r becomes the triangle of the QR factorisation of r
-    stacked on the block.  Returns m.  A column-major block that may be
-    overwritten is dtpqrt's own buffer; any other is copied."""
+    stacked on the block, which it may overwrite.  Returns m."""
     _, _, _, info = dtpqrt(0, min(_TPQRT_NB, r.shape[0]), r, block,
-                           overwrite_a=True, overwrite_b=overwrite)
+                           overwrite_a=True, overwrite_b=True)
     if info != 0:
         raise LinAlgFailure(f"dtpqrt failed with info={info}")
     return block.shape[0]

@@ -18,9 +18,9 @@ The POD space is L2: modes are M-orthonormal and solve the weighted
 eigenproblem of the data Gram operator.  With M = R^T R this is the SVD of
 B = R W sqrt(Gamma): eigenvalues are squared singular values and modes are
 R^{-1} times the left singular vectors.  thin_svd folds the row blocks of
-B^T into one n_dof x n_dof triangle, an exact blocked QR factorisation that
-keeps every mode, and takes the SVD of the triangle.  The SVD is of B, not
-of B B^T: a
+B^T into one n_dof x n_dof triangle, an exact blocked QR factorisation, and
+takes the SVD of the triangle's rows that the data fills; every mode with
+sigma > 0 is kept.  The SVD is of B, not of B B^T: a
 backward-stable SVD moves each sigma_k by about eps * sigma_1, so
 lambda_k = sigma_k^2 is accurate to about eps * sigma_1 * sigma_k, where
 B B^T would give eps * sigma_1^2; the deep H1_0 tails of the error formulas
@@ -112,25 +112,24 @@ def build_dataset(traj: Trajectory, method: str) -> PodDataSet:
                       space=traj.space, grid=traj.grid)
 
 
-def compute_basis(data: PodDataSet, rank_tol: float = 0.0) -> PodBasis:
+def compute_basis(data: PodDataSet) -> PodBasis:
     """Solve the weighted POD eigenproblem in the L2 geometry.
 
-    Retains every eigenvalue whose singular value exceeds
-    max(sqrt(rank_tol) * sigma_1, 0); the default keeps the full positive
-    spectrum so that deep tails of the error formulas remain available.
-    The rows of B^T = W^(1/2) (data) R^T reach the SVD one row block at a
-    time, column-major, as thin_svd folds them.
+    Keeps every mode whose singular value is positive, the whole positive
+    spectrum: the exact data-error formulas and the ROM bound denominators
+    sum the whole eigenvalue tail.  The rows of
+    B^T = W^(1/2) (data) R^T reach the SVD one row block at a time,
+    column-major, as thin_svd folds them.
     """
     space = data.space
     chol = space.mass.cholesky()
     scale = np.sqrt(data.weights)[:, None]
     blocks = (chol.r_matvec(np.multiply(data.rows(lo, hi), scale[lo:hi], order="F"))
               for lo, hi in _row_blocks(len(scale), space.n_dof))
-    u, sing = thin_svd(data.states, rows=blocks)
+    u, sing = thin_svd(data.states, blocks)
     if sing[0] <= 0.0:
         raise ValueError("POD data is identically zero")
-    cutoff = max(np.sqrt(rank_tol) * sing[0], 0.0)
-    s = int(np.sum(sing > cutoff))
+    s = int(np.sum(sing > 0.0))
     modes = chol.r_solve(u[:s])
     _fix_mode_signs(modes)
     return PodBasis(modes=modes, eigenvalues=sing[:s] ** 2,
@@ -145,9 +144,9 @@ def _fix_mode_signs(modes: np.ndarray):
     modes[modes[np.arange(len(modes)), first] < 0] *= -1.0
 
 
-def pod_basis(traj: Trajectory, method: str, rank_tol: float = 0.0) -> PodBasis:
+def pod_basis(traj: Trajectory, method: str) -> PodBasis:
     """Convenience: build_dataset followed by compute_basis."""
-    return compute_basis(build_dataset(traj, method), rank_tol=rank_tol)
+    return compute_basis(build_dataset(traj, method))
 
 
 def project_l2(basis: PodBasis, r: int, v: np.ndarray) -> np.ndarray:

@@ -119,7 +119,8 @@ def solve_rom(romsys: RomSystem):
 class ErrorFrame:
     """The constants of the error reports of ROMs on a POD basis against an
     FE trajectory: L, M phi and A psi over all s modes, psi itself when the
-    basis is cut (s < n_dof), and the psi-coefficients of u^1 and bd u^2.
+    basis has fewer modes than unknowns (s < n_dof), and the
+    psi-coefficients of u^1 and bd u^2.
     The levels are projected in error_reports, block by block."""
 
     def __init__(self, traj: Trajectory, basis: PodBasis, params: WaveParams):

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fe_reference
@@ -132,10 +132,6 @@ COARSE = ["--n-elements", "8", "--dt", "1/8", "--T", "1"]  # POD rank 7
     (COARSE + ["train-interval", "--t-train", "1"], "r must be in [1, 7]"),
     (COARSE + ["--r-list", "20", "rom-sweep"], "r must be in [1, 7]"),
     (COARSE + ["--r-list", "20", "error-formulas"], "r must be in [1, 7]"),
-    (COARSE + ["--rank-tol", "2", "error-formulas"], "rank_tol must be in [0, 1)"),
-    (COARSE + ["--rank-tol", "1", "singvals"], "rank_tol must be in [0, 1)"),
-    (["--rank-tol", "-0.5", "singvals"], "rank_tol must be in [0, 1)"),
-    (COARSE + ["--rank-tol", "0.5", "error-formulas"], "rank_tol must be 0, got 0.5"),
     (["convergence", "--dt-list", "0.1", "1/10"], "dt-list repeats the step 0.1"),
     (["--seed", "-1", "check"], "seed must be nonnegative, got -1"),
     (["rom-sweep", "--param", "X"], "param must be D or G"),
@@ -149,8 +145,7 @@ COARSE = ["--n-elements", "8", "--dt", "1/8", "--T", "1"]  # POD rank 7
         "convergence-two-dampings", "times-nan", "times-negative", "times-past-T",
         "times-off-grid", "profiles-r-above-rank",
         "train-interval-r-above-rank", "rom-sweep-r-above-rank",
-        "error-formulas-r-above-rank", "rank-tol-two", "rank-tol-one",
-        "rank-tol-negative", "error-formulas-rank-tol", "dt-list-repeated",
+        "error-formulas-r-above-rank", "dt-list-repeated",
         "seed-negative", "param-X", "r-abc", "times-swallow-command",
         "values-swallow-command", "times-repeated"])
 def test_bad_values_exit_one(tmp_path, capsys, argv, message):
@@ -185,6 +180,23 @@ def test_error_formulas_checks_every_r_before_the_data_set(monkeypatch):
     monkeypatch.setattr(pod, "build_dataset", no_data_set)
     with pytest.raises(ConfigError, match=f"r must be in \\[1, {rank}\\]"):
         experiments.error_formula_rows(replace(config, r_list=(1, rank + 1)))
+
+
+def test_a_rank_cutoff_is_no_key(tmp_path, capsys):
+    """A POD basis is its data's whole positive spectrum, with no cutoff
+    key: --rank-tol is argparse's usage error, exit 2, and a config file
+    line rank_tol=0.0, as older CSV headers carry, exits 1 naming the key."""
+    with pytest.raises(SystemExit) as exc:
+        main(COARSE + ["--output-dir", str(tmp_path), "singvals", "--rank-tol", "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: podwave") and "unrecognized arguments: --rank-tol 0" in err
+    config = tmp_path / "run.cfg"
+    config.write_text("n_elements=8\ndt=1/8\nT=1\nrank_tol=0.0\n")
+    assert main(["--config", str(config), "--output-dir", str(tmp_path), "singvals"]) == 1
+    err = capsys.readouterr().err
+    assert err == "configuration error: unknown config key 'rank_tol'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def test_unwritable_output_dir_exits_one(tmp_path, capsys):
@@ -653,7 +665,6 @@ def tiny_runs(draw):
             "--seed", str(draw(st.integers(0, 2**32))),
             "--u0", draw(st.sampled_from(sorted(INITIAL_CONDITIONS))),
             "--u00", draw(st.sampled_from(sorted(INITIAL_CONDITIONS))),
-            "--rank-tol", repr(draw(st.one_of(st.just(0.0), st.floats(0.0, 0.99)))),
             "--k-max", str(draw(st.integers(1, 50))),
             "--stride", str(draw(st.integers(1, 5)))]
     command = draw(st.sampled_from(COMMANDS))
@@ -693,8 +704,6 @@ def as_number(cell):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(tiny_runs())
-@example(([*COARSE, "--r-list", "1", "--u00", "default", "--rank-tol", "0.5"],
-          ["error-formulas"]))  # a cutoff drops part of the tail the formula sums
 def test_cli_runs_end_in_csv_or_one_line(run):
     """Every tiny run either exits 0 with finite numbers, or exits 1 or 2
     with one stderr line and no traceback."""

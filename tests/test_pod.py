@@ -165,14 +165,6 @@ def test_mode_sign_convention():
         assert mode[nonzero[0]] > 0
 
 
-def test_rank_tolerance_truncates():
-    traj, _ = solved_traj(n_elements=24, T=1.0, dt=1.0 / 24.0)
-    full = pod.pod_basis(traj, "standard")
-    cut = pod.pod_basis(traj, "standard", rank_tol=1e-8)
-    assert cut.rank < full.rank
-    assert np.all(cut.eigenvalues > 1e-8 * cut.eigenvalues[0])
-
-
 def test_ddq_data_linearly_independent():
     """Linearly independent snapshots give a DDQ data set of full rank N."""
     rng = np.random.default_rng(9)

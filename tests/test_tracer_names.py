@@ -23,7 +23,7 @@ HOOKED_PARAMETERS = {
     ("wave", "solve"): ["space", "grid", "params", "u0", "u00"],
     ("linalg", "thin_svd"): ["b"],
     ("pod", "build_dataset"): ["traj"],
-    ("pod", "compute_basis"): ["data", "rank_tol"],
+    ("pod", "compute_basis"): ["data"],
     ("rom", "solve_rom"): ["romsys"],
 }
 
