@@ -496,12 +496,18 @@ def test_modal_error_report_matches_the_full_space_report(method, n_elements, T,
     N x n_dof difference of FE and ROM states.
 
     Reports at round-off level (max_l2_sq at most 1e-20 max_n ||u^n||^2)
-    only agree in which ratios are nan.  Otherwise each field agrees within
-    1e-9 relative, or four times its round-off where that is larger: a field
-    made of differences of coefficients of size ||u|| carries a relative
-    round-off of about eps ||u|| / ||e||, with ||e|| its own square root,
-    energies in the energy's units, and a ratio's denominator holding
-    ||bd phi^2||^2, whose differences are divided by dt.
+    only agree in which ratios are nan.  Otherwise each maximum and each
+    ratio's denominator, max / ratio, agrees within 1e-9 relative, or four
+    times its round-off where that is larger: a quantity made of differences
+    of coefficients of size ||u|| carries a relative round-off of about
+    eps ||u|| / ||e||, with ||e|| its own square root, energies in the
+    energy's units, and a denominator holding ||bd phi^2||^2, whose
+    differences are divided by dt.  A ratio is checked as its denominator
+    because its numerator is a maximum, checked on its own, whose round-off
+    the ratio carries: on the dq1 basis of 26 levels with heavy damping, at
+    r = 13 and with two OpenBLAS threads, the modal max_energy is 3 times
+    eps ||u|| / ||e|| (1.1e-9 relative) from the same error evaluated in
+    extended precision.
     """
     space = assemble(n_elements)
     params = WaveParams(c=1.0, **damping)
@@ -520,14 +526,23 @@ def test_modal_error_report_matches_the_full_space_report(method, n_elements, T,
             assert np.isnan(getattr(got, name)) == np.isnan(getattr(want, name)), (r, name)
         if want.max_l2_sq <= 1e-20 * u_sq:
             continue
+        got_q, want_q = _maxima_and_denominators(got), _maxima_and_denominators(want)
         roundoff = {"max_l2_sq": np.sqrt(u_sq / want.max_l2_sq),
                     "max_energy": np.sqrt(u_energy / want.max_energy)}
-        for name, size in (("ratio_pointwise", want.max_l2_sq), ("ratio_energy", want.max_energy)):
-            if not np.isnan(getattr(want, name)):  # size / ratio is the denominator
-                roundoff[name] = np.sqrt(u_sq * getattr(want, name) / size) / dt
+        for name in ("ratio_pointwise", "ratio_energy"):
+            if not np.isnan(want_q[name]):
+                roundoff[name] = np.sqrt(u_sq / want_q[name]) / dt
         for name, scale in roundoff.items():
             rel = max(1e-9, 4 * np.finfo(float).eps * scale)
-            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=rel, abs=0), (r, name)
+            assert got_q[name] == pytest.approx(want_q[name], rel=rel, abs=0), (r, name)
+
+
+def _maxima_and_denominators(report: RomErrorReport) -> dict:
+    """The report's maxima, and under each ratio's name its denominator
+    max / ratio (nan where the ratio is)."""
+    return {"max_l2_sq": report.max_l2_sq, "max_energy": report.max_energy,
+            "ratio_pointwise": report.max_l2_sq / report.ratio_pointwise,
+            "ratio_energy": report.max_energy / report.ratio_energy}
 
 
 def test_ddq_bound_ratios_hold_at_every_size_of_the_basis():
