@@ -176,8 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawTextHelpFormatter,
         allow_abbrev=False,
     )
-    # optional, so that a command swallowed by a list flag fails as its value
-    parser.add_argument("command", nargs="?", choices=_COMMANDS, metavar="COMMAND",
+    # optional, so that a command swallowed by a list flag fails as its value;
+    # main checks it after the unknown flags
+    parser.add_argument("command", nargs="?", metavar="COMMAND",
                         help="\n".join(f"{name:15} {text}"
                                        for name, (text, _) in _COMMANDS.items()))
     parser.add_argument("--config", help="flat key=value configuration file")
@@ -195,7 +196,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # unknown arguments before the command: argparse cannot know whether an
+    # unknown flag takes a value, so in `--bogus 0 singvals` it reads 0 as
+    # the command and singvals as an unknown argument
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    if args.command not in (None, *_COMMANDS):
+        parser.error(f"argument COMMAND: invalid choice: {args.command!r} "
+                     f"(choose from {', '.join(map(repr, _COMMANDS))})")
     try:
         config = make_config(args.config, {f.name: getattr(args, f.name) for f in fields(RunConfig)})
         if args.command is None:

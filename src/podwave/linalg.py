@@ -3,12 +3,18 @@
 Every matrix the program builds is symmetric: the FE mass and stiffness
 matrices and the time-step systems are symmetric tridiagonal, and the one
 SPD tridiagonal factorisation serves the time stepping, the L2 projection
-and the POD geometry.  The heavy lifting is delegated to LAPACK via scipy;
-this module pins down the storage conventions and the error behavior the
-rest of the package relies on.  The thin SVD of the POD data is a blocked
-QR: it takes the data only as row blocks, folds them one at a time into one
-triangle and takes the SVD of the triangle's rows that the data fills, so
-the data is never held whole.
+and the POD geometry.  The heavy lifting is delegated to LAPACK; this module
+pins down the storage conventions and the error behavior the rest of the
+package relies on.  The thin SVD of the POD data is a blocked QR: it takes
+the data only as row blocks, folds them one at a time into one triangle and
+takes the SVD of the triangle's rows that the data fills, so the data is
+never held whole.
+
+This is the one module that imports scipy, and only its compiled LAPACK
+extension: the scipy.linalg package's __init__ imports numpy.f2py and
+numpy.testing, 0.3-0.45 s and 24 MiB of every process (2-vCPU VM).  Where
+scipy.linalg was called, the same LAPACK calls are made, so that every
+result is bitwise the same.
 
 Stacks of vectors are arrays (k, n) with the vector index first; every
 operator acts on the last axis, and a single vector (n,) is the k-less case
@@ -16,12 +22,38 @@ of the same code.  LAPACK's column layout stays inside this module, except
 that thin_svd factors a column-major row block without copying it.
 """
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpbtrs, dtbtrs, dtpqrt
 
+
+def _load_flapack():
+    """scipy's compiled LAPACK module, loaded from its file without running
+    scipy/__init__ or scipy/linalg/__init__: the extension needs only numpy.
+    A copy that scipy.linalg has already loaded is reused."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("podwave needs scipy, which is not installed")
+    folder = os.path.join(spec.submodule_search_locations[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(name, path, loader=loader))
+            loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's LAPACK extension _flapack is not in {folder}")
+
+
+_lapack = _load_flapack()
 _TPQRT_NB = 32  # dtpqrt's block size: the columns of each compact-WY reflector block
 
 
@@ -81,11 +113,11 @@ class BandedCholesky:
         ab = np.zeros((2, a.n))
         ab[0, 1:] = a.off
         ab[1, :] = a.diag
-        try:
-            # upper band storage: row 0 holds R's superdiagonal, row 1 its diagonal
-            self._cb = scipy.linalg.cholesky_banded(ab, lower=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise LinAlgFailure(f"matrix is not SPD: {exc}") from exc
+        _check_finite(ab)
+        # upper band storage: row 0 holds R's superdiagonal, row 1 its diagonal
+        self._cb, info = _lapack.dpbtrf(ab, lower=0)
+        _check_info(_lapack.dpbtrf, info,
+                    f"matrix is not SPD: {info}-th leading minor not positive definite")
 
     def _lapack_solve(self, routine, b: np.ndarray) -> np.ndarray:
         """A LAPACK banded solve on the factor, in the upper band storage that
@@ -100,8 +132,7 @@ class BandedCholesky:
         if b.size == 0:  # scipy's dtbtrs wrapper corrupts the heap on no columns
             return np.empty(b.shape)
         x, info = routine(self._cb, b.reshape(-1, b.shape[-1]).T)
-        if info != 0:
-            raise LinAlgFailure(f"{routine.__name__} failed with info={info}")
+        _check_info(routine, info)
         return x.T.reshape(b.shape)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -111,7 +142,7 @@ class BandedCholesky:
         once per step, and the scipy wrapper's per-call dispatch costs more
         than the two banded sweeps of a small system.
         """
-        return self._lapack_solve(dpbtrs, b)
+        return self._lapack_solve(_lapack.dpbtrs, b)
 
     def r_matvec(self, x: np.ndarray) -> np.ndarray:
         """R @ x on the last axis of x (..., n), in place: x, a float array,
@@ -125,7 +156,7 @@ class BandedCholesky:
 
     def r_solve(self, b: np.ndarray) -> np.ndarray:
         """Solve R x = b on the last axis of b (..., n) by back substitution."""
-        return self._lapack_solve(dtbtrs, b)
+        return self._lapack_solve(_lapack.dtbtrs, b)
 
 
 def thin_svd(b: np.ndarray, rows):
@@ -151,12 +182,12 @@ def thin_svd(b: np.ndarray, rows):
     folded = sum(_fold(r, block) for block in rows)
     if folded != k:
         raise ValueError(f"the row blocks hold {folded} rows, the stack {k}")
-    try:
-        # R = W S Z^T, so R^T = Z S W^T: U^T is the right factor Z^T of R
-        _, s, ut = scipy.linalg.svd(r[:min(k, n)], full_matrices=False, overwrite_a=True,
-                                    check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise LinAlgFailure(f"SVD did not converge: {exc}") from exc
+    m = min(k, n)
+    work, _ = _lapack.dgesdd_lwork(m, n, compute_uv=1, full_matrices=0)  # dgesdd checks m, n
+    # R = W S Z^T, so R^T = Z S W^T: U^T is the right factor Z^T of R
+    _, s, ut, info = _lapack.dgesdd(r[:m], compute_uv=1, lwork=int(work.real),
+                                    full_matrices=0, overwrite_a=1)
+    _check_info(_lapack.dgesdd, info, f"SVD did not converge: dgesdd info={info}")
     return ut, s
 
 
@@ -164,8 +195,48 @@ def _fold(r: np.ndarray, block: np.ndarray) -> int:
     """Fold a row block (m, n) into the column-major triangle r (n, n) in
     place by dtpqrt: r becomes the triangle of the QR factorisation of r
     stacked on the block, which it may overwrite.  Returns m."""
-    _, _, _, info = dtpqrt(0, min(_TPQRT_NB, r.shape[0]), r, block,
-                           overwrite_a=True, overwrite_b=True)
-    if info != 0:
-        raise LinAlgFailure(f"dtpqrt failed with info={info}")
+    _, _, _, info = _lapack.dtpqrt(0, min(_TPQRT_NB, r.shape[0]), r, block,
+                                   overwrite_a=True, overwrite_b=True)
+    _check_info(_lapack.dtpqrt, info)
     return block.shape[0]
+
+
+def cholesky(a: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor L, column-major, of a finite SPD matrix
+    a = L L^T (m, m); LinAlgFailure unless a is SPD."""
+    _check_finite(a)
+    lower, info = _lapack.dpotrf(a, lower=1, overwrite_a=0, clean=1)
+    _check_info(_lapack.dpotrf, info,
+                f"{info}-th leading minor of the array is not positive definite")
+    return lower
+
+
+def solve_triangular(a: np.ndarray, b: np.ndarray, lower: bool, trans: bool = False):
+    """Solve a x = b, or a^T x = b with trans, for the lower (else upper)
+    triangle of a finite a (m, m) and b (m,) or (m, k).  An a that is not
+    column-major is solved as a^T with trans flipped: scipy's rule, which
+    keeps the results bitwise, as the two calls round differently."""
+    _check_finite(a, b)
+    if b.size == 0:  # as in scipy: LAPACK is not called without columns
+        return np.empty(b.shape)
+    if a.flags.f_contiguous:
+        x, info = _lapack.dtrtrs(a, b, lower=lower, trans=trans)
+    else:
+        x, info = _lapack.dtrtrs(a.T, b, lower=not lower, trans=not trans)
+    _check_info(_lapack.dtrtrs, info, f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
+
+
+def _check_finite(*arrays):
+    """ValueError unless every array is finite, as scipy checks its inputs."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _check_info(routine, info: int, failure: str = ""):
+    """LinAlgFailure unless LAPACK's info is 0: failure, if given, for the
+    routine's own failure (info > 0), else the routine's name and info."""
+    if info > 0 and failure:
+        raise LinAlgFailure(failure)
+    if info:
+        raise LinAlgFailure(f"{routine.__name__} failed with info={info}")

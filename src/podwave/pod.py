@@ -34,11 +34,10 @@ residual v - P_r v per (basis, r).
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import diffops
 from .fem import FemSpace, l2_norms_sq, h10_norms_sq
-from .linalg import LinAlgFailure, thin_svd
+from .linalg import LinAlgFailure, cholesky, solve_triangular, thin_svd
 from .wave import TimeGrid, Trajectory, _row_blocks
 
 METHODS = ("standard", "dq1", "ddq")
@@ -165,8 +164,8 @@ def stiffness_factor(basis: PodBasis, r: int):
     phi = basis.modes[:r]
     a_phi = basis.space.stiffness.matvec(phi)
     try:
-        return scipy.linalg.cholesky(np.inner(a_phi, phi), lower=True), a_phi
-    except scipy.linalg.LinAlgError as exc:
+        return cholesky(np.inner(a_phi, phi)), a_phi
+    except LinAlgFailure as exc:
         raise LinAlgFailure(f"reduced stiffness is not SPD: {exc}") from exc
 
 
@@ -175,7 +174,7 @@ def project_ritz(basis: PodBasis, r: int, v: np.ndarray) -> np.ndarray:
     of a vector (n_dof,) or of each vector of a stack (k, n_dof)."""
     lower, _ = stiffness_factor(basis, r)
     # the rows of psi are an H1_0-orthonormal basis of the same span
-    psi = scipy.linalg.solve_triangular(lower, basis.modes[:r], lower=True)
+    psi = solve_triangular(lower, basis.modes[:r], lower=True)
     return np.inner(v, basis.space.stiffness.matvec(psi)) @ psi
 
 

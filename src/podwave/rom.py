@@ -41,10 +41,10 @@ of cells.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .diffops import forward_diff
 from .fem import l2_norms_sq, h10_norms_sq
+from .linalg import solve_triangular
 from .pod import PodBasis, check_rank, stiffness_factor
 from .wave import (TimeGrid, Trajectory, WaveParams, _block_rows, energy, step_blocks,
                    step_weights)
@@ -127,9 +127,9 @@ class ErrorFrame:
         space, dt, u, phi, s = traj.space, traj.grid.dt, traj.states, basis.modes, basis.rank
         self.traj, self.basis, self.params, self.dt = traj, basis, params, dt
         self.lower, a_psi = stiffness_factor(basis, s)  # (s, s) L and A phi
-        self.a_psi = scipy.linalg.solve_triangular(self.lower, a_psi, lower=True)
+        self.a_psi = solve_triangular(self.lower, a_psi, lower=True)
         self.m_phi = space.mass.matvec(phi)
-        self.psi = (scipy.linalg.solve_triangular(self.lower, phi, lower=True)
+        self.psi = (solve_triangular(self.lower, phi, lower=True)
                     if s < space.n_dof else None)
         # psi-coefficients of u^1 and bd u^2, the difference taken first
         self.start = np.stack((u[0], (u[1] - u[0]) / dt)) @ self.a_psi.T
@@ -236,8 +236,8 @@ def error_report(frame: ErrorFrame, start: np.ndarray, max_l2_sq: float,
     # R_r v = x Phi_r with x L_rr = the first r psi-coefficients of v: of u^1,
     # bd u^2 and the discarded modes, whose psi-coefficients are rows of L
     tail, l_tail = basis.eigenvalues[r:], frame.lower[r:]
-    x = scipy.linalg.solve_triangular(
-        l_rr, np.hstack((frame.start[:, :r].T, l_tail[:, :r].T)), lower=True, trans="T")
+    x = solve_triangular(l_rr, np.hstack((frame.start[:, :r].T, l_tail[:, :r].T)),
+                         lower=True, trans=True)
     phi1, bd_phi = start[0] - x[:, 0], (start[1] - start[0]) / dt - x[:, 1]
     phi1_l2_sq = float(phi1 @ phi1)
     avg_phi = (phi1 + 0.5 * dt * bd_phi) @ l_rr

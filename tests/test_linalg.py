@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fe_reference import SVD_TOL_EPS, banded_upper, separated_modes, thin_svd_of_a_copy, to_dense
-from podwave.linalg import LinAlgFailure, SymTridiagonal, thin_svd
+from podwave import linalg
+from podwave.linalg import LinAlgFailure, SymTridiagonal, cholesky, solve_triangular, thin_svd
 
 
 def random_spd_tridiag(rng, n):
@@ -258,3 +259,87 @@ def test_thin_svd_is_as_accurate_as_the_direct_svd(shape):
     for j in (1, 5, 20, 40):
         span, span_direct = u[:j].T @ u[:j], u_direct[:, :j] @ u_direct[:, :j].T
         assert np.linalg.norm(span - span_direct, 2) <= tol / (s_direct[j - 1] - s_direct[j])
+
+
+# Each LAPACK call of podwave.linalg stands in for the scipy.linalg function
+# named in the test, with the same arguments: the results are bitwise equal.
+
+def random_spd(rng, m):
+    """A dense SPD matrix (m, m), row-major as np.inner makes the reduced
+    stiffness."""
+    g = rng.standard_normal((m, m))
+    return np.inner(g, g) + m * np.eye(m)
+
+
+@pytest.mark.parametrize("layout", ["F", "C", "sliced"])
+@pytest.mark.parametrize("lower", [True, False])
+@pytest.mark.parametrize("trans", [False, True])
+@pytest.mark.parametrize("columns", [None, 5])
+def test_solve_triangular_is_bitwise_scipy(layout, lower, trans, columns):
+    """Column-major, row-major and sliced (lower[:r, :r] of a column-major
+    factor) triangles, as the error frame and the error reports pass them,
+    for a vector and for a stack of right-hand sides."""
+    rng = np.random.default_rng(31)
+    m, r = 40, 23
+    factor = np.asfortranarray(scipy.linalg.cholesky(random_spd(rng, m), lower=lower))
+    a = {"F": factor, "C": np.ascontiguousarray(factor), "sliced": factor[:r, :r]}[layout]
+    b = rng.standard_normal(a.shape[:1] + ((columns,) if columns else ()))
+    expected = scipy.linalg.solve_triangular(a, b, lower=lower, trans="T" if trans else "N")
+    assert np.array_equal(solve_triangular(a, b, lower=lower, trans=trans), expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 50), st.integers(0, 2**32 - 1))
+def test_banded_factor_is_bitwise_cholesky_banded(n, seed):
+    a = random_spd_tridiag(np.random.default_rng(seed), n)
+    cb = scipy.linalg.cholesky_banded(banded_upper(a), lower=False)
+    assert np.array_equal(dense_r(a.cholesky(), n), np.diag(cb[1]) + np.diag(cb[0, 1:], 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 2**32 - 1))
+def test_cholesky_is_bitwise_scipy(m, seed):
+    """The reduced-stiffness factor, of a row-major matrix as np.inner
+    makes it and of a column-major one."""
+    a = random_spd(np.random.default_rng(seed), m)
+    expected = scipy.linalg.cholesky(a, lower=True)
+    assert np.array_equal(cholesky(a), expected)
+    assert np.array_equal(cholesky(np.asfortranarray(a)), expected)
+
+
+@pytest.mark.parametrize("shape", [(12, 40), (40, 12), (12, 12), (300, 60)])
+def test_thin_svd_is_bitwise_the_svd_of_its_triangle(shape):
+    """thin_svd's SVD is scipy.linalg.svd's of a copy of the folded triangle."""
+    k, n = shape
+    b = np.random.default_rng(8).standard_normal(shape)
+    triangle = np.zeros((n, n), order="F")
+    for block in row_blocks_of(b, 7):
+        linalg._fold(triangle, block)
+    _, s_ref, ut_ref = scipy.linalg.svd(triangle[:min(k, n)].copy(), full_matrices=False)
+    ut, s = thin_svd(b, row_blocks_of(b, 7))
+    assert np.array_equal(s, s_ref) and np.array_equal(ut, ut_ref)
+
+
+def test_lapack_failures_match_scipy():
+    """A non-SPD matrix is a LinAlgFailure with scipy's message, and a
+    non-finite input a ValueError, as in scipy."""
+    indefinite = np.array([[1.0, 3.0], [3.0, 1.0]])
+    with pytest.raises(scipy.linalg.LinAlgError) as expected:
+        scipy.linalg.cholesky(indefinite, lower=True)
+    with pytest.raises(LinAlgFailure) as got:
+        cholesky(indefinite)
+    assert str(got.value) == str(expected.value)
+    with pytest.raises(LinAlgFailure, match="^matrix is not SPD: 2-th leading minor not positive"):
+        SymTridiagonal(diag=np.array([1.0, 1.0]), off=np.array([3.0])).cholesky()
+    with pytest.raises(LinAlgFailure, match="singular matrix: resolution failed at diagonal 1"):
+        solve_triangular(np.array([[1.0, 0.0], [1.0, 0.0]], order="F"), np.ones(2), lower=True)
+
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            cholesky(np.array([[1.0, bad], [bad, 1.0]]))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            SymTridiagonal(diag=np.array([1.0, bad]), off=np.array([0.0])).cholesky()
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_triangular(np.eye(2), np.array([1.0, bad]), lower=True)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_triangular(np.array([[1.0, 0.0], [bad, 1.0]]), np.ones(2), lower=True)
