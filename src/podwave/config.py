@@ -1,8 +1,10 @@
 """Run configuration: a flat key=value file with command-line overrides.
 
 Every experiment is fully determined by a RunConfig, the inputs of every
-subcommand included; emitted CSV files embed the configuration, and a file
-made of their `# key=value` lines (less `command`) reruns the same table.
+subcommand included.  A RunConfig is valid by construction: its fields are
+checked as it is made, a `dataclasses.replace` copy included, and an invalid
+one raises ConfigError.  Emitted CSV files embed the configuration, and a
+file made of their `# key=value` lines (less `command`) reruns the same table.
 Tuples are written comma separated, an unset output_dir as the empty value.
 """
 
@@ -32,7 +34,6 @@ class RunConfig:
     G: float = 0.0
     pod_method: str = "standard"
     r_list: Tuple[int, ...] = (10, 20, 40, 60)
-    seed: int = 0
     output_dir: Optional[str] = None  # None: $PODWAVE_OUTPUT_DIR, else "."
     u0: str = "default"
     u00: str = "zero"
@@ -44,7 +45,7 @@ class RunConfig:
     t_train: Tuple[float, ...] = (10.0, 5.0, 1.0, 0.5)  # train-interval's windows
     dt_list: Tuple[float, ...] = (0.01, 0.005, 0.0025)  # convergence
 
-    def validated(self) -> "RunConfig":
+    def __post_init__(self):
         for f in fields(self):  # every float, also each of a list
             value = getattr(self, f.name)
             for v in value if get_origin(f.type) is tuple else (value,):
@@ -71,11 +72,8 @@ class RunConfig:
             raise ConfigError("stride must be at least 1")
         if self.k_max < 1:
             raise ConfigError("k_max must be at least 1")
-        if self.seed < 0:  # the random generator takes no negative seed
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.param not in ("", "D", "G"):
             raise ConfigError(f"param must be D or G, got {self.param!r}")
-        return self
 
     def time_grid(self) -> TimeGrid:
         return TimeGrid.from_dt(self.T, self.dt)
@@ -155,7 +153,7 @@ def load_config(path: str) -> dict:
 
 
 def make_config(file_path: Optional[str] = None, overrides: Optional[dict] = None) -> RunConfig:
-    """Config file values first, then explicit overrides, then validation."""
+    """Config file values first, then explicit overrides."""
     values = {}
     if file_path:
         values.update(load_config(file_path))
@@ -166,7 +164,6 @@ def make_config(file_path: Optional[str] = None, overrides: Optional[dict] = Non
             val = ",".join(map(str, val))
         values[key] = _parse_value(key, val) if isinstance(val, str) else val
     try:
-        cfg = RunConfig(**values)
+        return RunConfig(**values)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg.validated()

@@ -13,8 +13,8 @@ never held whole.
 This is the one module that imports scipy, and only its compiled LAPACK
 extension: the scipy.linalg package's __init__ imports numpy.f2py and
 numpy.testing, 0.3-0.45 s and 24 MiB of every process (2-vCPU VM).  Where
-scipy.linalg was called, the same LAPACK calls are made, so that every
-result is bitwise the same.
+scipy.linalg was called, the same LAPACK routines are called, with scipy's
+arguments for column-major input, so that those results are bitwise scipy's.
 
 Stacks of vectors are arrays (k, n) with the vector index first; every
 operator acts on the last axis, and a single vector (n,) is the k-less case
@@ -213,16 +213,12 @@ def cholesky(a: np.ndarray) -> np.ndarray:
 
 def solve_triangular(a: np.ndarray, b: np.ndarray, lower: bool, trans: bool = False):
     """Solve a x = b, or a^T x = b with trans, for the lower (else upper)
-    triangle of a finite a (m, m) and b (m,) or (m, k).  An a that is not
-    column-major is solved as a^T with trans flipped: scipy's rule, which
-    keeps the results bitwise, as the two calls round differently."""
+    triangle of a finite a (m, m) and b (m,) or (m, k), by one LAPACK dtrtrs
+    call; an a that is not column-major is copied to column-major first."""
     _check_finite(a, b)
     if b.size == 0:  # as in scipy: LAPACK is not called without columns
         return np.empty(b.shape)
-    if a.flags.f_contiguous:
-        x, info = _lapack.dtrtrs(a, b, lower=lower, trans=trans)
-    else:
-        x, info = _lapack.dtrtrs(a.T, b, lower=not lower, trans=not trans)
+    x, info = _lapack.dtrtrs(a, b, lower=lower, trans=trans)
     _check_info(_lapack.dtrtrs, info, f"singular matrix: resolution failed at diagonal {info - 1}")
     return x
 

@@ -105,7 +105,7 @@ def energy_balance(traj, params):
 
 
 def solve_csvs(config, out_dir):
-    """`podwave solve`'s trajectory.csv and energy.csv for a validated config,
+    """`podwave solve`'s trajectory.csv and energy.csv for a config,
     written into out_dir from whole arrays: every level of wave.solve, the
     whole-array energy balance above and one float block per table."""
     space, grid, params, u0, u00 = setup(config)

@@ -220,7 +220,7 @@ def test_time_convergence_order():
     modal series on a fine fixed mesh."""
     t0 = time.perf_counter()
     cfg = RunConfig(n_elements=2000, dt=1.0 / 100.0, T=1.25, c=1.0, u0="sine", u00="zero",
-                    dt_list=(1.0 / 100.0, 1.0 / 200.0, 1.0 / 400.0)).validated()
+                    dt_list=(1.0 / 100.0, 1.0 / 200.0, 1.0 / 400.0))
     _, rows = convergence_rows(cfg)
     elapsed = time.perf_counter() - t0
     orders = [row[3] for row in rows[1:]]
@@ -253,7 +253,7 @@ def test_training_interval_shape(label, D, G):
     """
     windows = (10.0, 5.0, 1.0, 0.5)
     cfg = RunConfig(n_elements=N_ELEMENTS, dt=DT, T=T_FINAL, c=1.0, D=D, G=G,
-                    r_list=(20,), t_train=windows).validated()
+                    r_list=(20,), t_train=windows)
     _, rows = train_interval_rows(cfg, methods=("standard",))
     errs = {row[0]: row[2] for row in rows}
     traj = fe_trajectory(cfg)

@@ -37,10 +37,17 @@ def data_lines(text):
 
 
 def test_config_defaults_validate():
-    cfg = RunConfig().validated()
+    cfg = RunConfig()
     assert cfg.T == 10.0
     assert cfg.n_elements == 400 and cfg.dt == 1.0 / 800.0
     assert cfg.c == 1.0 and cfg.pod_method == "standard"
+
+
+def test_a_replaced_config_is_validated():
+    """A copy made by dataclasses.replace is checked as it is made: dt = 0.3
+    does not divide T = 10."""
+    with pytest.raises(ConfigError, match="does not divide T"):
+        replace(RunConfig(), dt=0.3)
 
 
 def test_config_file_and_overrides(tmp_path):
@@ -133,7 +140,6 @@ COARSE = ["--n-elements", "8", "--dt", "1/8", "--T", "1"]  # POD rank 7
     (COARSE + ["--r-list", "20", "rom-sweep"], "r must be in [1, 7]"),
     (COARSE + ["--r-list", "20", "error-formulas"], "r must be in [1, 7]"),
     (["convergence", "--dt-list", "0.1", "1/10"], "dt-list repeats the step 0.1"),
-    (["--seed", "-1", "check"], "seed must be nonnegative, got -1"),
     (["rom-sweep", "--param", "X"], "param must be D or G"),
     (["profiles", "--r", "abc"], "bad integer for r_list"),
     (["--times", "0", "1", "profiles"], "bad number for times: 'profiles'"),
@@ -146,7 +152,7 @@ COARSE = ["--n-elements", "8", "--dt", "1/8", "--T", "1"]  # POD rank 7
         "times-off-grid", "profiles-r-above-rank",
         "train-interval-r-above-rank", "rom-sweep-r-above-rank",
         "error-formulas-r-above-rank", "dt-list-repeated",
-        "seed-negative", "param-X", "r-abc", "times-swallow-command",
+        "param-X", "r-abc", "times-swallow-command",
         "values-swallow-command", "times-repeated"])
 def test_bad_values_exit_one(tmp_path, capsys, argv, message):
     """Bad configuration and subcommand values exit 1 with one line."""
@@ -199,20 +205,25 @@ def test_error_formulas_checks_every_r_before_the_data_set(monkeypatch):
         experiments.error_formula_rows(replace(config, r_list=(1, rank + 1)))
 
 
-def test_a_rank_cutoff_is_no_key(tmp_path, capsys):
-    """A POD basis is its data's whole positive spectrum, with no cutoff
-    key: --rank-tol is argparse's usage error, exit 2, and a config file
-    line rank_tol=0.0, as older CSV headers carry, exits 1 naming the key."""
+@pytest.mark.parametrize("key,value", [("rank_tol", "0.0"), ("seed", "0")],
+                         ids=["rank_tol", "seed"])
+def test_a_rank_cutoff_is_no_key(tmp_path, capsys, key, value):
+    """Removed keys stay refused: a POD basis is its data's whole positive
+    spectrum, with no cutoff, and the self-checks draw from a fixed seed.
+    The flag is argparse's usage error, exit 2, and a config file line such
+    as rank_tol=0.0 or seed=0, as older CSV headers carry, exits 1 naming
+    the key."""
+    flag = "--" + key.replace("_", "-")
     with pytest.raises(SystemExit) as exc:
-        main(COARSE + ["--output-dir", str(tmp_path), "singvals", "--rank-tol", "0"])
+        main(COARSE + ["--output-dir", str(tmp_path), "singvals", flag, "0"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage: podwave") and "unrecognized arguments: --rank-tol 0" in err
+    assert err.startswith("usage: podwave") and f"unrecognized arguments: {flag} 0" in err
     config = tmp_path / "run.cfg"
-    config.write_text("n_elements=8\ndt=1/8\nT=1\nrank_tol=0.0\n")
+    config.write_text(f"n_elements=8\ndt=1/8\nT=1\n{key}={value}\n")
     assert main(["--config", str(config), "--output-dir", str(tmp_path), "singvals"]) == 1
     err = capsys.readouterr().err
-    assert err == "configuration error: unknown config key 'rank_tol'\n"
+    assert err == f"configuration error: unknown config key '{key}'\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
@@ -230,7 +241,7 @@ def test_unwritable_output_dir_exits_one(tmp_path, capsys):
 def test_write_csv_is_atomic(tmp_path):
     """A row that fails to format leaves the earlier file whole and no
     temporary file behind."""
-    config = RunConfig().validated()
+    config = RunConfig()
     path = str(tmp_path / "out.csv")
     assert write_csv(path, config, "solve", ["a"], [[1.0]]) == path
     before = (tmp_path / "out.csv").read_bytes()
@@ -270,7 +281,7 @@ CELLS = st.one_of(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(st.lists(CELLS, min_size=1, max_size=6), max_size=6))
 def test_write_csv_cells_follow_the_reference_rule(tmp_path, rows):
-    config = RunConfig().validated()
+    config = RunConfig()
     path = tmp_path / "cells.csv"
     write_csv(str(path), config, "solve", ["a"], [])
     head = path.read_bytes()
@@ -281,7 +292,7 @@ def test_write_csv_cells_follow_the_reference_rule(tmp_path, rows):
 
 def csv_body(path, rows) -> bytes:
     """The data lines write_csv writes for rows under a one-column header."""
-    config = RunConfig().validated()
+    config = RunConfig()
     write_csv(str(path), config, "solve", ["a"], [])
     head = path.read_bytes()
     write_csv(str(path), config, "solve", ["a"], rows)
@@ -712,7 +723,6 @@ def tiny_runs(draw):
             "--G", repr(draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0)))),
             "--pod-method", draw(st.sampled_from(pod.METHODS)),
             "--r-list", ",".join(map(str, draw(st.lists(small_r, min_size=1, max_size=3)))),
-            "--seed", str(draw(st.integers(0, 2**32))),
             "--u0", draw(st.sampled_from(sorted(INITIAL_CONDITIONS))),
             "--u00", draw(st.sampled_from(sorted(INITIAL_CONDITIONS))),
             "--k-max", str(draw(st.integers(1, 50))),

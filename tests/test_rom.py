@@ -344,8 +344,7 @@ def test_error_frame_holds_no_whole_product(t_train, bound_mib):
     pytest.param(24, 201, 201, 1e-13, id="s-is-n_dof"),   # the basis spans the FE space
     pytest.param(40, 26, 26, 1e-13, id="n-below-n_dof"),  # 39 unknowns: s < n_dof
     # a basis of the first 11 of 201 levels, 23 unknowns: the later levels leave span Phi
-    # (the id is that of the cut-spectrum case this one replaced, so the test keeps its name)
-    pytest.param(24, 201, 11, 1e-13, id="rank-tol"),
+    pytest.param(24, 201, 11, 1e-13, id="leading-window"),
 ])
 @pytest.mark.parametrize("method", ["standard", "ddq"])
 def test_reports_are_the_same_in_any_level_blocks(method, n_elements, n_levels, n_train, tol,
@@ -466,7 +465,7 @@ def test_profile_rom_columns_are_the_rom_states_of_their_levels(monkeypatch):
     """From 16-level blocks, each ROM column of profile_rows is bitwise the
     state of its level, rebuilt from one block of every level."""
     config = RunConfig(n_elements=24, dt=1.0 / 40.0, T=2.0, D=0.05, r_list=(4,),
-                       times=(0.0, 0.4, 1.0, 2.0)).validated()
+                       times=(0.0, 0.4, 1.0, 2.0))
     traj = fe_trajectory(config)
     basis = _basis(config, traj, config.pod_method)
     (_, (coeffs,)), = solve_rom(build_rom([(basis, 4)], traj, config.wave_params()))
@@ -488,7 +487,7 @@ def test_modal_rom_is_bitwise_the_written_out_scheme_at_any_c(damping, c):
     (24, 4.0, 0.02, 4.0),  # 201 levels: every basis spans the FE space
     (40, 0.5, 0.02, 0.5),  # 26 levels, 39 unknowns: s < n_dof
     (24, 4.0, 0.02, 0.2),  # a basis of the first 11 levels: the later states leave span Phi
-], ids=["s-is-n_dof", "n-below-n_dof", "rank-tol"])  # rank-tol: as in the level-block test
+], ids=["s-is-n_dof", "n-below-n_dof", "leading-window"])
 @pytest.mark.parametrize("method", pod.METHODS)
 def test_modal_error_report_matches_the_full_space_report(method, n_elements, T, dt,
                                                           t_train, damping):
@@ -559,7 +558,7 @@ def test_ddq_bound_ratios_hold_at_every_size_of_the_basis():
     proven, so they are not checked."""
     s = 23
     config = RunConfig(n_elements=24, dt=0.02, T=4.0, D=0.1,
-                       r_list=tuple(range(1, s + 1))).validated()
+                       r_list=tuple(range(1, s + 1)))
     _, rows = rom_sweep_rows(config)
     ddq = [row for row in rows if row[2] == "ddq"]
     assert [row[1] for row in ddq] == list(range(1, s + 1))
@@ -571,7 +570,7 @@ def test_ddq_bound_ratios_hold_at_every_size_of_the_basis():
 def test_train_interval_final_error_matches_the_full_space_report():
     t_train, r = (2.0, 1.0, 0.5), 6
     config = RunConfig(n_elements=24, dt=1.0 / 48.0, T=2.0, c=1.0, D=0.1,
-                       r_list=(r,), t_train=t_train).validated()
+                       r_list=(r,), t_train=t_train)
     _, rows = train_interval_rows(config)
     space, params = assemble(24), config.wave_params()
     traj = solve(space, config.time_grid(), params, default_u0, default_u00)

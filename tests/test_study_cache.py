@@ -113,7 +113,7 @@ def test_solve_leaves_the_study_cache_alone(tmp_path, monkeypatch, capsys):
 
 
 def test_a_full_training_window_shares_the_full_basis(monkeypatch):
-    config = RunConfig(n_elements=24, dt=1.0 / 40.0, T=2.0, D=0.05).validated()
+    config = RunConfig(n_elements=24, dt=1.0 / 40.0, T=2.0, D=0.05)
     counter = CallCounter(monkeypatch)
     traj = experiments.fe_trajectory(config)
     basis = experiments._basis(config, traj, "ddq")
@@ -123,7 +123,7 @@ def test_a_full_training_window_shares_the_full_basis(monkeypatch):
 
 
 def test_cached_arrays_are_read_only():
-    config = RunConfig(n_elements=24, dt=1.0 / 40.0, T=2.0, D=0.05).validated()
+    config = RunConfig(n_elements=24, dt=1.0 / 40.0, T=2.0, D=0.05)
     traj = experiments.fe_trajectory(config)
     basis = experiments._basis(config, traj, "standard")
     for array in (traj.states, basis.modes, basis.eigenvalues):
@@ -139,7 +139,7 @@ def small_solves(counter, D, dt=1.0 / 40.0):
     """The wave.solve calls of one fe_trajectory call under a 4 KiB budget.
     3 dofs and 41 levels make a 984-byte trajectory, so four fit."""
     before = counter.solves
-    experiments.fe_trajectory(RunConfig(n_elements=4, dt=dt, T=1.0, D=D).validated())
+    experiments.fe_trajectory(RunConfig(n_elements=4, dt=dt, T=1.0, D=D))
     assert resident_bytes() <= 4096
     assert resident_bytes() == sum(v.states.nbytes for v, _, _ in experiments._cache.values())
     return counter.solves - before

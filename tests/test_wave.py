@@ -188,7 +188,7 @@ def test_convergence_never_stores_a_trajectory(monkeypatch):
 
     monkeypatch.setattr(wave, "solve", counted)
     config = RunConfig(n_elements=40, dt=0.01, T=1.25, u0="sine", k_max=20,
-                       dt_list=(0.01, 0.005)).validated()
+                       dt_list=(0.01, 0.005))
     _, rows = experiments.convergence_rows(config)
     assert len(rows) == 2 and calls == []
 
@@ -198,7 +198,7 @@ def test_convergence_memory_is_one_block_of_levels():
     4001 * 1999 * 8 bytes = 64 MB; the run holds one bounded block of
     levels: 66 levels of 1999 unknowns, 1.05 MB."""
     config = RunConfig(n_elements=2000, dt=1.0 / 3200.0, T=1.25, u0="sine",
-                       k_max=20, dt_list=(1.0 / 3200.0,)).validated()
+                       k_max=20, dt_list=(1.0 / 3200.0,))
     tracemalloc.start()
     try:
         _, rows = experiments.convergence_rows(config)
@@ -318,7 +318,7 @@ def test_energy_rows_hold_no_whole_difference_stack():
     """At 400 elements, dt = 1/800 and T = 2.5 the trajectory is 6.4 MB, and
     one whole (N, n_dof) difference or average stack as large; the energy
     table itself is 64 KB."""
-    config = RunConfig(n_elements=400, dt=1.0 / 800.0, T=2.5, D=0.1).validated()
+    config = RunConfig(n_elements=400, dt=1.0 / 800.0, T=2.5, D=0.1)
     traj = experiments.fe_trajectory(config)
     peak = traced_peak(lambda: experiments.energy_rows(
         traj.grid, energy_balance(traj, config.wave_params())))
