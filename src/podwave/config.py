@@ -1,11 +1,12 @@
 """Run configuration: a flat key=value file with command-line overrides.
 
 Every experiment is fully determined by a RunConfig, the inputs of every
-subcommand included.  A RunConfig is valid by construction: its fields are
-checked as it is made, a `dataclasses.replace` copy included, and an invalid
-one raises ConfigError.  Emitted CSV files embed the configuration, and a
-file made of their `# key=value` lines (less `command`) reruns the same table.
-Tuples are written comma separated, an unset output_dir as the empty value.
+subcommand included; each starts from zero initial velocity.  A RunConfig
+is valid by construction: its fields are checked as it is made, a
+`dataclasses.replace` copy included, and an invalid one raises ConfigError.
+Emitted CSV files embed the configuration, and a file made of their
+`# key=value` lines (less `command`) reruns the same table.  Tuples are
+written comma separated, an unset output_dir as the empty value.
 """
 
 import math
@@ -35,9 +36,7 @@ class RunConfig:
     pod_method: str = "standard"
     r_list: Tuple[int, ...] = (10, 20, 40, 60)
     output_dir: Optional[str] = None  # None: $PODWAVE_OUTPUT_DIR, else "."
-    u0: str = "default"
-    u00: str = "zero"
-    k_max: int = 200
+    u0: str = "default"  # the initial velocity is zero
     stride: int = 1
     param: str = ""  # rom-sweep's swept coefficient; "": G if only G > 0, else D
     values: Tuple[float, ...] = ()  # rom-sweep's values; (): the config's own
@@ -60,9 +59,8 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         if self.pod_method not in METHODS:
             raise ConfigError(f"pod_method must be one of {METHODS}")
-        for name in ("u0", "u00"):
-            if getattr(self, name) not in INITIAL_CONDITIONS:
-                raise ConfigError(f"{name} must be one of {tuple(INITIAL_CONDITIONS)}")
+        if self.u0 not in INITIAL_CONDITIONS:
+            raise ConfigError(f"u0 must be one of {tuple(INITIAL_CONDITIONS)}")
         if not self.r_list or any(int(r) < 1 for r in self.r_list):
             raise ConfigError("r_list must be nonempty positive integers")
         for name in ("times", "t_train", "dt_list"):  # values may be empty
@@ -70,8 +68,6 @@ class RunConfig:
                 raise ConfigError(f"{name} must be nonempty")
         if self.stride < 1:
             raise ConfigError("stride must be at least 1")
-        if self.k_max < 1:
-            raise ConfigError("k_max must be at least 1")
         if self.param not in ("", "D", "G"):
             raise ConfigError(f"param must be D or G, got {self.param!r}")
 

@@ -13,7 +13,9 @@ least recently used entry that has never been hit, and only when every
 entry has been hit the least recently used one, so that a run of
 single-use entries (the trajectories of one rom-sweep) does not flush those
 that other ops share.  It never stores an entry larger than the budget, so a
-reference-scale trajectory does not stay resident.  Cached arrays are
+reference-scale trajectory does not stay resident.  A basis that does not
+fit beside its trajectory is not stored either, so the trajectory stays for
+the next op on it, such as another data convention's.  Cached arrays are
 read-only, so no caller can change a later call's input.  `solve` does not
 use the cache: it streams its trajectory in bounded blocks of levels, so it
 neither holds one nor evicts entries that other ops share.
@@ -36,10 +38,10 @@ _CACHE_BUDGET_BYTES = 8 << 20
 _cache = OrderedDict()  # key -> (value, array bytes, hits), least recently used first
 
 
-def _cached(key, compute, arrays):
-    """The cached value of key, else compute() stored under the budget.
-    arrays(value) are the value's arrays: they are made read-only, and
-    their bytes are what the entry costs."""
+def _cached(key, compute, arrays, keep=None):
+    """The cached value of key, else compute() stored under the budget,
+    but not by evicting key keep.  arrays(value) are the value's arrays:
+    they are made read-only, and their bytes are what the entry costs."""
     if key in _cache:
         value, size, hits = _cache[key]
         _cache[key] = (value, size, hits + 1)
@@ -50,10 +52,10 @@ def _cached(key, compute, arrays):
     for array in arrays(value):
         array.flags.writeable = False
         size += array.nbytes
-    if size <= _CACHE_BUDGET_BYTES:
+    if size + (_cache[keep][1] if keep in _cache else 0) <= _CACHE_BUDGET_BYTES:
         while sum(s for _, s, _ in _cache.values()) + size > _CACHE_BUDGET_BYTES:
-            never_hit = (k for k, (_, _, hits) in _cache.items() if hits == 0)
-            del _cache[next(never_hit, next(iter(_cache)))]
+            others = [k for k in _cache if k != keep]
+            del _cache[next((k for k in others if _cache[k][2] == 0), others[0])]
         _cache[key] = (value, size, 0)
     return value
 
@@ -62,14 +64,13 @@ def _trajectory_key(config: RunConfig):
     """What wave.solve reads, with the grid's values: equal grids share a key."""
     grid = config.time_grid()
     return (config.n_elements, grid.T, grid.dt, grid.N,
-            config.c, config.D, config.G, config.u0, config.u00)
+            config.c, config.D, config.G, config.u0)
 
 
 def setup(config: RunConfig):
-    """(space, grid, params, u0, u00) from a config."""
-    ics = wave.INITIAL_CONDITIONS
+    """(space, grid, params, u0, u00) from a config; every run starts at rest."""
     return (assemble(config.n_elements), config.time_grid(), config.wave_params(),
-            ics[config.u0], ics[config.u00])
+            wave.INITIAL_CONDITIONS[config.u0], wave.default_u00)
 
 
 def fe_trajectory(config: RunConfig) -> Trajectory:
@@ -81,9 +82,9 @@ def fe_trajectory(config: RunConfig) -> Trajectory:
 def _basis(config: RunConfig, traj: Trajectory, method: str) -> pod.PodBasis:
     """The POD basis of traj, which is fe_trajectory(config) or a training
     slice of it, from the study cache."""
-    key = (_trajectory_key(config), traj.grid.N, method)
-    return _cached(key, lambda: pod.pod_basis(traj, method),
-                   lambda basis: (basis.modes, basis.eigenvalues))
+    source = _trajectory_key(config)
+    return _cached((source, traj.grid.N, method), lambda: pod.pod_basis(traj, method),
+                   lambda basis: (basis.modes, basis.eigenvalues), keep=source)
 
 
 def _time_level(grid: TimeGrid, t: float, what: str) -> int:
@@ -291,16 +292,16 @@ def convergence_rows(config: RunConfig):
     """Final-time error against the analytic series for each step of
     config.dt_list.
 
-    Uses the configured mesh and damping; the initial data is the config's
-    (the single-sine initial condition gives the cleanest orders).  Only the
-    final state is read, so each run steps with one bounded block of levels
-    in memory.
+    Uses the configured mesh and damping; the initial displacement is the
+    config's (the single-sine one gives the cleanest orders), and the series
+    has analytic_series' default number of modes.  Only the final state is
+    read, so each run steps with one bounded block of levels in memory.
     """
     if config.D > 0 and config.G > 0:
         raise ConfigError("convergence needs D = 0 or G = 0: the modal series "
                           "has one damping term")
     space, _, params, u0, u00 = setup(config)
-    sol = wave.analytic_series(params, u0, u00, k_max=config.k_max)
+    sol = wave.analytic_series(params, u0, u00)
     exact_final = wave.analytic_eval(sol, space.nodes, config.T)
     header = ["dt", "h", "final_l2_error", "observed_order"]
     rows = []

@@ -400,5 +400,5 @@ def sine_mode(x: np.ndarray) -> np.ndarray:
     return np.sin(np.pi * np.asarray(x, dtype=float))
 
 
-# initial-condition names accepted for RunConfig.u0 and RunConfig.u00
+# initial-condition names accepted for RunConfig.u0
 INITIAL_CONDITIONS = {"default": default_u0, "sine": sine_mode, "zero": default_u00}

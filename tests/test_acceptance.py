@@ -219,7 +219,7 @@ def test_time_convergence_order():
     """Undamped scheme shows second-order final-time accuracy against the
     modal series on a fine fixed mesh."""
     t0 = time.perf_counter()
-    cfg = RunConfig(n_elements=2000, dt=1.0 / 100.0, T=1.25, c=1.0, u0="sine", u00="zero",
+    cfg = RunConfig(n_elements=2000, dt=1.0 / 100.0, T=1.25, c=1.0, u0="sine",
                     dt_list=(1.0 / 100.0, 1.0 / 200.0, 1.0 / 400.0))
     _, rows = convergence_rows(cfg)
     elapsed = time.perf_counter() - t0

@@ -205,14 +205,16 @@ def test_error_formulas_checks_every_r_before_the_data_set(monkeypatch):
         experiments.error_formula_rows(replace(config, r_list=(1, rank + 1)))
 
 
-@pytest.mark.parametrize("key,value", [("rank_tol", "0.0"), ("seed", "0")],
-                         ids=["rank_tol", "seed"])
+@pytest.mark.parametrize("key,value", [("rank_tol", "0.0"), ("seed", "0"),
+                                       ("u00", "zero"), ("k_max", "200")],
+                         ids=["rank_tol", "seed", "u00", "k_max"])
 def test_a_rank_cutoff_is_no_key(tmp_path, capsys, key, value):
     """Removed keys stay refused: a POD basis is its data's whole positive
-    spectrum, with no cutoff, and the self-checks draw from a fixed seed.
+    spectrum, with no cutoff, the self-checks draw from a fixed seed, every
+    run starts at rest and the modal series has its own number of modes.
     The flag is argparse's usage error, exit 2, and a config file line such
-    as rank_tol=0.0 or seed=0, as older CSV headers carry, exits 1 naming
-    the key."""
+    as rank_tol=0.0, seed=0, u00=zero or k_max=200, as older CSV headers
+    carry, exits 1 naming the key."""
     flag = "--" + key.replace("_", "-")
     with pytest.raises(SystemExit) as exc:
         main(COARSE + ["--output-dir", str(tmp_path), "singvals", flag, "0"])
@@ -709,8 +711,8 @@ NAN_COLUMNS = {"ratio_energy", "ratio_pointwise", "observed_order"}
 
 @st.composite
 def tiny_runs(draw):
-    """argv for one subcommand on a tiny configuration: at most 24 elements,
-    100 time levels and 50 series modes."""
+    """argv for one subcommand on a tiny configuration: at most 24 elements
+    and 100 time levels."""
     T = draw(st.floats(0.01, 100.0))
     steps = draw(st.integers(2, 99))
     grid_time = st.integers(0, steps).map(lambda n: repr(n * T / steps))
@@ -724,8 +726,6 @@ def tiny_runs(draw):
             "--pod-method", draw(st.sampled_from(pod.METHODS)),
             "--r-list", ",".join(map(str, draw(st.lists(small_r, min_size=1, max_size=3)))),
             "--u0", draw(st.sampled_from(sorted(INITIAL_CONDITIONS))),
-            "--u00", draw(st.sampled_from(sorted(INITIAL_CONDITIONS))),
-            "--k-max", str(draw(st.integers(1, 50))),
             "--stride", str(draw(st.integers(1, 5)))]
     command = draw(st.sampled_from(COMMANDS))
     args = []

@@ -179,6 +179,24 @@ def test_a_hit_entry_outlives_single_use_entries(monkeypatch):
     assert small_solves(counter, 0.1) == 1
 
 
+def test_a_basis_does_not_evict_its_trajectory(tmp_path, monkeypatch, capsys):
+    """Under a budget one byte short of a trajectory and its basis, each
+    data convention's basis is returned unstored and the trajectory stays,
+    so error-formulas for all three solves once."""
+    config = RunConfig(n_elements=24, dt=1.0 / 40.0, T=2.0, D=0.05)
+    traj = experiments.fe_trajectory(config)
+    basis = experiments._basis(config, traj, "standard")
+    budget = traj.states.nbytes + basis.modes.nbytes + basis.eigenvalues.nbytes - 1
+    experiments._cache.clear()
+    monkeypatch.setattr(experiments, "_CACHE_BUDGET_BYTES", budget)
+    counter = CallCounter(monkeypatch)
+    for method in pod.METHODS:
+        assert main(["--output-dir", str(tmp_path), *SMALL, "--pod-method", method,
+                     "--r-list", "2,4", "error-formulas"]) == 0
+    assert (counter.solves, counter.bases) == (1, 3)
+    assert resident_bytes() == traj.states.nbytes
+
+
 def test_a_sweep_frees_each_trajectory_before_solving_the_next(tmp_path, monkeypatch, capsys):
     """With nothing cached, rom-sweep drops each swept value's trajectory,
     and the bases made from it, before it solves the next value's: no two

@@ -187,8 +187,7 @@ def test_convergence_never_stores_a_trajectory(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(wave, "solve", counted)
-    config = RunConfig(n_elements=40, dt=0.01, T=1.25, u0="sine", k_max=20,
-                       dt_list=(0.01, 0.005))
+    config = RunConfig(n_elements=40, dt=0.01, T=1.25, u0="sine", dt_list=(0.01, 0.005))
     _, rows = experiments.convergence_rows(config)
     assert len(rows) == 2 and calls == []
 
@@ -198,7 +197,7 @@ def test_convergence_memory_is_one_block_of_levels():
     4001 * 1999 * 8 bytes = 64 MB; the run holds one bounded block of
     levels: 66 levels of 1999 unknowns, 1.05 MB."""
     config = RunConfig(n_elements=2000, dt=1.0 / 3200.0, T=1.25, u0="sine",
-                       k_max=20, dt_list=(1.0 / 3200.0,))
+                       dt_list=(1.0 / 3200.0,))
     tracemalloc.start()
     try:
         _, rows = experiments.convergence_rows(config)
