@@ -3,7 +3,8 @@
 The flags are the RunConfig fields and the commands are one table, so every
 input of a run reaches its CSV header.
 
-Exit codes: 0 success, 1 configuration or output error, 2 numerical failure.
+Exit codes: 0 success, 1 configuration, output or out-of-memory error, 2
+numerical failure, a floating-point overflow included.
 """
 
 import argparse
@@ -209,15 +210,22 @@ def main(argv=None) -> int:
         config = make_config(args.config, {f.name: getattr(args, f.name) for f in fields(RunConfig)})
         if args.command is None:
             parser.error("the following arguments are required: COMMAND")
-        for name, (header, rows) in _COMMANDS[args.command][1](config):
-            path = os.path.join(config.resolve_output_dir(), name)
-            print(write_csv(path, config, args.command, header, rows))
+        # overflow, an invalid operation and division by zero fail the run
+        # rather than write nan rows; underflow does not, as the series'
+        # exponentials decay to 0 by design
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for name, (header, rows) in _COMMANDS[args.command][1](config):
+                path = os.path.join(config.output_dir, name)
+                print(write_csv(path, config, args.command, header, rows))
         return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 1
     except (LinAlgFailure, ArithmeticError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

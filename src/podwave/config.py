@@ -6,19 +6,17 @@ is valid by construction: its fields are checked as it is made, a
 `dataclasses.replace` copy included, and an invalid one raises ConfigError.
 Emitted CSV files embed the configuration, and a file made of their
 `# key=value` lines (less `command`) reruns the same table.  Tuples are
-written comma separated, an unset output_dir as the empty value.
+written comma separated; output_dir's default, the empty value, is the
+current directory.
 """
 
 import math
-import os
 import re
 from dataclasses import dataclass, fields
 from typing import Optional, Tuple, get_args, get_origin
 
 from .pod import METHODS
 from .wave import INITIAL_CONDITIONS, TimeGrid, WaveParams
-
-OUTPUT_DIR_ENV = "PODWAVE_OUTPUT_DIR"
 
 
 class ConfigError(ValueError):
@@ -35,7 +33,7 @@ class RunConfig:
     G: float = 0.0
     pod_method: str = "standard"
     r_list: Tuple[int, ...] = (10, 20, 40, 60)
-    output_dir: Optional[str] = None  # None: $PODWAVE_OUTPUT_DIR, else "."
+    output_dir: str = ""  # "": the current directory
     u0: str = "default"  # the initial velocity is zero
     stride: int = 1
     param: str = ""  # rom-sweep's swept coefficient; "": G if only G > 0, else D
@@ -77,11 +75,6 @@ class RunConfig:
     def wave_params(self) -> WaveParams:
         return WaveParams(c=self.c, D=self.D, G=self.G)
 
-    def resolve_output_dir(self) -> str:
-        if self.output_dir is not None:
-            return self.output_dir
-        return os.environ.get(OUTPUT_DIR_ENV, ".")
-
     def as_items(self):
         """Sorted (key, text) pairs for reproducibility headers, each text
         parsed back to the value by the config file's rules."""
@@ -97,7 +90,7 @@ def format_value(kind, value) -> str:
     if get_origin(kind) is tuple:
         item = get_args(kind)[0]
         return ",".join(str(item(v)) for v in value)
-    return "" if value is None else str(value)
+    return str(value)
 
 
 def _parse_value(name: str, text: str):
@@ -122,7 +115,7 @@ def _parse_scalar(name: str, kind, text: str):
     except (ValueError, ZeroDivisionError) as exc:
         what = "integer" if kind is int else "number"
         raise ConfigError(f"bad {what} for {name}: {text!r}") from exc
-    return text if kind is str else text or None  # Optional[str]: empty is unset
+    return text
 
 
 def load_config(path: str) -> dict:

@@ -375,6 +375,8 @@ def analytic_eval(sol: AnalyticSeriesSolution, x: np.ndarray, t: float) -> np.nd
     values = np.empty(len(x), dtype=complex)
     for lo, hi in _row_blocks(len(x), sol.k_max):
         values[lo:hi] = np.sin(np.outer(x[lo:hi], lam)) @ amp
+    if not np.isfinite(values).all():  # an overflow; nan passes the non-real test below
+        raise ArithmeticError("series evaluation produced a non-finite result")
     imag_scale = float(np.max(np.abs(values.imag), initial=0.0))
     real_scale = float(np.max(np.abs(values.real), initial=0.0))
     if imag_scale > 1e-12 * max(real_scale, 1.0):

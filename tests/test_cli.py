@@ -20,7 +20,7 @@ import fe_reference
 import podwave
 from podwave import experiments, linalg, pod, wave
 from podwave.cli import main, write_csv
-from podwave.config import OUTPUT_DIR_ENV, ConfigError, RunConfig, make_config
+from podwave.config import ConfigError, RunConfig, make_config
 from podwave.wave import INITIAL_CONDITIONS
 
 SMALL = ["--n-elements", "24", "--dt", "1/40", "--T", "2"]
@@ -238,6 +238,41 @@ def test_unwritable_output_dir_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("output error:") and str(blocker) in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def run_podwave(argv, cwd):
+    """`python -m podwave` on argv in a fresh interpreter, whose stderr
+    also shows numpy's warnings."""
+    src = os.path.dirname(os.path.dirname(podwave.__file__))
+    return subprocess.run([sys.executable, "-m", "podwave", *argv], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=300)
+
+
+@pytest.mark.parametrize("coefficient", [["--G", "1e200"], ["--D", "2.7e154"], ["--c", "1e150"]],
+                         ids=lambda argv: argv[0][2:])
+def test_overflow_exits_two_with_one_line(tmp_path, coefficient):
+    """A floating-point overflow (here of sigma squared in the series, or of
+    the FE step) fails the run with exit 2 and one line: no nan rows, no
+    numpy warnings, no CSV."""
+    run = run_podwave(["--n-elements", "8", "--dt", "1/16", "--T", "1", *coefficient,
+                       "--dt-list", "0.5", "0.25", "--output-dir", str(tmp_path), "convergence"],
+                      cwd=tmp_path)
+    assert run.returncode == 2
+    assert run.stderr.startswith("numerical failure:") and run.stderr.count("\n") == 1
+    assert not (tmp_path / "convergence.csv").exists()
+
+
+def test_too_large_a_run_exits_one_with_one_line(tmp_path):
+    """A 727 TiB trajectory, more than a 64-bit address space holds, fails
+    to allocate at once: exit 1 with numpy's message on one line, not a
+    traceback."""
+    run = run_podwave(["--n-elements", "1000", "--dt", "1e-10", "--T", "10",
+                       "--output-dir", str(tmp_path), "singvals"], cwd=tmp_path)
+    assert run.returncode == 1
+    assert run.stderr.startswith("out of memory: Unable to allocate")
+    assert run.stderr.count("\n") == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_write_csv_is_atomic(tmp_path):
@@ -636,13 +671,6 @@ def test_failed_check_exits_two(monkeypatch, capsys):
     assert err.startswith("numerical failure:") and err.count("\n") == 1
 
 
-def test_output_dir_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
-    rc = main(SMALL + ["--G", "0.001", "singvals"])
-    assert rc == 0
-    assert (tmp_path / "singvals_standard.csv").exists()
-
-
 def header_config(csv_path, config_path, drop=("command", "output_dir")):
     """Write the `# key=value` preamble of a CSV, less the keys in drop, as
     a config file."""
@@ -687,21 +715,20 @@ def test_csv_header_replays_a_hash_inside_a_value(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run#1", "run.cfg"]
 
 
-def test_unset_output_dir_replays_to_the_fallback(tmp_path, monkeypatch):
-    """A run without --output-dir records output_dir as empty, and the
-    header replayed as a config file writes to $PODWAVE_OUTPUT_DIR again,
-    not into a directory named None."""
+def test_unset_output_dir_replays_to_the_current_directory(tmp_path, monkeypatch):
+    """A run without --output-dir writes into the current directory and
+    records output_dir as empty, and the header replayed as a config file
+    writes there again: the retired PODWAVE_OUTPUT_DIR is not read."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv(OUTPUT_DIR_ENV, "first")
+    monkeypatch.setenv("PODWAVE_OUTPUT_DIR", "elsewhere")
     assert main(SMALL + ["singvals"]) == 0
-    csv = tmp_path / "first" / "singvals_standard.csv"
+    csv = tmp_path / "singvals_standard.csv"
     assert "# output_dir=\n" in read(csv)
     config = header_config(csv, tmp_path / "run.cfg", drop=("command",))
-    assert make_config(config).output_dir is None
-    monkeypatch.setenv(OUTPUT_DIR_ENV, "again")
+    assert make_config(config).output_dir == ""
+    csv.unlink()
     assert main(["--config", config, "singvals"]) == 0
-    assert (tmp_path / "again" / "singvals_standard.csv").exists()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["again", "first", "run.cfg"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "singvals_standard.csv"]
 
 
 # Columns whose cells may be nan: a bound quotient with a round-off-level

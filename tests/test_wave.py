@@ -370,6 +370,17 @@ def test_series_critically_damped_mode():
     assert np.all(np.isfinite(vals))
 
 
+@pytest.mark.parametrize("params", [WaveParams(c=1.0, G=1e200), WaveParams(c=1.0, D=2.7e154)],
+                         ids=["G", "D"])
+def test_series_overflow_is_an_arithmetic_error(params):
+    """Squaring sigma overflows: analytic_eval raises where it would return
+    nan, which passes a comparison with the real part's scale."""
+    with np.errstate(all="ignore"):
+        sol = analytic_series(params, default_u0, default_u00)
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            analytic_eval(sol, np.linspace(0, 1, 9), 0.5)
+
+
 def test_series_rejects_double_damping():
     with pytest.raises(ValueError):
         analytic_series(WaveParams(c=1.0, D=0.1, G=0.1), default_u0, default_u00)
