@@ -17,7 +17,7 @@ import numpy as np
 
 from . import experiments
 from .config import ConfigError, RunConfig, format_value, make_config
-from .linalg import LinAlgFailure
+from .linalg import LinAlgFailure, one_blas_thread
 
 _FLOAT_FMT = "%.16e"  # 17 significant digits
 
@@ -212,8 +212,10 @@ def main(argv=None) -> int:
             parser.error("the following arguments are required: COMMAND")
         # overflow, an invalid operation and division by zero fail the run
         # rather than write nan rows; underflow does not, as the series'
-        # exponentials decay to 0 by design
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
+        # exponentials decay to 0 by design.  One BLAS thread makes the bytes
+        # independent of OPENBLAS_NUM_THREADS; the pin holds for the command
+        # only, not from import on, so a library caller keeps its own setting
+        with np.errstate(over="raise", invalid="raise", divide="raise"), one_blas_thread():
             for name, (header, rows) in _COMMANDS[args.command][1](config):
                 path = os.path.join(config.output_dir, name)
                 print(write_csv(path, config, args.command, header, rows))

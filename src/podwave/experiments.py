@@ -35,6 +35,7 @@ from .wave import TimeGrid, Trajectory
 # A larger budget saves a few more solves and SVDs in a reproduction run,
 # but the resident bytes then raise its peak memory.
 _CACHE_BUDGET_BYTES = 8 << 20
+_COMPARED = ("standard", "ddq")  # the POD methods whose ROMs a table compares
 _cache = OrderedDict()  # key -> (value, array bytes, hits), least recently used first
 
 
@@ -224,7 +225,7 @@ def rom_sweep_rows(config: RunConfig):
     for value in config.values or (getattr(config, param),):
         swept = replace(config, **{param: float(value)})
         traj, params = fe_trajectory(swept), swept.wave_params()
-        for method in ("standard", "ddq"):
+        for method in _COMPARED:
             reports = _rom_reports(traj, _basis(swept, traj, method), params, config.r_list)
             for r, rep in zip(config.r_list, reports):
                 rows.append([
@@ -266,7 +267,7 @@ def _time_name(t: float) -> str:
     return f"{t:g}" if float(f"{t:g}") == t else repr(t)
 
 
-def train_interval_rows(config: RunConfig, methods=("standard", "ddq")):
+def train_interval_rows(config: RunConfig):
     """Final-time errors of the ROMs of size r_list[0] whose basis sees only
     [0, T_train], for each T_train of config.t_train.
 
@@ -275,7 +276,7 @@ def train_interval_rows(config: RunConfig, methods=("standard", "ddq")):
     """
     traj, r = fe_trajectory(config), int(config.r_list[0])
     runs = [(float(t), method, _basis(config, training_slice(traj, float(t)), method))
-            for t in config.t_train for method in methods]
+            for t in config.t_train for method in _COMPARED]
     rom_runs = [(basis, r) for *_, basis in runs]
     _check_ranks(rom_runs)
     for _, coeffs in rom.solve_rom(rom.build_rom(rom_runs, traj, config.wave_params())):

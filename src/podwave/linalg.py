@@ -22,6 +22,10 @@ of the same code.  LAPACK's column layout stays inside this module, except
 that thin_svd factors a column-major row block without copying it.
 """
 
+import contextlib
+import ctypes
+import functools
+import glob
 import importlib.machinery
 import importlib.util
 import os
@@ -55,6 +59,42 @@ def _load_flapack():
 
 _lapack = _load_flapack()
 _TPQRT_NB = 32  # dtpqrt's block size: the columns of each compact-WY reflector block
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """(get, set) of the thread count of numpy's OpenBLAS (matmul) and of
+    scipy's (this module's LAPACK calls), found once by file in their wheels'
+    .libs folders; none where a build links another BLAS."""
+    calls = []
+    for package, pattern, suffix in (
+            (os.path.dirname(np.__file__), "libscipy_openblas64_-*.so", "64_"),
+            (os.path.dirname(os.path.dirname(_lapack.__file__)), "libscipy_openblas-*.so", "")):
+        for path in glob.glob(os.path.join(package + ".libs", pattern)):
+            try:
+                lib = ctypes.CDLL(path)
+                calls.append((getattr(lib, f"scipy_openblas_get_num_threads{suffix}"),
+                              getattr(lib, f"scipy_openblas_set_num_threads{suffix}")))
+            except (OSError, AttributeError):
+                pass
+    return calls
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body on one thread of each OpenBLAS, then restore their thread
+    counts, whether or not it raised.  A threaded GEMM or LAPACK call sums in
+    an order that depends on its thread count, so unpinned, the last digits
+    of a result depend on OPENBLAS_NUM_THREADS."""
+    calls = _openblas_thread_calls()
+    saved = [get() for get, _ in calls]
+    for _, put in calls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(calls, saved):
+            put(count)
 
 
 class LinAlgFailure(RuntimeError):

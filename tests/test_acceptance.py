@@ -254,8 +254,8 @@ def test_training_interval_shape(label, D, G):
     windows = (10.0, 5.0, 1.0, 0.5)
     cfg = RunConfig(n_elements=N_ELEMENTS, dt=DT, T=T_FINAL, c=1.0, D=D, G=G,
                     r_list=(20,), t_train=windows)
-    _, rows = train_interval_rows(cfg, methods=("standard",))
-    errs = {row[0]: row[2] for row in rows}
+    _, rows = train_interval_rows(cfg)
+    errs = {t_train: err for t_train, method, err in rows if method == "standard"}
     traj = fe_trajectory(cfg)
     u_norm = float(np.sqrt(l2_norms_sq(traj.space, traj.states[-1])))
     full = errs[10.0]

@@ -2,6 +2,9 @@
 on reduced problem sizes."""
 
 import contextlib
+import ctypes
+import glob
+import importlib.util
 import io
 import math
 import os
@@ -240,13 +243,80 @@ def test_unwritable_output_dir_exits_one(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def run_podwave(argv, cwd):
+def run_podwave(argv, cwd, **env):
     """`python -m podwave` on argv in a fresh interpreter, whose stderr
-    also shows numpy's warnings."""
+    also shows numpy's warnings, with env added to its environment."""
     src = os.path.dirname(os.path.dirname(podwave.__file__))
     return subprocess.run([sys.executable, "-m", "podwave", *argv], cwd=cwd,
-                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src, **env), capture_output=True,
                           text=True, timeout=300)
+
+
+def test_cli_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """A CLI run writes the same bytes at any OPENBLAS_NUM_THREADS.  Unpinned,
+    two threads moved the 0.5 training window of this Kelvin-Voigt op (49
+    levels against 47 unknowns) by 5.5e-13 and 3.3e-12 relative.  Both runs
+    write to the same relative path, as the CSV header names it."""
+    argv = ["train-interval", "--n-elements", "48", "--dt", "1/96", "--T", "4", "--c", "1.0",
+            "--G", "0.001", "--r", "20", "--t-train", "4", "2", "1", "0.5", "--output-dir", "out"]
+    written = []
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        run = run_podwave(argv, cwd=tmp_path / threads, OPENBLAS_NUM_THREADS=threads)
+        assert run.returncode == 0, run.stderr
+        written.append((tmp_path / threads / "out" / "train_interval.csv").read_bytes())
+    assert written[0] == written[1]
+
+
+def openblas_thread_calls():
+    """(get, set) of the thread counts of numpy's and scipy's OpenBLAS,
+    looked up here by the symbols that podwave uses; skips where either
+    library or symbol is missing (another BLAS)."""
+    calls = []
+    for package, pattern, suffix in (
+            (os.path.dirname(np.__file__), "libscipy_openblas64_-*.so", "64_"),
+            (importlib.util.find_spec("scipy").submodule_search_locations[0],
+             "libscipy_openblas-*.so", "")):
+        paths = glob.glob(os.path.join(package + ".libs", pattern))
+        lib = ctypes.CDLL(paths[0]) if paths else None
+        if not hasattr(lib, f"scipy_openblas_set_num_threads{suffix}"):
+            pytest.skip(f"no OpenBLAS thread symbols beside {package}")
+        calls.append((getattr(lib, f"scipy_openblas_get_num_threads{suffix}"),
+                       getattr(lib, f"scipy_openblas_set_num_threads{suffix}")))
+    return calls
+
+
+def test_cli_pins_blas_threads_and_restores_them(tmp_path, monkeypatch):
+    """A command runs on one thread of each OpenBLAS, and main restores the
+    caller's counts after it, whether it succeeded or failed."""
+    calls = openblas_thread_calls()
+    saved = [get() for get, _ in calls]
+    seen = []
+
+    def spy(driver):
+        def run(config):
+            seen.append([get() for get, _ in calls])
+            return driver(config)
+        return run
+
+    def fail(config):
+        raise linalg.LinAlgFailure("planted failure")
+
+    monkeypatch.setattr(experiments, "singular_value_rows", spy(experiments.singular_value_rows))
+    monkeypatch.setattr(experiments, "error_formula_rows", spy(fail))
+    try:
+        for _, put in calls:
+            put(2)
+        caller = [get() for get, _ in calls]
+        out = SMALL + ["--output-dir", str(tmp_path)]
+        assert main(out + ["singvals"]) == 0
+        assert [get() for get, _ in calls] == caller
+        assert main(out + ["error-formulas"]) == 2
+        assert [get() for get, _ in calls] == caller
+        assert seen == [[1, 1], [1, 1]]
+    finally:
+        for (_, put), count in zip(calls, saved):
+            put(count)
 
 
 @pytest.mark.parametrize("coefficient", [["--G", "1e200"], ["--D", "2.7e154"], ["--c", "1e150"]],
