@@ -18,7 +18,7 @@ per trajectory.  It writes:
 The wave speed is not part of the reference setup; c = 2/pi reproduces the
 Kelvin-Voigt data-error magnitudes and c = 1 the viscous-damping ROM tables,
 so each family is run with its identified value.  The full scale (400
-elements, dt = 1/800, T = 10) takes 12-19 s over 18 runs (a 2-vCPU Xeon VM
+elements, dt = 1/800, T = 10) takes 12-19 s over 19 runs (a 2-vCPU Xeon VM
 whose speed drifts), the --quick scale under 1 s.  Each CLI call runs on one
 BLAS thread at any OPENBLAS_NUM_THREADS, so these times and the CSV bytes
 hold at every setting.

@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     for f in fields(RunConfig):
         flags = ["--" + f.name.replace("_", "-")] + (["--r"] if f.name == "r_list" else [])
         cfg.add_argument(*flags, dest=f.name, nargs="+" if f.type == Tuple[float, ...] else None,
-                         help=f"default: {format_value(f.type, f.default) or '(empty)'}")
+                         help=f"default: {format_value(f.default) or '(empty)'}")
     return parser
 
 

@@ -4,14 +4,19 @@ Every experiment is fully determined by a RunConfig, the inputs of every
 subcommand included; each starts from zero initial velocity.  A RunConfig
 is valid by construction: its fields are checked as it is made, a
 `dataclasses.replace` copy included, and an invalid one raises ConfigError.
-Emitted CSV files embed the configuration, and a file made of their
-`# key=value` lines (less `command`) reruns the same table.  Tuples are
-written comma separated; output_dir's default, the empty value, is the
-current directory.
+Every field value is made once, as the config is built, by one rule for
+the config file's text, the command-line flags and Python values alike: an
+int field stores an int, a float field a finite float, and a fraction such
+as 1/800 is text for a float only.  So equal configs write equal CSV
+headers, which embed the configuration: a file made of their `# key=value`
+lines (less `command`) reruns the same table.  Tuples are written comma
+separated; output_dir's default, the empty value, is the current directory.
 """
 
 import math
+import numbers
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from typing import Optional, Tuple, get_args, get_origin
 
@@ -43,11 +48,8 @@ class RunConfig:
     dt_list: Tuple[float, ...] = (0.01, 0.005, 0.0025)  # convergence
 
     def __post_init__(self):
-        for f in fields(self):  # every float, also each of a list
-            value = getattr(self, f.name)
-            for v in value if get_origin(f.type) is tuple else (value,):
-                if isinstance(v, float) and not math.isfinite(v):
-                    raise ConfigError(f"{f.name} must be finite, got {v}")
+        for f in fields(self):  # each value made the field's type, once
+            object.__setattr__(self, f.name, _field_value(f.name, f.type, getattr(self, f.name)))
         if self.n_elements < 2:
             raise ConfigError("n_elements must be at least 2")
         try:  # the time grid's and the equation's own rules
@@ -59,7 +61,7 @@ class RunConfig:
             raise ConfigError(f"pod_method must be one of {METHODS}")
         if self.u0 not in INITIAL_CONDITIONS:
             raise ConfigError(f"u0 must be one of {tuple(INITIAL_CONDITIONS)}")
-        if not self.r_list or any(int(r) < 1 for r in self.r_list):
+        if not self.r_list or any(r < 1 for r in self.r_list):
             raise ConfigError("r_list must be nonempty positive integers")
         for name in ("times", "t_train", "dt_list"):  # values may be empty
             if not getattr(self, name):
@@ -78,48 +80,48 @@ class RunConfig:
     def as_items(self):
         """Sorted (key, text) pairs for reproducibility headers, each text
         parsed back to the value by the config file's rules."""
-        return sorted((f.name, format_value(f.type, getattr(self, f.name)))
-                      for f in fields(self))
+        return sorted((f.name, format_value(getattr(self, f.name))) for f in fields(self))
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+def format_value(value) -> str:
+    """The config-file text of a field value: a tuple comma separated."""
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
-def format_value(kind, value) -> str:
-    """The config-file text of a value of a field of type kind."""
+def _field_value(name: str, kind, value):
+    """The value stored in field `name` of type kind, made from `value`.
+
+    Text is stripped and read by the config file's rules.  A tuple's text,
+    and each word of a list or tuple of words, is comma separated, so
+    argparse's words of a list flag read as their comma-joined text.  A
+    float is any finite real, in text also a fraction such as 1/800; an int
+    is any integral number.  Anything else raises ConfigError."""
     if get_origin(kind) is tuple:
-        item = get_args(kind)[0]
-        return ",".join(str(item(v)) for v in value)
-    return str(value)
-
-
-def _parse_value(name: str, text: str):
-    """Parse text as the RunConfig field `name`, by the field's type."""
-    if name not in _FIELD_TYPES:
-        raise ConfigError(f"unknown config key {name!r}")
-    kind, text = _FIELD_TYPES[name], text.strip()
-    if get_origin(kind) is tuple:
-        item = get_args(kind)[0]
-        return tuple(_parse_scalar(name, item, p) for p in text.replace(" ", "").split(",") if p)
-    return _parse_scalar(name, kind, text)
-
-
-def _parse_scalar(name: str, kind, text: str):
-    """text as one value of type kind; a float may be a fraction such as 1/800."""
+        words = value if isinstance(value, Iterable) and not isinstance(value, str) else [value]
+        parts = [w.replace(" ", "").split(",") if isinstance(w, str) else [w] for w in words]
+        return tuple(_field_value(name, get_args(kind)[0], p) for ps in parts for p in ps
+                     if not isinstance(p, str) or p)
+    text = isinstance(value, str)
+    value = value.strip() if text else value
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
-        if kind is int:
-            return int(text)
-        if kind is float:
-            num, _, den = text.partition("/")
-            return float(num) / float(den) if den else float(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        what = "integer" if kind is int else "number"
-        raise ConfigError(f"bad {what} for {name}: {text!r}") from exc
-    return text
+        if text and kind is float:  # only a float's text may be a fraction
+            num, _, den = value.partition("/")
+            made = float(num) / float(den) if den else float(value)
+        elif text or real and kind is float or real and kind is int and value == int(value):
+            made = kind(value)
+        else:
+            raise ValueError(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        what = {int: "integer", float: "number"}.get(kind, "text")
+        raise ConfigError(f"bad {what} for {name}: {value!r}") from exc
+    if kind is float and not math.isfinite(made):
+        raise ConfigError(f"{name} must be finite, got {made}")
+    return made
 
 
 def load_config(path: str) -> dict:
-    """Read a flat key=value file into a dict of parsed values.
+    """Read a flat key=value file into a dict of each key's value text.
 
     A line whose first non-blank character is # is a comment, and so is the
     rest of a line from a # after a blank; any other # is part of a value,
@@ -135,24 +137,16 @@ def load_config(path: str) -> dict:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
                 key, value = line.split("=", 1)
                 key = key.strip()
-                out[key] = _parse_value(key, value)
+                if key not in {f.name for f in fields(RunConfig)}:
+                    raise ConfigError(f"unknown config key {key!r}")
+                out[key] = value
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return out
 
 
 def make_config(file_path: Optional[str] = None, overrides: Optional[dict] = None) -> RunConfig:
-    """Config file values first, then explicit overrides."""
-    values = {}
-    if file_path:
-        values.update(load_config(file_path))
-    for key, val in (overrides or {}).items():
-        if val is None:
-            continue
-        if isinstance(val, list):  # the words of a list flag
-            val = ",".join(map(str, val))
-        values[key] = _parse_value(key, val) if isinstance(val, str) else val
-    try:
-        return RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    """Config file values first, then the overrides that are not None."""
+    values = load_config(file_path) if file_path else {}
+    values.update((key, val) for key, val in (overrides or {}).items() if val is not None)
+    return RunConfig(**values)

@@ -190,14 +190,14 @@ def error_formula_rows(config: RunConfig):
     """Actual-vs-formula data errors for each r and both norms."""
     traj = fe_trajectory(config)
     basis = _basis(config, traj, config.pod_method)
-    _check_ranks([(basis, int(r)) for r in config.r_list])
+    _check_ranks([(basis, r) for r in config.r_list])
     data = pod.build_dataset(traj, config.pod_method)
     header = ["r", "norm", "actual", "formula", "relative_gap"]
     rows = []
     for r in config.r_list:
-        for norm, actual, formula in zip(pod.NORMS, pod.data_error_actual(data, basis, int(r)),
-                                         pod.data_error_formula(basis, int(r))):
-            rows.append([int(r), norm, actual, formula, _formula_gap(actual, formula, basis)])
+        for norm, actual, formula in zip(pod.NORMS, pod.data_error_actual(data, basis, r),
+                                         pod.data_error_formula(basis, r)):
+            rows.append([r, norm, actual, formula, _formula_gap(actual, formula, basis)])
     return header, rows
 
 
@@ -205,7 +205,7 @@ def _rom_reports(traj, basis, params, r_list):
     """The error reports of the ROMs of each size in r_list on basis, from one
     error frame and the level blocks of one solve, freed on return: before
     the next basis is made."""
-    runs = [(basis, int(r)) for r in r_list]
+    runs = [(basis, r) for r in r_list]
     _check_ranks(runs)
     frame = rom.ErrorFrame(traj, basis, params)
     return rom.error_reports(frame, rom.solve_rom(rom.build_rom(runs, traj, params)))
@@ -223,13 +223,13 @@ def rom_sweep_rows(config: RunConfig):
               "ratio_energy", "ratio_pointwise"]
     rows = []
     for value in config.values or (getattr(config, param),):
-        swept = replace(config, **{param: float(value)})
+        swept = replace(config, **{param: value})
         traj, params = fe_trajectory(swept), swept.wave_params()
         for method in _COMPARED:
             reports = _rom_reports(traj, _basis(swept, traj, method), params, config.r_list)
             for r, rep in zip(config.r_list, reports):
                 rows.append([
-                    float(value), int(r), method, rep.max_l2_sq, rep.max_energy,
+                    value, r, method, rep.max_l2_sq, rep.max_energy,
                     rep.ratio_energy, rep.ratio_pointwise,
                 ])
         del traj  # unless cached, freed before the next value's trajectory is solved
@@ -239,11 +239,11 @@ def rom_sweep_rows(config: RunConfig):
 def profile_rows(config: RunConfig):
     """FE and reconstructed ROM values on the full node set at config.times,
     from the ROM of size r_list[0]."""
-    times, r = config.times, int(config.r_list[0])
+    times, r = config.times, config.r_list[0]
     for i, t in enumerate(times):
-        if float(t) in map(float, times[:i]):
+        if t in times[:i]:
             raise ConfigError(f"times repeats the time {t}: its columns would share a name")
-    levels = [_time_level(config.time_grid(), float(t), "profile time") for t in times]
+    levels = [_time_level(config.time_grid(), t, "profile time") for t in times]
     traj = fe_trajectory(config)
     space = traj.space
     basis = _basis(config, traj, config.pod_method)
@@ -274,8 +274,8 @@ def train_interval_rows(config: RunConfig):
     `final_time_l2` is the plain norm ||u_h(T) - u_r(T)||_L2, not its square;
     the ROM runs over the whole grid [0, T] in every row.
     """
-    traj, r = fe_trajectory(config), int(config.r_list[0])
-    runs = [(float(t), method, _basis(config, training_slice(traj, float(t)), method))
+    traj, r = fe_trajectory(config), config.r_list[0]
+    runs = [(t, method, _basis(config, training_slice(traj, t), method))
             for t in config.t_train for method in _COMPARED]
     rom_runs = [(basis, r) for *_, basis in runs]
     _check_ranks(rom_runs)
@@ -308,17 +308,17 @@ def convergence_rows(config: RunConfig):
     rows = []
     prev = None
     for dt in config.dt_list:
-        if prev is not None and float(dt) == prev[0]:
+        if prev is not None and dt == prev[0]:
             raise ConfigError(f"dt-list repeats the step {dt}: an order needs two sizes")
-        run = replace(config, dt=float(dt))  # dt must divide T
+        run = replace(config, dt=dt)  # dt must divide T
         diff = wave.final_state(space, run.time_grid(), params, u0, u00) - exact_final
         err = float(np.sqrt(l2_norms_sq(space, diff)))
         order = math.nan  # also where an error is 0 and has no logarithm
         if prev is not None and prev[1] > 0 and err > 0:
             prev_dt, prev_err = prev
-            order = math.log(prev_err / err) / math.log(prev_dt / float(dt))
-        rows.append([float(dt), space.h, err, order])
-        prev = (float(dt), err)
+            order = math.log(prev_err / err) / math.log(prev_dt / dt)
+        rows.append([dt, space.h, err, order])
+        prev = (dt, err)
     return header, rows
 
 

@@ -8,6 +8,7 @@ import importlib.util
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -770,6 +771,69 @@ def test_csv_header_reproduces_the_run(tmp_path, argv):
         assert main(["--config", config, "--output-dir", str(again), command]) == 0
         assert data_lines(read(again / name)) == data_lines(read(first / name)), name
     assert sorted(os.listdir(again)) == names
+
+
+EIGHT = {"n_elements": 8, "dt": 1 / 16, "T": 1.0, "c": 1.0}
+
+
+def singvals_bytes(config, path):
+    """The bytes of config's singvals CSV, written at path."""
+    header, rows = experiments.singular_value_rows(config)
+    return open(write_csv(str(path), config, "singvals", header, rows), "rb").read()
+
+
+def without_output_dir(data):
+    return b"".join(l for l in data.splitlines(True) if not l.startswith(b"# output_dir="))
+
+
+def test_equal_configs_write_equal_bytes(tmp_path):
+    """T and c given as ints make the config that floats make, and it writes
+    the same bytes; its header replayed through --config writes them again,
+    apart from the output_dir line."""
+    once = singvals_bytes(RunConfig(**{**EIGHT, "T": 1, "c": 1}), tmp_path / "ints.csv")
+    assert singvals_bytes(RunConfig(**EIGHT), tmp_path / "floats.csv") == once
+    config = header_config(tmp_path / "ints.csv", tmp_path / "run.cfg")
+    assert main(["--config", config, "--output-dir", str(tmp_path / "again"), "singvals"]) == 0
+    again = (tmp_path / "again" / "singvals_standard.csv").read_bytes()
+    assert without_output_dir(again) == without_output_dir(once)
+
+
+@pytest.mark.parametrize("key, given, made", [
+    ("n_elements", 8.0, 8),
+    ("n_elements", np.int64(8), 8),
+    ("dt", "1/16", 0.0625),
+    ("dt", np.float32(0.0625), 0.0625),
+    ("T", "1", 1.0),
+    ("r_list", (np.int64(2), 4.0), (2, 4)),
+    ("r_list", " 2, 4 ", (2, 4)),
+    ("times", ["0", "1/2,1"], (0.0, 0.5, 1.0)),
+], ids=["int-of-float", "int-of-np.int64", "float-of-fraction", "float-of-np.float32",
+        "float-of-text", "ints-of-numbers", "ints-of-text", "floats-of-words"])
+def test_a_value_is_made_its_field_type(tmp_path, key, given, made):
+    """Any integral number makes an int field's int and any finite real, or
+    text by the config file's rules, a float field's float: the config and
+    its bytes are those of the value written as its field's type."""
+    config = RunConfig(**{**EIGHT, key: given})
+    assert repr(getattr(config, key)) == repr(made)
+    assert (singvals_bytes(config, tmp_path / "given.csv")
+            == singvals_bytes(RunConfig(**{**EIGHT, key: made}), tmp_path / "made.csv"))
+
+
+@pytest.mark.parametrize("key, given, message", [
+    ("r_list", (2.7,), "bad integer for r_list: 2.7"),
+    ("n_elements", 8.5, "bad integer for n_elements: 8.5"),
+    ("n_elements", True, "bad integer for n_elements: True"),
+    ("stride", "4/2", "bad integer for stride: '4/2'"),
+    ("dt", "1/0", "bad number for dt: '1/0'"),
+    ("c", None, "bad number for c: None"),
+    ("pod_method", 1, "bad text for pod_method: 1"),
+], ids=["ints-of-2.7", "int-of-8.5", "int-of-bool", "int-of-fraction", "float-of-1/0",
+        "float-of-none", "text-of-int"])
+def test_a_value_of_no_field_type_is_refused(key, given, message):
+    """A value its field's type cannot hold exactly is refused, never cast:
+    a fraction is text for a float only."""
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        RunConfig(**{**EIGHT, key: given})
 
 
 def test_csv_header_replays_a_hash_inside_a_value(tmp_path):

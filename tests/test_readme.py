@@ -1,6 +1,6 @@
 """The README's examples are current: its Python examples import only names
-that exist, its "Library use" example runs, and its `podwave` command lines
-parse to a valid configuration."""
+that exist, its "Library use" example runs, its `podwave` command lines
+parse to a valid configuration, and its options table is RunConfig's."""
 
 import ast
 import os
@@ -46,3 +46,17 @@ def test_readme_command_lines_parse():
     for argv in commands:
         args = cli.build_parser().parse_args(argv)
         make_config(args.config, {f.name: getattr(args, f.name) for f in fields(RunConfig)})
+
+
+def test_readme_options_table_is_the_config():
+    """The `| key | default | meaning |` table of "Configuration" names every
+    RunConfig field once, and each default cell, read as config text
+    (`empty` is ""), makes that field's default value."""
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("### Configuration\n", 1)[1].split("\n#", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    cells = [(key, cell.strip()) for keys, cell in rows for key in re.findall(r"`(\w+)`", keys)]
+    assert sorted(key for key, _ in cells) == sorted(f.name for f in fields(RunConfig))
+    defaults = {key: "" if cell == "empty" else cell.strip("`") for key, cell in cells}
+    for f in fields(RunConfig):
+        assert repr(getattr(RunConfig(**{f.name: defaults[f.name]}), f.name)) == repr(f.default)
