@@ -4,8 +4,8 @@ on reduced problem sizes."""
 import contextlib
 import ctypes
 import glob
-import importlib.util
 import io
+import json
 import math
 import os
 import re
@@ -270,26 +270,16 @@ def test_cli_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 
 def openblas_thread_calls():
-    """(get, set) of the thread counts of numpy's and scipy's OpenBLAS,
-    looked up here by the symbols that podwave uses; skips where either
-    library or symbol is missing (another BLAS)."""
-    calls = []
-    for package, pattern, suffix in (
-            (os.path.dirname(np.__file__), "libscipy_openblas64_-*.so", "64_"),
-            (importlib.util.find_spec("scipy").submodule_search_locations[0],
-             "libscipy_openblas-*.so", "")):
-        paths = glob.glob(os.path.join(package + ".libs", pattern))
-        lib = ctypes.CDLL(paths[0]) if paths else None
-        if not hasattr(lib, f"scipy_openblas_set_num_threads{suffix}"):
-            pytest.skip(f"no OpenBLAS thread symbols beside {package}")
-        calls.append((getattr(lib, f"scipy_openblas_get_num_threads{suffix}"),
-                       getattr(lib, f"scipy_openblas_set_num_threads{suffix}")))
-    return calls
+    """[(get, set)] of the thread count of numpy's OpenBLAS, the one BLAS of
+    a run, looked up here by the symbols that podwave uses."""
+    path, = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "libscipy_openblas64_-*.so"))
+    lib = ctypes.CDLL(path)
+    return [(lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_)]
 
 
 def test_cli_pins_blas_threads_and_restores_them(tmp_path, monkeypatch):
-    """A command runs on one thread of each OpenBLAS, and main restores the
-    caller's counts after it, whether it succeeded or failed."""
+    """A command runs on one thread of numpy's OpenBLAS, and main restores
+    the caller's count after it, whether it succeeded or failed."""
     calls = openblas_thread_calls()
     saved = [get() for get, _ in calls]
     seen = []
@@ -314,7 +304,7 @@ def test_cli_pins_blas_threads_and_restores_them(tmp_path, monkeypatch):
         assert [get() for get, _ in calls] == caller
         assert main(out + ["error-formulas"]) == 2
         assert [get() for get, _ in calls] == caller
-        assert seen == [[1, 1], [1, 1]]
+        assert seen == [[1], [1]]
     finally:
         for (_, put), count in zip(calls, saved):
             put(count)
@@ -534,15 +524,23 @@ def test_solve_holds_one_block_of_levels(tmp_path):
     assert peak < 4 << 20, peak
 
 
+def cli_process(runs=()):
+    """The names of the modules that a fresh interpreter holds after
+    `import podwave.cli` and the CLI runs of the argument lists runs, and
+    its /proc/self/maps, None where there is no /proc."""
+    src = os.path.dirname(os.path.dirname(podwave.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (f"import json, os, sys, podwave.cli; [podwave.cli.main(argv) for argv in {list(runs)!r}]; "
+            "maps = '/proc/self/maps'; maps = open(maps).read() if os.path.exists(maps) else None; "
+            "print(json.dumps([sorted(sys.modules), maps]))")
+    return json.loads(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                     capture_output=True, text=True).stdout.splitlines()[-1])
+
+
 def loaded_by_cli_import(*modules, runs=()) -> str:
     """Which of modules `import podwave.cli` loads in a fresh interpreter,
     and the CLI runs of the argument lists runs after it."""
-    src = os.path.dirname(os.path.dirname(podwave.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = (f"import sys, podwave.cli; [podwave.cli.main(argv) for argv in {list(runs)!r}]; "
-            f"print(sorted({set(modules)!r} & set(sys.modules)))")
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True).stdout.splitlines()[-1]
+    return str(sorted(set(modules) & set(cli_process(runs)[0])))
 
 
 def test_cli_import_skips_scipy_signal():
@@ -552,12 +550,11 @@ def test_cli_import_skips_scipy_signal():
 
 
 def test_cli_import_skips_scipy_linalg(tmp_path):
-    """linalg loads scipy's compiled LAPACK module from its file: the
-    scipy.linalg package's __init__ imports array_api_compat and through it
-    numpy.f2py and numpy.testing, which took `import podwave.cli` in a fresh
-    interpreter from a median 0.30 to 0.74 s and from 32.5 to 57 MiB (2-vCPU
-    VM).  Nor do the SVD, the factorisations and the triangular solves of
-    tiny runs load them."""
+    """The scipy.linalg package's __init__ imports array_api_compat and
+    through it numpy.f2py and numpy.testing, which took `import podwave.cli`
+    in a fresh interpreter from a median 0.30 to 0.74 s and from 32.5 to
+    57 MiB (2-vCPU VM).  Nor do the SVD, the factorisations and the
+    triangular solves of tiny runs load them."""
     modules = ("scipy.linalg", "numpy.f2py", "numpy.testing")
     assert loaded_by_cli_import(*modules) == "[]"
     out = ["--output-dir", str(tmp_path)]
@@ -565,6 +562,22 @@ def test_cli_import_skips_scipy_linalg(tmp_path):
             COARSE + out + ["--r", "2,7", "rom-sweep", "--param", "D", "--values", "0", "0.1"]]
     assert loaded_by_cli_import(*modules, runs=runs) == "[]"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["error_formulas.csv", "rom_sweep.csv"]
+
+
+def test_cli_run_loads_no_scipy_and_maps_one_openblas(tmp_path):
+    """linalg calls LAPACK on numpy's OpenBLAS: a run that factors, solves
+    and takes SVDs imports no scipy module and maps no second OpenBLAS,
+    scipy's LP64 libscipy_openblas-*.so, beside numpy's ILP64 one."""
+    out = ["--output-dir", str(tmp_path)]
+    modules, maps = cli_process([
+        COARSE + out + ["error-formulas", "--r", "2,4"],
+        COARSE + out + ["--r", "2,7", "rom-sweep", "--param", "D", "--values", "0", "0.1"]])
+    assert [name for name in modules if name.startswith("scipy")] == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["error_formulas.csv", "rom_sweep.csv"]
+    if maps is None:
+        pytest.skip("no /proc/self/maps")
+    libraries = {os.path.basename(line.split()[-1]) for line in maps.splitlines() if "openblas" in line}
+    assert sorted(name.split("-")[0] for name in libraries) == ["libscipy_openblas64_"], libraries
 
 
 def test_cli_import_skips_fractions_and_decimal():

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fe_reference import SVD_TOL_EPS, banded_upper, separated_modes, thin_svd_of_a_copy, to_dense
+import podwave
 from podwave import linalg
 from podwave.linalg import LinAlgFailure, SymTridiagonal, cholesky, solve_triangular, thin_svd
 
@@ -263,6 +267,7 @@ def test_thin_svd_is_as_accurate_as_the_direct_svd(shape):
 
 # Each LAPACK call of podwave.linalg stands in for the scipy.linalg function
 # named in the test, with the same arguments: the results are bitwise equal.
+# The dense Cholesky factor is numpy's, whose OpenBLAS podwave calls.
 
 def random_spd(rng, m):
     """A dense SPD matrix (m, m), row-major as np.inner makes the reduced
@@ -301,11 +306,12 @@ def test_banded_factor_is_bitwise_cholesky_banded(n, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 60), st.integers(0, 2**32 - 1))
-def test_cholesky_is_bitwise_scipy(m, seed):
+def test_cholesky_is_bitwise_numpy(m, seed):
     """The reduced-stiffness factor, of a row-major matrix as np.inner
-    makes it and of a column-major one."""
+    makes it and of a column-major one: numpy's dpotrf, on the same
+    OpenBLAS as podwave's."""
     a = random_spd(np.random.default_rng(seed), m)
-    expected = scipy.linalg.cholesky(a, lower=True)
+    expected = np.linalg.cholesky(a)
     assert np.array_equal(cholesky(a), expected)
     assert np.array_equal(cholesky(np.asfortranarray(a)), expected)
 
@@ -346,3 +352,41 @@ def test_lapack_failures_match_scipy():
             solve_triangular(np.eye(2), np.array([1.0, bad]), lower=True)
         with pytest.raises(ValueError, match="infs or NaNs"):
             solve_triangular(np.array([[1.0, 0.0], [bad, 1.0]]), np.ones(2), lower=True)
+
+
+def test_openblas_lookup_fails_in_one_line(tmp_path):
+    """Where numpy's OpenBLAS is missing, `import podwave` ends in one
+    ImportError that names the library and where it was looked for."""
+    with pytest.raises(ImportError) as error:
+        linalg._load_openblas(str(tmp_path))
+    message = str(error.value)
+    assert "\n" not in message and "libscipy_openblas64_-*.so" in message and str(tmp_path) in message
+
+
+LAPACK_FAILURES = """
+import sys
+sys.modules["scipy"] = None  # import scipy fails, as where it is not installed
+import numpy as np
+from podwave import linalg
+for fail in (lambda: linalg.SymTridiagonal(np.ones(2), np.array([3.0])).cholesky(),
+             lambda: linalg.cholesky(np.array([[1.0, 3.0], [3.0, 1.0]])),
+             lambda: linalg.solve_triangular(np.array([[1.0, 0.0], [1.0, 0.0]]), np.ones(2), lower=True)):
+    try:
+        fail()
+    except linalg.LinAlgFailure as exc:
+        print(exc)
+print(linalg.SymTridiagonal(np.full(3, 2.0), np.full(2, -1.0)).cholesky().r_solve(np.empty((0, 3))).shape)
+"""
+
+
+def test_lapack_failures_keep_their_messages_without_scipy():
+    """The LAPACK failure paths through ctypes, where scipy cannot be
+    imported: a non-SPD banded and dense matrix and a singular triangle
+    end in their messages, and a dtbtrs solve of no columns returns none."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(podwave.__file__)))
+    run = subprocess.run([sys.executable, "-c", LAPACK_FAILURES], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["matrix is not SPD: 2-th leading minor not positive definite",
+                                       "2-th leading minor of the array is not positive definite",
+                                       "singular matrix: resolution failed at diagonal 1",
+                                       "(0, 3)"]
